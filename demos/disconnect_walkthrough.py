@@ -3,8 +3,9 @@
 Builds a two-summand block operator, a weighted norm with mixed base norms,
 and asks for a perturbation with phi-norm under 1e-2.  The certificate that
 comes back carries every quantity the construction promises: the boundary
-point lambda, the offset eps0, the window width delta, the rank-one column
-E, and the before/after single-linkage components of the spectrum.
+point lambda, the offset eps0, the budget delta for phi((T - lambda) E), the
+rank-one projection E, the separation of the new point from the rest of the
+spectrum, and the before/after single-linkage components of the spectrum.
 """
 
 import pathlib
@@ -31,11 +32,13 @@ cert = disconnect(T, eps, spec)
 print(f"\nbudget eps = {eps:g}")
 print(f"  lambda (rightmost spectral point) = {cert.lam:.6f}")
 print(f"  eps0 = eps / (2 (1 + c_phi))      = {cert.eps0:.3e}")
-print(f"  certified window delta            = {cert.delta:.3e}")
+print(f"  budget delta = eps0 * 1e-3        = {cert.delta:.3e}")
 print(f"  phi(X) = {cert.phi_X:.3e}  (< eps: {cert.phi_X < eps})")
 print(f"  ||X||  = {cert.X.norm():.3e}  (<= phi(X): dominating norm)")
 print(f"  phi(E) = {cert.phi_E:.3f}   (< 1 + c_phi = {1 + c_phi(spec, alg):.2f})")
 print(f"  phi((T - lambda) E) = {cert.phi_TE:.3e}  (< delta)")
+print(f"  separation sigma_min(C - mu) = {cert.separation:.3e}  "
+      f"(> rounding bound {cert.separation_bound:.3e})")
 
 before, after = cert.components_before, cert.components_after
 print(f"\nspectrum components at threshold {after.threshold:.2e}:")

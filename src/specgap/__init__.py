@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     SpecgapError, ShapeMismatch, NotAProjection, EmptyBlock, ZeroProjection,
-    ConvergenceFailure, NotPositive, EmptySpectralWindow, InfiniteCPhi,
+    ConvergenceFailure, EmptySpectralWindow, BelowRoundoff, InfiniteCPhi,
     NotDominating, BadLambda, DimensionOne, ContourThroughSpectrum,
     EnclosesAllOrNone, FiniteUnion, ExhaustedSamples, BudgetNotLessThanOne,
     NoConvergenceCertificate, UsageError,
@@ -21,7 +21,7 @@ from .errors import (
 from .algebra import (
     BlockOperator, AlgebraSpec, IdealSpec, Projection, block_operator,
     identity_like, zero_like, central_projection, validate_projection,
-    central_support, central_support_projection, minimal_subprojection,
+    central_support, minimal_subprojection,
     operator_to_dict, operator_from_dict, read_operator, write_operator,
 )
 from .norms import (
@@ -35,7 +35,7 @@ from .sampling import (
 )
 from .spectral import (
     eigenvalues, cluster_points, SpectrumReport, spectrum_components,
-    rightmost_boundary_point, spectral_projection_below, min_singular_value,
+    rightmost_boundary_point, min_singular_value,
     GridSpec, PseudospectrumGrid, pseudospectrum_grid, write_spectrum_csv,
     write_pseudospectrum_csv,
 )

@@ -39,7 +39,6 @@ __all__ = [
     "central_projection",
     "validate_projection",
     "central_support",
-    "central_support_projection",
     "minimal_subprojection",
     "read_operator",
     "write_operator",
@@ -265,7 +264,8 @@ class IdealSpec:
 
 @dataclass(frozen=True)
 class Projection:
-    """A validated orthogonal projection; build through :func:`validate_projection`."""
+    """A validated orthogonal projection; build through :func:`validate_projection`
+    (or directly for ``v v*`` with a unit vector ``v``)."""
 
     base: BlockOperator
     tol: float = DEFAULT_TOL
@@ -310,16 +310,6 @@ def validate_projection(A: BlockOperator, tol: float = DEFAULT_TOL) -> Projectio
 def central_support(P: Projection) -> tuple:
     """Ids of the summands where ``P`` has a nonzero block."""
     return P.support
-
-
-def central_support_projection(P: Projection) -> Projection:
-    """The central support: identity on supported summands, zero elsewhere.
-
-    A projection and its central support select the same summands, which is
-    why weight-minimizing subprojections can be found summand by summand.
-    """
-    op = central_projection(P.base, P.support)
-    return validate_projection(op, tol=P.tol)
 
 
 def minimal_subprojection(P: Projection, sid: int) -> Projection:

@@ -328,15 +328,6 @@ class PLFunction:
         v = self.values
         return [(v[i], v[i + 1]) for i in range(len(v) - 1)]
 
-    def sub(self, other: "PLFunction") -> "PLFunction":
-        """Difference as a PL function on the union of breakpoints (domains
-        must agree)."""
-        if (abs(self.domain[0] - other.domain[0]) > 1e-12
-                or abs(self.domain[1] - other.domain[1]) > 1e-12):
-            raise ShapeMismatch("PL difference needs matching domains")
-        b = np.union1d(np.asarray(self.breakpoints), np.asarray(other.breakpoints))
-        return PLFunction(breakpoints=b, values=self(b) - other(b))
-
     def sup_norm_on(self, X: CompactRealSet) -> float:
         """Exact sup of |f| over X: |f| is convex on each linear segment, so
         the max over an interval is attained at a breakpoint or an interval

@@ -98,6 +98,8 @@ def _cert_summary(cert) -> dict:
         "components_before": cert.components_before.n_components,
         "components_after": cert.components_after.n_components,
         "gap_achieved": cert.gap_achieved,
+        "separation": cert.separation,
+        "separation_bound": cert.separation_bound,
         "disconnected": cert.disconnected,
     }
 

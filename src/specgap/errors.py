@@ -7,8 +7,8 @@ __all__ = [
     "EmptyBlock",
     "ZeroProjection",
     "ConvergenceFailure",
-    "NotPositive",
     "EmptySpectralWindow",
+    "BelowRoundoff",
     "InfiniteCPhi",
     "NotDominating",
     "BadLambda",
@@ -51,12 +51,12 @@ class ConvergenceFailure(SpecgapError):
     """An underlying eigenvalue/SVD routine did not converge."""
 
 
-class NotPositive(SpecgapError):
-    """Operator is not Hermitian positive semidefinite within tolerance."""
-
-
 class EmptySpectralWindow(SpecgapError):
-    """No spectrum of the operator falls inside the requested window."""
+    """There are no spectrum points to work with."""
+
+
+class BelowRoundoff(SpecgapError):
+    """The budget is below what round-off in sigma_min(T - lambda) can resolve."""
 
 
 class InfiniteCPhi(SpecgapError):

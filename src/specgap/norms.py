@@ -44,6 +44,8 @@ __all__ = [
     "f_phi",
     "FPhiResult",
     "c_phi",
+    "spec_c_phi",
+    "spec_identity_infimum",
     "dominating_check",
     "check_unitary_invariance",
     "norm_to_dict",
@@ -222,24 +224,35 @@ def c_phi(spec: NormSpec, alg: AlgebraSpec) -> float:
     tail weight class is divergent.
     """
     spec.check_against(alg)
+    return spec_c_phi(spec)
+
+
+def spec_c_phi(spec: NormSpec) -> float:
+    """:func:`c_phi` read off the spec alone, for a spec already known to fit
+    its algebra (then the algebra has a tail exactly when the spec does)."""
+    if spec.tail_weights == "divergent":
+        return math.inf
     top = max(spec.weights)
-    if alg.tail == "repeat_last":
-        if spec.tail_weights == "divergent":
-            return math.inf
+    if spec.tail_weights == "bounded":
         top = max(top, float(spec.tail_sup))
     return float(top)
 
 
 def _identity_infimum(spec: NormSpec, alg: AlgebraSpec) -> float:
-    # f_phi of the identity without materializing it: the infimum of all
-    # summand weights, including the tail family.
     spec.check_against(alg)
+    return spec_identity_infimum(spec)
+
+
+def spec_identity_infimum(spec: NormSpec) -> float:
+    """``f_phi`` of the identity without materializing it: the infimum of all
+    summand weights, including the tail family (same proviso as
+    :func:`spec_c_phi`)."""
     bottom = min(spec.weights)
-    if alg.tail == "repeat_last":
-        if spec.tail_weights == "bounded":
-            bottom = min(bottom, float(spec.tail_sup))
-        else:  # divergent, increasing: the first tail weight is the infimum
-            bottom = min(bottom, spec.weight_of(spec.n_realized))
+    if spec.tail_weights == "bounded":
+        bottom = min(bottom, float(spec.tail_sup))
+    elif spec.tail_weights == "divergent":
+        # increasing: the first tail weight is the infimum of the tail
+        bottom = min(bottom, spec.weight_of(spec.n_realized))
     return float(bottom)
 
 

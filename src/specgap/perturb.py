@@ -1,26 +1,30 @@
 """Small-norm perturbations that disconnect spectra.
 
-The main pipeline: shift the rightmost spectrum point lambda to the origin,
-set ``eps0 = eps / (2 (1 + c_phi))``, find a rank-one projection ``E`` whose
-column lies in a tiny spectral window of ``(T - lambda)* (T - lambda)`` (so
-that ``phi((T - lambda) E)`` is below a safety budget ``delta``), and add
+The main pipeline: take the rightmost spectrum point ``lambda`` and the
+rank-one projection ``E = v v*`` onto the smallest right singular vector
+``v`` of ``T - lambda`` (over all blocks), and add
 
-    X = ((lambda + eps0) I - T) E.
+    X = (mu I - T) E,        mu = lambda + eps0.
 
-Then ``T + X = (lambda I + eps0 E) + (T - lambda I)(I - E)`` is upper
-triangular with respect to ``ran E`` and its complement, so its spectrum is
-``{lambda + eps0}`` together with a compressed part confined to the half
-plane ``Re z < Re lambda + eps0`` — two components, bought at norm cost
-``phi(X) <= eps0 phi(E) + phi((T - lambda) E) < eps``.
+Then ``T + X = T (I - E) + mu E`` is block upper triangular with respect to
+``ran E`` and ``ran(I - E)``, so ``sigma(T + X) = {mu} u sigma(C)`` with ``C``
+the compression of ``T`` to ``ran(I - E)``.  The norm cost is
 
-``delta`` is chosen by bisection against a rigorous enclosure: Gershgorin
-discs of the diagonally rescaled Schur form, which bound how far a
-perturbation of norm ``delta`` can push eigenvalues to the right.  The
-resulting certificate is still validated a posteriori against exact
-eigenvalues.
+    phi(X) <= eps0 phi(E) + phi((T - lambda) E) < eps
 
-The operator-norm variant (`disconnect_rr0`) cuts the spectral window
-directly at ``delta^2`` and uses ``eps0 = eps / 2``.
+for ``eps0 = eps / (2 (1 + c_phi))`` (``eps / 2`` in the operator-norm
+variant `disconnect_rr0`), because ``phi((T - lambda) E)`` must stay below
+the fixed budget ``delta = eps0 * 1e-3``.  A budget below the round-off in
+``sigma_min(T - lambda)`` raises :class:`BelowRoundoff`.
+
+The split is certified by ``s = sigma_min(C - mu)``, a lower bound on the
+distance from ``mu`` to ``sigma(C)``.  ``C`` needs no further factorization:
+the other right singular vectors of the same SVD span ``ran(I - E)`` in the
+block holding ``v``, and ``C`` is ``T`` itself on the other blocks.  A
+certificate is issued only when ``s`` exceeds its rounding bound
+``10 n u (||T|| + |mu|)`` (``n`` the total dimension, ``u`` the unit
+round-off).  The single-linkage component reports of ``sigma(T)`` and of
+the computed ``sigma(T + X)`` ride along for inspection.
 
 `counterexample_operator` builds the opposite phenomenon: with weights
 doubling per summand (so the sup-inf constant is infinite), no small
@@ -35,37 +39,34 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
+    DEFAULT_TOL,
     BlockOperator,
     IdealSpec,
     Projection,
-    identity_like,
-    minimal_subprojection,
     operator_to_dict,
     operator_from_dict,
-    validate_projection,
 )
 from .errors import (
     BadLambda,
+    BelowRoundoff,
     BudgetNotLessThanOne,
     ConvergenceFailure,
     DimensionOne,
-    EmptySpectralWindow,
     InfiniteCPhi,
     NotDominating,
     ShapeMismatch,
-    ZeroProjection,
 )
 from .norms import (
-    BaseNorm,
     NormSpec,
     OPERATOR,
     norm_to_dict,
     norm_from_dict,
     operator_norm_spec,
     phi_eval,
+    spec_c_phi,
+    spec_identity_infimum,
 )
 from .spectral import (
     SpectrumReport,
@@ -78,7 +79,6 @@ from . import __version__ as _version
 
 __all__ = [
     "PerturbationCertificate",
-    "subprojection_in_ideal",
     "small_te",
     "disconnect",
     "disconnect_rr0",
@@ -93,155 +93,60 @@ __all__ = [
 ]
 
 LAMBDA_TOL = 1e-8          # how close lambda must sit to the spectrum
-_MARGIN_FACTOR = 1.0 - 1e-3   # enclosures must stay left of eps0 * this
+DELTA_FACTOR = 1e-3        # the budget for phi((T - lambda) E) is eps0 * this
+SEPARATION_FACTOR = 10.0   # s must exceed this * n * u * (||T|| + |mu|)
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
-def _c_phi_of(spec: NormSpec) -> float:
-    top = max(spec.weights)
-    if spec.tail_weights == "divergent":
-        return math.inf
-    if spec.tail_weights == "bounded":
-        top = max(top, float(spec.tail_sup))
-    return float(top)
+def _smallest_right_singular(T: BlockOperator, lam: complex):
+    """``(sid, sigma_min, V)`` for ``T - lam``: the summand holding the
+    smallest singular value, that value, and the block's right singular
+    vectors as columns in decreasing singular-value order (``V[:, -1]`` is
+    the minimizer; the other columns span its orthogonal complement)."""
+    best = None
+    for sid, b in T.summands:
+        _, s, vh = np.linalg.svd(b - complex(lam) * np.eye(b.shape[0]))
+        if best is None or s[-1] < best[1]:
+            best = (sid, float(s[-1]), vh.conj().T)
+    return best
 
 
-def _dominating(spec: NormSpec) -> bool:
-    bottom = min(spec.weights)
-    if spec.tail_weights == "bounded":
-        bottom = min(bottom, float(spec.tail_sup))
-    elif spec.tail_weights == "divergent":
-        bottom = min(bottom, spec.weight_of(spec.n_realized))
-    return bottom >= 1.0
+def _rank_one(structure, sid: int, a: np.ndarray, b: np.ndarray) -> BlockOperator:
+    """``a b*`` in summand ``sid`` and zero elsewhere."""
+    return BlockOperator(tuple(
+        (s, np.outer(a, b.conj()) if s == sid else np.zeros((d, d)))
+        for s, d in structure))
 
 
-def subprojection_in_ideal(P: Projection, ideal: IdealSpec) -> Projection:
-    """A rank-one subprojection of ``P`` inside the ideal.
+def _rank_one_projection(structure, sid: int, v: np.ndarray) -> Projection:
+    # v is a unit vector, so v v* is an orthogonal projection by construction
+    return Projection(base=_rank_one(structure, sid, v, v), tol=DEFAULT_TOL,
+                      ranks=tuple(int(s == sid) for s, _ in structure))
 
-    Always reduces to rank one in the lowest-index supported summand:
-    rank-one projections are finitely supported, hence lie in either ideal
-    kind, and they minimize every weighted norm over subprojections.
+
+def small_te(T: BlockOperator, lam: complex, eps: float, spec: NormSpec) -> Projection:
+    """Rank-one E with ``phi(E) <= c_phi`` and ``phi((T - lam I) E) < eps``.
+
+    ``lam`` must sit in the spectrum (within ``1e-8``).  ``E = v v*`` for the
+    smallest right singular vector ``v`` of ``T - lam I``, so
+    ``phi((T - lam I) E) <= c_phi sigma_min(T - lam I)``; raises
+    :class:`BelowRoundoff` when ``sigma_min`` is not below
+    ``eps / (1 + c_phi)``.
     """
-    if P.rank == 0:
-        raise ZeroProjection("cannot pick a subprojection of the zero projection")
-    return minimal_subprojection(P, P.support[0])
-
-
-def _window_projection(shifted: BlockOperator, sigma_max: float) -> Projection:
-    """Projection onto the right singular subspace of ``shifted`` with
-    singular values <= ``sigma_max`` — identically the spectral projection
-    of ``shifted* shifted`` onto ``[0, sigma_max^2]``, but computed without
-    squaring away the tiny singular values it exists to capture."""
-    blocks = []
-    hit = False
-    for sid, b in shifted.summands:
-        _, s, vh = np.linalg.svd(b)
-        sel = vh.conj().T[:, s <= sigma_max]
-        if sel.shape[1]:
-            hit = True
-            blocks.append((sid, sel @ sel.conj().T))
-        else:
-            blocks.append((sid, np.zeros_like(b)))
-    if not hit:
-        raise EmptySpectralWindow(
-            f"no singular values of T - lambda at or below {sigma_max}")
-    return validate_projection(BlockOperator(tuple(blocks)), tol=1e-9)
-
-
-def small_te(T: BlockOperator, lam: complex, eps: float, spec: NormSpec,
-             ideal: IdealSpec = IdealSpec("full")) -> Projection:
-    """Rank-one E with ``phi(E) < 1 + c_phi`` and ``phi((T - lam I) E) < eps``.
-
-    ``lam`` must sit in the spectrum (within ``1e-8``); the column of ``E``
-    is drawn from the spectral window ``[0, (eps / (1 + c_phi))^2]`` of
-    ``(T - lam I)* (T - lam I)``, which is nonempty because
-    ``sigma_min(T - lam I) ~ 0``.
-    """
-    cphi = _c_phi_of(spec)
+    cphi = spec_c_phi(spec)
     if math.isinf(cphi):
-        raise InfiniteCPhi("c_phi is infinite; no small-TE window exists")
+        raise InfiniteCPhi("c_phi is infinite; no small-TE projection exists")
     if eps <= 0:
         raise ValueError("eps must be positive")
     ev = eigenvalues(T)
     if np.abs(ev - complex(lam)).min() > LAMBDA_TOL:
         raise BadLambda(f"lambda={lam} is {np.abs(ev - complex(lam)).min():.3e} "
                         f"away from the spectrum (tol {LAMBDA_TOL})")
-    shifted = T - complex(lam) * identity_like(T)
-    P = _window_projection(shifted, eps / (1.0 + cphi))
-    return subprojection_in_ideal(P, ideal)
-
-
-# -- delta selection ------------------------------------------------------
-
-_T_GRID = 2.0 ** np.arange(0, 41)
-
-
-def _schur_forms(T: BlockOperator):
-    return [scipy.linalg.schur(np.asarray(b), output="complex")[0]
-            for _, b in T.summands]
-
-
-def _gershgorin_right_edge(schur_blocks, delta: float) -> float:
-    """Upper bound on Re of any eigenvalue of A with ||A - T|| <= delta.
-
-    Gershgorin discs of D (U + Delta) D^-1 where U is the Schur form and
-    D = diag(t^0 .. t^{n-1}): scaling by t > 1 shrinks the strictly upper
-    part of U geometrically while inflating the (entrywise delta-bounded)
-    perturbation by at most sum_m t^{+-m}.  The reported edge is minimized
-    over a geometric grid of t.
-    """
-    edge = -math.inf
-    for U in schur_blocks:
-        n = U.shape[0]
-        diag_re = np.real(np.diagonal(U))
-        if n == 1:
-            edge = max(edge, float(diag_re[0]) + delta)
-            continue
-        # row sums of |U| by diagonal offset m: offs[m-1, i] = |U[i, i+m]|
-        absU = np.abs(U)
-        offs = np.zeros((n - 1, n))
-        for m in range(1, n):
-            offs[m - 1, : n - m] = absU[np.arange(n - m), np.arange(m, n)]
-        best = math.inf
-        idx = np.arange(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in _T_GRID:
-                tneg = t ** (-np.arange(1.0, n))
-                shrink = tneg @ offs                       # off-diagonal radii
-                up = np.concatenate(([0.0], np.cumsum(t ** np.arange(1.0, n))))
-                s_up = up[idx]                             # sum_{m<=i} t^m
-                down = np.concatenate(([0.0], np.cumsum(tneg)))
-                s_down = down[n - 1 - idx]                 # sum_{m<=n-1-i} t^-m
-                radii = shrink + delta * (1.0 + s_up + s_down)
-                cand = float(np.max(diag_re + radii))
-                if not math.isnan(cand):
-                    best = min(best, cand)
-        edge = max(edge, best)
-    return edge
-
-
-def _choose_delta(schur_blocks, eps0: float):
-    """Largest delta <= eps0/2 keeping the enclosure left of eps0*(1-1e-3).
-
-    The result is floored at ``eps0 * 1e-3``: for strongly nonnormal blocks
-    the enclosure only certifies uselessly small deltas (below eigensolver
-    noise), so the floor takes over and the a-posteriori eigenvalue check in
-    the certificate guards correctness instead.
-    """
-    target = eps0 * _MARGIN_FACTOR
-    floor = eps0 * 1e-3
-    hi = eps0 / 2.0
-    if _gershgorin_right_edge(schur_blocks, hi) < target:
-        return hi
-    if _gershgorin_right_edge(schur_blocks, 0.0) >= target:
-        return floor
-    lo = 0.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if _gershgorin_right_edge(schur_blocks, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return max(lo, floor)
+    sid, smin, V = _smallest_right_singular(T, lam)
+    if not smin < eps / (1.0 + cphi):
+        raise BelowRoundoff(f"sigma_min(T - lambda) = {smin:.3e} is not below "
+                            f"the budget {eps / (1.0 + cphi):.3e}")
+    return _rank_one_projection(T.structure(), sid, V[:, -1])
 
 
 # -- certificates ----------------------------------------------------------
@@ -249,16 +154,26 @@ def _choose_delta(schur_blocks, eps0: float):
 
 @dataclass(frozen=True)
 class PerturbationCertificate:
-    """Everything needed to audit one disconnection."""
+    """Everything needed to audit one disconnection.
 
-    X: BlockOperator
+    ``X = w v*`` and ``E = v v*`` live in summand ``summand`` of an operator
+    with block ``structure`` (``(id, dim)`` pairs).  Both are rebuilt on
+    access, so a certificate holds two vectors rather than two dense
+    operators.
+    """
+
+    summand: int
+    v: np.ndarray
+    w: np.ndarray           # (mu I - T) v
+    structure: tuple
     phi_X: float
     lam: complex
     eps0: float
     delta: float
-    E: Projection
     phi_E: float
     phi_TE: float
+    separation: float       # sigma_min(C - mu), C = T compressed to ran(I - E)
+    separation_bound: float
     components_before: SpectrumReport
     components_after: SpectrumReport
     gap_achieved: float
@@ -266,32 +181,66 @@ class PerturbationCertificate:
     route: str = "sup_inf"
 
     @property
+    def X(self) -> BlockOperator:
+        return _rank_one(self.structure, self.summand, self.w, self.v)
+
+    @property
+    def E(self) -> Projection:
+        return _rank_one_projection(self.structure, self.summand, self.v)
+
+    @property
     def disconnected(self) -> bool:
-        return self.components_after.n_components >= 2
+        return self.separation > self.separation_bound
 
 
-def _build_certificate(T, spec, ideal, eps, eps0, lam, delta, route):
-    E = small_te(T, lam, delta, spec, ideal) if route == "sup_inf" else \
-        _rr0_cut(T, lam, delta, ideal)
-    shifted = T - complex(lam) * identity_like(T)
-    X = (complex(lam) + eps0) * E.base - T @ E.base
+def _build_certificate(T, spec, eps, eps0, route):
+    """The rank-one certificate at the rightmost spectrum point (see the
+    module docstring); raises when a claim it would make does not hold."""
+    lam = rightmost_boundary_point(T)
+    mu = lam + eps0
+    delta = eps0 * DELTA_FACTOR
+    structure = T.structure()
+    sid, smin, V = _smallest_right_singular(T, lam)
+    t, v = T.block(sid), V[:, -1].copy()
+    tv = t @ v
+    phi_TE = phi_eval(spec, _rank_one(structure, sid, tv - lam * v, v))
+    if not phi_TE < delta:
+        raise BelowRoundoff(
+            f"sigma_min(T - lambda) = {smin:.3e} gives phi((T - lambda) E) = "
+            f"{phi_TE:.3e}, not below the budget delta = {delta:.3e}")
+    w = mu * v - tv
+    for a in (v, w):
+        a.setflags(write=False)
+    X = _rank_one(structure, sid, w, v)
     phi_X = phi_eval(spec, X)
-    phi_E = phi_eval(spec, E.base)
-    phi_TE = phi_eval(spec, shifted @ E.base)
     if not (phi_X < eps):
         raise ConvergenceFailure(f"phi(X)={phi_X} failed the < eps={eps} bound")
 
-    mu = complex(lam) + eps0
+    # sigma(T + X) = {mu} u sigma(C): certify mu's distance to sigma(C)
+    Q = V[:, :-1]
+    C = [Q.conj().T @ t @ Q if s == sid else b for s, b in T.summands]
+    separation = min(float(np.linalg.svd(c - mu * np.eye(c.shape[0]),
+                                         compute_uv=False)[-1])
+                     for c in C if c.size)
+    t_norm = float(T.norm())
+    bound = SEPARATION_FACTOR * T.total_dim * _UNIT_ROUNDOFF * (t_norm + abs(mu))
+    if not separation > bound:
+        raise ConvergenceFailure(
+            f"sigma_min(C - mu) = {separation:.3e} does not exceed its rounding "
+            f"bound {bound:.3e}; the split at mu = lambda + eps0 is not certified")
+
     after = eigenvalues(T + X)
     others = np.abs(after - mu)
-    others = others[others > max(LAMBDA_TOL, 1e-12 * max(T.norm(), 1.0))]
+    others = others[others > max(LAMBDA_TOL, 1e-12 * max(t_norm, 1.0))]
     d = float(others.min()) if others.size else math.inf
     threshold = max(1e-8, min(eps0 / 4.0, d / 2.0))
     comp_after = spectrum_components(after, threshold)
     comp_before = spectrum_components(eigenvalues(T), threshold)
     return PerturbationCertificate(
-        X=X, phi_X=phi_X, lam=complex(lam), eps0=float(eps0), delta=float(delta),
-        E=E, phi_E=phi_E, phi_TE=phi_TE,
+        summand=sid, v=v, w=w, structure=structure, phi_X=phi_X, lam=lam,
+        eps0=float(eps0), delta=float(delta),
+        phi_E=phi_eval(spec, _rank_one(structure, sid, v, v)), phi_TE=phi_TE,
+        separation=separation, separation_bound=bound,
         components_before=comp_before, components_after=comp_after,
         gap_achieved=comp_after.gap, norm=spec, route=route)
 
@@ -301,78 +250,36 @@ def disconnect(T: BlockOperator, eps: float, spec: NormSpec,
     """Disconnect ``sigma(T)`` with ``phi(X) < eps``.
 
     Requires total dimension >= 2, finite ``c_phi``, and a norm dominating
-    the operator norm.  Returns a certificate whose after-spectrum has at
-    least two single-linkage components, the new one being the singleton
-    ``{lambda + eps0}`` of multiplicity >= rank(E) = 1.
+    the operator norm.  The certificate splits off the point
+    ``lambda + eps0`` with ``eps0 = eps / (2 (1 + c_phi))``.
     """
     if T.total_dim < 2:
         raise DimensionOne("cannot disconnect a 1-dimensional spectrum")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cphi = _c_phi_of(spec)
+    cphi = spec_c_phi(spec)
     if math.isinf(cphi):
         raise InfiniteCPhi("c_phi is infinite: arbitrarily small perturbations "
                            "cannot disconnect (see counterexample_operator)")
-    if not _dominating(spec):
+    if spec_identity_infimum(spec) < 1.0:
         raise NotDominating("norm must dominate the operator norm (f_phi(I) >= 1)")
     if ideal.kind == "finitely_supported" and spec.tail_weights == "none":
         raise ShapeMismatch("finitely_supported ideal needs an infinite tail")
-
-    lam = rightmost_boundary_point(T)
-    eps0 = eps / (2.0 * (1.0 + cphi))
-    shifted = T - lam * identity_like(T)
-    schur_blocks = _schur_forms(shifted)
-    delta = _choose_delta(schur_blocks, eps0)
-    last = None
-    for shrink in (1.0, 8.0, 64.0):
-        cert = _build_certificate(T, spec, ideal, eps, eps0, lam,
-                                  delta / shrink, "sup_inf")
-        if cert.disconnected:
-            return cert
-        last = cert
-    raise ConvergenceFailure(
-        f"spectrum stayed connected after perturbation (gap threshold "
-        f"{last.components_after.threshold:.3e}); T may be too defective "
-        f"for the requested eps={eps}")
+    return _build_certificate(T, spec, eps, eps / (2.0 * (1.0 + cphi)), "sup_inf")
 
 
-def _rr0_cut(T, lam, delta, ideal):
-    # spectral cut at delta^2 on (T-lam)*(T-lam): the real-rank-zero route,
-    # where spectral projections of selfadjoint elements are available
-    # directly rather than through the norm machinery.
-    shifted = T - complex(lam) * identity_like(T)
-    P = _window_projection(shifted, float(delta))
-    return subprojection_in_ideal(P, ideal)
-
-
-def disconnect_rr0(T: BlockOperator, eps: float,
-                   ideal: IdealSpec = IdealSpec("full")) -> PerturbationCertificate:
+def disconnect_rr0(T: BlockOperator, eps: float) -> PerturbationCertificate:
     """Operator-norm disconnection with the wider budget ``eps0 = eps / 2``.
 
-    Same pipeline as :func:`disconnect` but the projection comes from a
-    direct spectral cut of ``(T - lam)*(T - lam)`` at ``delta^2`` and the
-    certificate is measured in the plain operator norm.
+    Same pipeline as :func:`disconnect`, with the certificate measured in
+    the plain operator norm.
     """
     if T.total_dim < 2:
         raise DimensionOne("cannot disconnect a 1-dimensional spectrum")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    spec = operator_norm_spec(max(T.ids) + 1)
-    lam = rightmost_boundary_point(T)
-    eps0 = eps / 2.0
-    shifted = T - lam * identity_like(T)
-    schur_blocks = _schur_forms(shifted)
-    delta = min(_choose_delta(schur_blocks, eps0), eps0 * (1.0 - 1e-9))
-    last = None
-    for shrink in (1.0, 8.0, 64.0):
-        cert = _build_certificate(T, spec, ideal, eps, eps0, lam,
-                                  delta / shrink, "rr0")
-        if cert.disconnected:
-            return cert
-        last = cert
-    raise ConvergenceFailure(
-        f"spectrum stayed connected after perturbation (gap threshold "
-        f"{last.components_after.threshold:.3e})")
+    return _build_certificate(T, operator_norm_spec(max(T.ids) + 1), eps,
+                              eps / 2.0, "rr0")
 
 
 # -- the divergent-weight counterexample -----------------------------------
@@ -511,6 +418,8 @@ def certificate_to_dict(cert: PerturbationCertificate, seed=None) -> dict:
         "lambda": [cert.lam.real, cert.lam.imag],
         "eps0": cert.eps0,
         "delta": cert.delta,
+        "separation": cert.separation,
+        "separation_bound": cert.separation_bound,
         "E": operator_to_dict(cert.E.base),
         "phi_E": cert.phi_E,
         "phi_TE": cert.phi_TE,

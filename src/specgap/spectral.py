@@ -16,12 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import BlockOperator, Projection, validate_projection
-from .errors import (
-    ConvergenceFailure,
-    EmptySpectralWindow,
-    NotPositive,
-)
+from .algebra import BlockOperator
+from .errors import ConvergenceFailure, EmptySpectralWindow
 
 __all__ = [
     "eigenvalues",
@@ -29,7 +25,6 @@ __all__ = [
     "cluster_points",
     "spectrum_components",
     "rightmost_boundary_point",
-    "spectral_projection_below",
     "min_singular_value",
     "GridSpec",
     "PseudospectrumGrid",
@@ -126,37 +121,6 @@ def rightmost_boundary_point(T: BlockOperator) -> complex:
     boundary point.)"""
     ev = eigenvalues(T)
     return complex(ev[-1])  # lexsorted by (Re, Im)
-
-
-def spectral_projection_below(A: BlockOperator, threshold: float,
-                              tol: float = 1e-9) -> Projection:
-    """Spectral projection of a positive operator onto [0, threshold].
-
-    ``A`` must be Hermitian with spectrum >= -tol; raises
-    :class:`~specgap.errors.NotPositive` otherwise, and
-    :class:`~specgap.errors.EmptySpectralWindow` when no eigenvalue lies
-    below the threshold.  The projection commutes with ``A`` exactly (it is
-    assembled from eigenvectors of the symmetrized blocks).
-    """
-    scale = max(A.norm(), 1.0)
-    blocks = []
-    hit = False
-    for sid, b in A.summands:
-        herm = np.linalg.norm(b - b.conj().T, 2)
-        if herm > tol * scale:
-            raise NotPositive(f"summand {sid} is not Hermitian: ||A-A*||={herm:.3e}")
-        evals, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        if evals[0] < -tol * scale:
-            raise NotPositive(f"summand {sid} has eigenvalue {evals[0]:.3e} < -tol")
-        sel = vecs[:, evals <= threshold]
-        if sel.shape[1]:
-            hit = True
-            blocks.append((sid, sel @ sel.conj().T))
-        else:
-            blocks.append((sid, np.zeros_like(b)))
-    if not hit:
-        raise EmptySpectralWindow(f"no spectrum of A in [0, {threshold}]")
-    return validate_projection(BlockOperator(tuple(blocks)), tol=max(tol, 1e-12))
 
 
 def min_singular_value(T: BlockOperator, lam: complex = 0.0) -> float:
