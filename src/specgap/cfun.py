@@ -37,6 +37,7 @@ import numpy as np
 import scipy.spatial
 
 from .errors import ExhaustedSamples, FiniteUnion, ShapeMismatch
+from .spectral import link_components
 
 __all__ = [
     "CompactRealSet",
@@ -293,11 +294,6 @@ class PLFunction:
         object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))
         object.__setattr__(self, "values", tuple(complex(z) for z in v))
 
-    @classmethod
-    def from_callable(cls, fn, lo: float, hi: float, n: int = 129) -> "PLFunction":
-        t = np.linspace(float(lo), float(hi), int(n))
-        return cls(breakpoints=t, values=[complex(fn(x)) for x in t])
-
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         b = np.asarray(self.breakpoints)
@@ -361,8 +357,8 @@ def pl_approximate(f, tol: float, lo=None, hi=None, max_refine: int = 18):
         raise ShapeMismatch("sampling a callable needs lo and hi")
     n = 17
     for _ in range(max_refine):
-        g = PLFunction.from_callable(f, lo, hi, n)
-        t = np.asarray(g.breakpoints)
+        t = np.linspace(float(lo), float(hi), n)
+        g = PLFunction(breakpoints=t, values=[complex(f(x)) for x in t])
         mids = (t[:-1] + t[1:]) / 2.0
         err = max(abs(complex(f(m)) - g(m)) for m in mids)
         if err <= tol / 2.0:
@@ -603,46 +599,28 @@ def range_components(g: PLFunction, X: CompactRealSet,
         t = np.union1d(np.linspace(fa, fc, m), b[(b > fa) & (b < fc)])
         chains.append(np.asarray(g(t)))
 
-    k = len(chains)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     # One pooled tree instead of chain-pair queries: a deep Cantor set yields
     # thousands of two-sample chains, and the quadratic pair loop dominates.
-    sizes = [len(c) for c in chains]
     pooled = np.concatenate(chains)
-    owner = np.repeat(np.arange(k), sizes)
-    tree = scipy.spatial.cKDTree(np.column_stack([pooled.real, pooled.imag]))
-    pairs = tree.query_pairs(float(threshold), output_type="ndarray")
-    if len(pairs):
-        oa, ob = owner[pairs[:, 0]], owner[pairs[:, 1]]
-        cross = oa != ob
-        for i, j in zip(oa[cross].tolist(), ob[cross].tolist()):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    labels = [find(i) for i in range(k)]
-    comps = sorted(set(labels))
+    owner = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
+    xy = np.column_stack([pooled.real, pooled.imag])
+    pairs = scipy.spatial.cKDTree(xy).query_pairs(float(threshold), output_type="ndarray")
+    oa, ob = owner[pairs[:, 0]], owner[pairs[:, 1]]
+    cross = oa != ob
+    labels = link_components(len(chains), zip(oa[cross].tolist(), ob[cross].tolist()))
+    n_comps = max(labels) + 1
     gap = math.inf
-    if len(comps) > 1:
-        comp_of = {c: n for n, c in enumerate(comps)}
-        members = [[] for _ in comps]
-        for i in range(k):
-            members[comp_of[labels[i]]].append(chains[i])
-        pts = [np.concatenate(m) for m in members]
-        pts = [np.column_stack([p.real, p.imag]) for p in pts]
+    if n_comps > 1:
+        # samples grouped by component, in chain order within each group
+        point_label = np.asarray(labels)[owner]
+        cuts = np.cumsum(np.bincount(point_label))[:-1]
+        pts = np.split(xy[np.argsort(point_label, kind="stable")], cuts)
         trees = [scipy.spatial.cKDTree(p) for p in pts]
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
+        for i in range(n_comps):
+            for j in range(i + 1, n_comps):
                 gap = min(gap, float(np.min(trees[j].query(pts[i])[0])))
-    return RangeReport(n_components=len(comps), gap=gap, threshold=threshold,
-                       resolution=resolution,
-                       n_samples=int(sum(sizes)))
+    return RangeReport(n_components=n_comps, gap=gap, threshold=threshold,
+                       resolution=resolution, n_samples=len(pooled))
 
 
 # -- persistence ----------------------------------------------------------------

@@ -41,13 +41,17 @@ def _seed_of(args):
     return int(os.environ.get("SPECTOOL_SEED", "0"))
 
 
-def _out_path(args, name) -> pathlib.Path:
+def _write_out(args, payload: dict, write):
+    """With ``--out``, call ``write`` on its path in ``--output-dir`` and record it."""
+    if not args.out:
+        return
     base = pathlib.Path(args.output_dir).resolve()
-    p = (base / name).resolve()
-    if not p.is_relative_to(base):
-        raise UsageError(f"output path {name!r} escapes --output-dir {base}")
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
+    path = (base / args.out).resolve()
+    if not path.is_relative_to(base):
+        raise UsageError(f"output path {args.out!r} escapes --output-dir {base}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write(path)
+    payload["out"] = str(path)
 
 
 def _safe(v):
@@ -109,10 +113,7 @@ def _cmd_disconnect(args) -> int:
     spec = read_norm_spec(args.norm)
     cert = disconnect(T, args.eps, spec, IdealSpec(args.ideal))
     payload = _cert_summary(cert)
-    if args.out:
-        path = _out_path(args, args.out)
-        write_certificate(cert, path, seed=_seed_of(args))
-        payload["out"] = str(path)
+    _write_out(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
     _emit(args, payload)
     return 0
 
@@ -121,10 +122,7 @@ def _cmd_disconnect_rr0(args) -> int:
     T, _tail = read_operator(args.operator)
     cert = disconnect_rr0(T, args.eps)
     payload = _cert_summary(cert)
-    if args.out:
-        path = _out_path(args, args.out)
-        write_certificate(cert, path, seed=_seed_of(args))
-        payload["out"] = str(path)
+    _write_out(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
     _emit(args, payload)
     return 0
 
@@ -157,10 +155,7 @@ def _cmd_riesz(args) -> int:
     rep = verify_idempotent(P, T)
     payload = {"idem_residual": rep.idem_residual, "commutator": rep.commutator,
                "rank": rep.rank, "corank": rep.corank}
-    if args.out:
-        path = _out_path(args, args.out)
-        write_operator(P, path)
-        payload["out"] = str(path)
+    _write_out(args, payload, lambda p: write_operator(P, p))
     _emit(args, payload)
     return 0
 
@@ -175,10 +170,7 @@ def _cmd_pseudospectrum(args) -> int:
     ps = pseudospectrum_grid(T, args.eps, grid, threads=args.threads)
     payload = {"eps": ps.eps, "nx": args.nx, "ny": args.ny,
                "marked_fraction": ps.marked_fraction}
-    if args.out:
-        path = _out_path(args, args.out)
-        write_pseudospectrum_csv(ps, path)
-        payload["out"] = str(path)
+    _write_out(args, payload, lambda p: write_pseudospectrum_csv(ps, p))
     _emit(args, payload)
     return 0
 
@@ -192,10 +184,7 @@ def _cmd_shift_demo(args) -> int:
     payload = {"n": args.n, "eps": args.eps,
                "matched": rep.matched, "inclusion_passed": rep.passed,
                "half_shift_marked_fraction": ps.marked_fraction}
-    if args.out:
-        path = _out_path(args, args.out)
-        write_pseudospectrum_csv(ps, path)
-        payload["out"] = str(path)
+    _write_out(args, payload, lambda p: write_pseudospectrum_csv(ps, p))
     _emit(args, payload)
     return 0 if rep.passed else 1
 
@@ -215,10 +204,7 @@ def _cmd_cfun_disconnect(args) -> int:
                   "diam": float(res.piece.diam)},
         "range_components": rep.n_components,
     }
-    if args.out:
-        path = _out_path(args, args.out)
-        write_pl(res.g, path)
-        payload["out"] = str(path)
+    _write_out(args, payload, lambda p: write_pl(res.g, p))
     _emit(args, payload)
     return 0 if rep.n_components >= 2 else 1
 

@@ -5,6 +5,8 @@ union over blocks.  Spectra of finite matrices are finite sets, so
 "connected components" means single-linkage clusters at a caller-chosen
 threshold, and the boundary of the spectrum is the spectrum itself (the
 finite-dimensional surrogate used throughout this package).
+Clustering is one union-find, :func:`link_components`, over the point pairs
+a KD-tree finds within the threshold; ``cfun.range_components`` shares it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.spatial
 
 from .algebra import BlockOperator
 from .errors import ConvergenceFailure, EmptySpectralWindow
@@ -22,6 +25,7 @@ from .errors import ConvergenceFailure, EmptySpectralWindow
 __all__ = [
     "eigenvalues",
     "SpectrumReport",
+    "link_components",
     "cluster_points",
     "spectrum_components",
     "rightmost_boundary_point",
@@ -50,11 +54,12 @@ def eigenvalues(T: BlockOperator) -> np.ndarray:
     return out[order]
 
 
-def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:
-    """Single-linkage cluster labels: points within ``threshold`` link up."""
-    pts = np.asarray(points, dtype=complex)
-    n = len(pts)
-    parent = np.arange(n)
+def link_components(n: int, pairs) -> list:
+    """Component label of each vertex 0..n-1 of the graph with edges ``pairs``.
+
+    Labels count up in order of each component's first vertex, so they depend
+    on the partition only, not on the order of the edges."""
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -62,57 +67,63 @@ def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:
             i = parent[i]
         return i
 
-    dist = np.abs(pts[:, None] - pts[None, :])
-    for i, j in zip(*np.nonzero(dist <= threshold)):
-        if i < j:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    roots = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    first = {}
+    return [first.setdefault(find(i), len(first)) for i in range(n)]
+
+
+def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:
+    """Single-linkage cluster labels: points within ``threshold`` link up.
+
+    The KD-tree's squared distances round differently from ``|z - w|``, so it
+    is queried slightly wider and ``|z - w| <= threshold`` decides each pair."""
+    pts = np.asarray(points, dtype=complex)
+    tree = scipy.spatial.cKDTree(np.column_stack([pts.real, pts.imag]))
+    pairs = tree.query_pairs(threshold * (1.0 + 1e-9), output_type="ndarray")
+    pairs = pairs[np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]]) <= threshold]
+    return np.array(link_components(len(pts), pairs.tolist()), dtype=int)
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Clustered spectrum: list of eigenvalue clusters plus the realized gap.
+    """Spectrum points, their cluster labels (numbered by first point), the gap.
 
     ``gap`` is the smallest distance between points of different clusters
     (``inf`` for a single cluster); it always exceeds the linking threshold.
     """
 
     eigenvalues: tuple
-    components: tuple       # tuple of tuples of eigenvalues
     labels: tuple
     threshold: float
     gap: float
-    method: str = "exact_eigen"
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return max(self.labels) + 1
 
     @property
     def disconnected(self) -> bool:
-        return len(self.components) >= 2
+        return self.n_components >= 2
 
 
-def spectrum_components(points, threshold: float, method: str = "exact_eigen") -> SpectrumReport:
+def spectrum_components(points, threshold: float) -> SpectrumReport:
     """Cluster spectrum points at a threshold; >= 2 clusters means disconnected."""
     pts = np.asarray(points, dtype=complex)
     if pts.size == 0:
         raise EmptySpectralWindow("no spectrum points to cluster")
     labels = cluster_points(pts, threshold)
-    comps = tuple(tuple(pts[labels == c]) for c in range(labels.max() + 1))
     if labels.max() == 0:
         gap = np.inf
     else:
         dist = np.abs(pts[:, None] - pts[None, :])
         inter = dist[labels[:, None] != labels[None, :]]
         gap = float(inter.min())
-    return SpectrumReport(eigenvalues=tuple(pts), components=comps,
+    return SpectrumReport(eigenvalues=tuple(pts),
                           labels=tuple(int(l) for l in labels),
-                          threshold=float(threshold), gap=gap, method=method)
+                          threshold=float(threshold), gap=gap)
 
 
 def rightmost_boundary_point(T: BlockOperator) -> complex:
