@@ -1,7 +1,8 @@
 """Riesz idempotents for the pieces a disconnection creates.
 
 Once sigma(T + X) has two components, a contour around either piece yields
-the corresponding spectral idempotent by resolvent quadrature.  This demo
+the corresponding spectral idempotent, computed from an ordered Schur form
+and checked against resolvent quadrature.  This demo
 disconnects a random operator, encircles the freshly isolated eigenvalue,
 and checks the algebra: P^2 = P, PT' = T'P, and the complement I - P picks
 up the rest of the spectrum.

@@ -3,10 +3,11 @@
 The package works with operators presented blockwise over an l-infinity sum
 of matrix algebras, weighted unitarily invariant norms on them, and the
 constant c_phi that controls how cheap it is to split an eigenvalue off
-the rest of the spectrum.  Alongside the main perturbation routine sit the
-Riesz idempotent quadrature, upper-triangular spectral bookkeeping,
-pseudospectra, a divergent-weight counterexample, and the commutative
-analogue for functions on compact subsets of the line.
+the rest of the spectrum.  Alongside the main perturbation routine sit
+Riesz idempotents (ordered Schur forms, cross-checked by quadrature),
+upper-triangular spectral bookkeeping, pseudospectra, a divergent-weight
+counterexample, and the commutative analogue for functions on compact
+subsets of the line.
 """
 
 __version__ = "0.1.0"
@@ -46,8 +47,8 @@ from .perturb import (
     certificate_from_dict, write_certificate,
 )
 from .riesz import (
-    Contour, circle, rectangle, riesz_idempotent, IdempotentReport,
-    verify_idempotent,
+    Contour, circle, rectangle, riesz_idempotent, riesz_quadrature,
+    IdempotentReport, verify_idempotent,
 )
 from .uppertri import (
     UTBlock, ut_assemble, UTInclusionReport, ut_inclusion_check,

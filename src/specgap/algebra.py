@@ -122,22 +122,19 @@ class BlockOperator:
     def __add__(self, other):
         self._require_same_structure(other)
         return BlockOperator(tuple(
-            (sid, a + other.summands[i][1])
-            for i, (sid, a) in enumerate(self.summands)
+            (sid, a + b) for (sid, a), (_, b) in zip(self.summands, other.summands)
         ))
 
     def __sub__(self, other):
         self._require_same_structure(other)
         return BlockOperator(tuple(
-            (sid, a - other.summands[i][1])
-            for i, (sid, a) in enumerate(self.summands)
+            (sid, a - b) for (sid, a), (_, b) in zip(self.summands, other.summands)
         ))
 
     def __matmul__(self, other):
         self._require_same_structure(other)
         return BlockOperator(tuple(
-            (sid, a @ other.summands[i][1])
-            for i, (sid, a) in enumerate(self.summands)
+            (sid, a @ b) for (sid, a), (_, b) in zip(self.summands, other.summands)
         ))
 
     def __mul__(self, scalar):

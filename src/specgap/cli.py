@@ -27,7 +27,8 @@ from .errors import SpecgapError, UsageError
 from .norms import c_phi, dominating_check, read_norm_spec
 from .perturb import (counterexample_operator, disconnect, disconnect_rr0,
                       verify_counterexample, write_certificate)
-from .riesz import circle, rectangle, riesz_idempotent, verify_idempotent
+from .riesz import (circle, rectangle, riesz_idempotent, riesz_quadrature,
+                    verify_idempotent)
 from .spectral import GridSpec, pseudospectrum_grid, write_pseudospectrum_csv
 from .uppertri import shift_example, ut_inclusion_check
 from .verify import SUITES, run_suites
@@ -153,8 +154,10 @@ def _cmd_riesz(args) -> int:
         raise UsageError("need --center/--radius or --corners")
     P = riesz_idempotent(T, contour, exclusion_dist=args.exclusion_dist)
     rep = verify_idempotent(P, T)
+    P_quad = riesz_quadrature(T, contour, exclusion_dist=args.exclusion_dist)
     payload = {"idem_residual": rep.idem_residual, "commutator": rep.commutator,
-               "rank": rep.rank, "corank": rep.corank}
+               "rank": rep.rank, "corank": rep.corank,
+               "quadrature_deviation": float((P - P_quad).norm())}
     _write_out(args, payload, lambda p: write_operator(P, p))
     _emit(args, payload)
     return 0
@@ -277,7 +280,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--center", help="circle center as 're,im'")
     p.add_argument("--radius", type=float)
     p.add_argument("--corners", help="rectangle as 'relo,imlo:rehi,imhi'")
-    p.add_argument("--nodes", type=int, default=128)
+    p.add_argument("--nodes", type=int, default=128,
+                   help="quadrature nodes of the quadrature_deviation cross-check")
     p.add_argument("--exclusion-dist", type=float, default=None)
     p.add_argument("--out", help="write the idempotent as operator JSON")
     p.set_defaults(func=_cmd_riesz)

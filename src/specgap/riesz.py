@@ -1,15 +1,26 @@
-"""Riesz idempotents by contour quadrature.
+"""Riesz idempotents from ordered Schur forms, with contour quadrature as
+the reference.
 
 For a contour separating part of the spectrum from the rest,
 
     P = (2 pi i)^-1  oint (z I - T)^-1 dz
 
 is an idempotent commuting with T whose range carries the enclosed part.
-Circles use the periodic trapezoid rule (spectrally accurate for analytic
-integrands); rectangles are split into four analytic segments integrated
-with Gauss-Legendre nodes.  Nonzero idempotents P with P != I certify weak
-reducibility: two complementary invariant subspaces, stable under
-perturbations small next to the contour's clearance from the spectrum.
+`riesz_idempotent` factors each block once: a complex Schur form
+T = Z U Z* ordered so that the k enclosed eigenvalues lead, with
+U = [[U11, U12], [0, U22]], and the solution R of the Sylvester equation
+U11 R - R U22 = U12 (Bartels-Stewart, on the triangular blocks) give
+
+    P = Z [[I, R], [0, 0]] Z* = Z_k (Z_k* + R Z_2*),
+
+which is kept in this factored form (`FactoredIdempotent`).  The rank of
+each block is k exactly.  `riesz_quadrature` evaluates the integral itself
+and is the independent cross-check: circles use the periodic trapezoid
+rule (spectrally accurate for analytic integrands); rectangles are split
+into four analytic segments integrated with Gauss-Legendre nodes.
+Nonzero idempotents P with P != I certify weak reducibility: two
+complementary invariant subspaces, stable under perturbations small next
+to the contour's clearance from the spectrum.
 """
 
 from __future__ import annotations
@@ -17,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.linalg.lapack
 
 from .algebra import BlockOperator
-from .errors import ContourThroughSpectrum, EnclosesAllOrNone
+from .errors import ContourThroughSpectrum, ConvergenceFailure, EnclosesAllOrNone
 from .spectral import eigenvalues
 
 __all__ = [
@@ -27,6 +40,8 @@ __all__ = [
     "circle",
     "rectangle",
     "riesz_idempotent",
+    "riesz_quadrature",
+    "FactoredIdempotent",
     "IdempotentReport",
     "verify_idempotent",
 ]
@@ -36,8 +51,8 @@ __all__ = [
 class Contour:
     """Circle (center, radius) or axis-aligned rectangle (two corners).
 
-    ``nodes`` is the total quadrature budget: all of it on the circle,
-    a quarter per side on the rectangle.  Minimum 16.
+    ``nodes`` is the quadrature budget of :func:`riesz_quadrature`: all of
+    it on the circle, a quarter per side on the rectangle.  Minimum 16.
     """
 
     kind: str
@@ -112,16 +127,10 @@ def _quadrature(contour: Contour):
     return np.concatenate(zs), np.concatenate(ws)
 
 
-def riesz_idempotent(T: BlockOperator, contour: Contour,
-                     exclusion_dist: float = None) -> BlockOperator:
-    """Quadrature approximation of the Riesz idempotent for ``contour``.
-
-    The contour must separate: it has to enclose at least one eigenvalue
-    and exclude at least one, and stay ``exclusion_dist`` away from all of
-    them.  The default exclusion distance is ``max(1e-6, 0.05 * gap)`` with
-    ``gap`` the smallest enclosed-to-excluded eigenvalue distance.
-    """
-    ev = eigenvalues(T)
+def _check_separation(ev: np.ndarray, contour: Contour,
+                      exclusion_dist: float | None) -> np.ndarray:
+    """Which of the eigenvalues ``ev`` the contour encloses; raises unless it
+    encloses some but not all and stays ``exclusion_dist`` away from each."""
     inside = np.array([contour.encloses(z) for z in ev])
     if inside.all() or not inside.any():
         raise EnclosesAllOrNone(
@@ -134,7 +143,95 @@ def riesz_idempotent(T: BlockOperator, contour: Contour,
         raise ContourThroughSpectrum(
             f"contour passes {clearance:.3e} from the spectrum "
             f"(required {exclusion_dist:.3e})")
+    return inside
 
+
+class FactoredIdempotent(BlockOperator):
+    """An idempotent kept as one factor pair per block.
+
+    ``factors`` holds ``(id, n, k, L, W)`` per block, with ``P_b = L W`` for
+    ``L`` of shape ``n x k`` and ``W`` of shape ``k x n``: ``2 n k`` numbers
+    instead of ``n^2``.  A block with ``k = 0`` is exactly zero and one with
+    ``k = n`` exactly the identity; neither stores factors.  ``summands``
+    builds the dense blocks on every access, so the operator behaves as any
+    :class:`BlockOperator` while holding only its factors.
+    """
+
+    def __init__(self, factors):
+        object.__setattr__(self, "factors", tuple(factors))
+
+    @property
+    def summands(self) -> tuple:
+        return tuple((sid, _dense_block(n, k, L, W))
+                     for sid, n, k, L, W in self.factors)
+
+    def structure(self) -> tuple:
+        return tuple((sid, n) for sid, n, *_ in self.factors)
+
+
+def _dense_block(n, k, L, W) -> np.ndarray:
+    if k == 0:
+        block = np.zeros((n, n), dtype=np.complex128)
+    elif k == n:
+        block = np.eye(n, dtype=np.complex128)
+    else:
+        block = L @ W
+    block.setflags(write=False)
+    return block
+
+
+def _schur_factors(sid: int, U: np.ndarray, Z: np.ndarray, k: int):
+    """``(id, n, k, L, W)`` with ``L W = Z [[I, R], [0, 0]] Z*`` for the
+    Schur form ``Z U Z*`` whose ``k`` leading eigenvalues are enclosed."""
+    n = U.shape[0]
+    if k in (0, n):
+        return sid, n, k, None, None
+    R, scale, info = scipy.linalg.lapack.ztrsyl(U[:k, :k], U[k:, k:], U[:k, k:],
+                                                isgn=-1)
+    if info != 0:
+        raise ConvergenceFailure(f"Sylvester solve failed on summand {sid} "
+                                 f"(trsyl info {info})")
+    L = Z[:, :k].copy()      # a view would keep all of Z alive
+    return sid, n, k, L, L.conj().T + (R / scale) @ Z[:, k:].conj().T
+
+
+def riesz_idempotent(T: BlockOperator, contour: Contour,
+                     exclusion_dist: float = None) -> FactoredIdempotent:
+    """The Riesz idempotent for ``contour``, from one ordered Schur form per
+    block and a Sylvester solve (see the module docstring).
+
+    The contour must separate: it has to enclose at least one eigenvalue
+    and exclude at least one, and stay ``exclusion_dist`` away from all of
+    them.  The default exclusion distance is ``max(1e-6, 0.05 * gap)`` with
+    ``gap`` the smallest enclosed-to-excluded eigenvalue distance.
+    """
+    forms = []
+    for sid, b in T.summands:
+        try:
+            U, Z, sdim = scipy.linalg.schur(b, output="complex",
+                                            sort=contour.encloses)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise ConvergenceFailure(f"ordered Schur form failed on summand "
+                                     f"{sid}: {exc}")
+        forms.append((sid, U, Z, sdim))
+    inside = _check_separation(np.concatenate([np.diag(U) for _, U, _, _ in forms]),
+                               contour, exclusion_dist)
+    per_block = np.split(inside, np.cumsum(T.dims)[:-1])
+    for (sid, _, _, sdim), ins in zip(forms, per_block):
+        if not np.array_equal(ins, np.arange(len(ins)) < sdim):
+            raise ConvergenceFailure(
+                f"summand {sid}: the ordered Schur form leads with {sdim} "
+                f"eigenvalues, but {int(ins.sum())} lie inside the contour")
+    return FactoredIdempotent(tuple(_schur_factors(sid, U, Z, sdim)
+                                    for sid, U, Z, sdim in forms))
+
+
+def riesz_quadrature(T: BlockOperator, contour: Contour,
+                     exclusion_dist: float = None) -> BlockOperator:
+    """Quadrature approximation of the Riesz idempotent for ``contour`` over
+    ``contour.nodes`` nodes: the reference that :func:`riesz_idempotent` is
+    checked against.  The contour must separate as for that function."""
+    _check_separation(eigenvalues(T), contour, exclusion_dist)
     zs, ws = _quadrature(contour)
     blocks = []
     for sid, b in T.summands:

@@ -23,7 +23,8 @@ from .cfun import (CompactRealSet, PLFunction, cfun_disconnect,
 from .norms import BaseNorm, NormSpec, f_phi, phi_eval
 from .perturb import (counterexample_operator, disconnect, disconnect_rr0,
                       verify_counterexample)
-from .riesz import circle, riesz_idempotent, verify_idempotent
+from .riesz import (circle, riesz_idempotent, riesz_quadrature,
+                    verify_idempotent)
 from .sampling import (haar_unitary, random_block_operator, random_projection,
                        random_psd, random_subprojection, rng_from_seed)
 from .spectral import eigenvalues
@@ -266,7 +267,8 @@ def rr0_batch(n: int = 25, eps: float = 1e-2, seed=4) -> CheckResult:
 
 def riesz_batch(n: int = 30, seed=5, tol: float = 1e-8) -> CheckResult:
     """Riesz idempotents from circle contours around one eigenvalue:
-    idempotency and commutation residuals stay under tolerance."""
+    idempotency and commutation residuals, and the distance to the 64-node
+    quadrature relative to its norm, stay under tolerance."""
     rng = rng_from_seed(seed)
     worst = 0.0
     done = 0
@@ -279,10 +281,13 @@ def riesz_batch(n: int = 30, seed=5, tol: float = 1e-8) -> CheckResult:
         gap = float(gaps[i].min())
         if gap < 1e-3:
             continue
-        P = riesz_idempotent(T, circle(ev[i], 0.45 * gap, nodes=64))
+        contour = circle(ev[i], 0.45 * gap, nodes=64)
+        P = riesz_idempotent(T, contour)
+        P_quad = riesz_quadrature(T, contour)
         rep = verify_idempotent(P, T)
         scale = max(T.norm(), 1.0)
-        worst = max(worst, rep.idem_residual, rep.commutator / scale)
+        worst = max(worst, rep.idem_residual, rep.commutator / scale,
+                    (P - P_quad).norm() / max(P_quad.norm(), 1.0))
         if rep.rank < 1:
             return CheckResult(name="riesz", passed=False, worst=worst,
                                tol=tol, detail={"n": n})

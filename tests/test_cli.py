@@ -86,6 +86,7 @@ def test_riesz_command(capsys, tmp_path, op_file):
     assert code == 0
     assert payload["rank"] == 1
     assert payload["idem_residual"] < 1e-10
+    assert payload["quadrature_deviation"] < 1e-10
     assert (tmp_path / "proj.json").exists()
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from specgap.algebra import block_operator, identity_like
+from specgap.algebra import AlgebraSpec, block_operator, identity_like
 from specgap.errors import ContourThroughSpectrum, EnclosesAllOrNone
+from specgap.perturb import disconnect_rr0
 from specgap.riesz import (Contour, circle, rectangle, riesz_idempotent,
-                           verify_idempotent)
-from specgap.sampling import haar_unitary, rng_from_seed
+                           riesz_quadrature, verify_idempotent)
+from specgap.sampling import haar_unitary, random_block_operator, rng_from_seed
 
 
 def clustered_operator(rng):
@@ -34,16 +36,18 @@ def test_complementary_contours_sum_to_identity(rng):
 
 def test_rectangle_matches_circle(rng):
     T = clustered_operator(rng)
-    P = riesz_idempotent(T, circle(0.0, 1.0))
-    R = riesz_idempotent(T, rectangle(-1 - 1j, 1 + 1j))
-    assert (P - R).norm() < 1e-9
+    for idempotent in (riesz_idempotent, riesz_quadrature):
+        P = idempotent(T, circle(0.0, 1.0))
+        R = idempotent(T, rectangle(-1 - 1j, 1 + 1j))
+        assert (P - R).norm() < 1e-9, idempotent.__name__
 
 
 def test_node_doubling_is_stable(rng):
     T = clustered_operator(rng)
-    P1 = riesz_idempotent(T, circle(0.0, 1.0, nodes=128))
-    P2 = riesz_idempotent(T, circle(0.0, 1.0, nodes=256))
-    assert (P1 - P2).norm() < 1e-12
+    for idempotent in (riesz_idempotent, riesz_quadrature):
+        P1 = idempotent(T, circle(0.0, 1.0, nodes=128))
+        P2 = idempotent(T, circle(0.0, 1.0, nodes=256))
+        assert (P1 - P2).norm() < 1e-12, idempotent.__name__
 
 
 def test_perturbation_stability(rng):
@@ -90,3 +94,38 @@ def test_multiblock_projection(rng):
     assert rep.rank == 2
     np.testing.assert_allclose(P.block(0), np.diag([1.0, 0.0]), atol=1e-10)
     np.testing.assert_allclose(P.block(1), np.diag([1.0, 0.0]), atol=1e-10)
+
+
+def test_schur_matches_quadrature_on_rr0_corpus():
+    # the first 40 operators of the criterion-4 generator, with the contour
+    # of criterion 5 around the split-off point mu
+    rng = rng_from_seed((20260814, 4))
+    eps_cycle = (1e-1, 1e-2, 1e-3)
+    for i in range(40):
+        dims = tuple(int(d) for d in rng.integers(2, 65, int(rng.integers(2, 5))))
+        T = random_block_operator(AlgebraSpec(dims=dims, tail="none"), rng)
+        cert = disconnect_rr0(T, eps_cycle[i % 3])
+        Tp = T + cert.X
+        radius = cert.gap_achieved / 2.0
+        contour = circle(cert.lam + cert.eps0, radius, nodes=256)
+        P = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
+        P_quad = riesz_quadrature(Tp, contour, exclusion_dist=radius / 2.0)
+        assert (P - P_quad).norm() <= 1e-12 * max(1.0, P_quad.norm()), i
+
+
+def test_factored_form_is_small_and_exact(rng):
+    # a 64 x 64 block with one eigenvalue at 5, the rest on |z| = 0.5
+    d = np.concatenate(([5.0], 0.5 * np.exp(2j * np.pi * rng.random(63))))
+    tri = np.diag(d) + 0.3 * np.triu(rng.standard_normal((64, 64)), 1)
+    u = haar_unitary(64, rng)
+    T = block_operator([(0, u @ tri @ u.conj().T), (1, np.diag([0.0, 1.0, 2.0]))])
+    contour = circle(5.0, 1.0)
+    P = riesz_idempotent(T, contour)
+    (_, n, k, L, W), (_, _, k_zero, L_zero, W_zero) = P.factors
+    assert (n, k) == (64, 1) and L.size + W.size <= 2 * 64
+    assert L.base is None and W.base is None     # not views of the 64 x 64 Z
+    assert k_zero == 0 and L_zero is None and W_zero is None
+    assert not np.any(P.block(1))
+    sdim = scipy.linalg.schur(T.block(0), output="complex", sort=contour.encloses)[2]
+    assert k == sdim
+    assert verify_idempotent(P, T).rank == sdim
