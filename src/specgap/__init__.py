@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .errors import (
     SpecgapError, ShapeMismatch, NotAProjection, EmptyBlock, ZeroProjection,
     ConvergenceFailure, EmptySpectralWindow, BelowRoundoff, InfiniteCPhi,
-    NotDominating, BadLambda, DimensionOne, ContourThroughSpectrum,
+    NotDominating, DimensionOne, ContourThroughSpectrum,
     EnclosesAllOrNone, FiniteUnion, ExhaustedSamples, BudgetNotLessThanOne,
     NoConvergenceCertificate, UsageError,
 )
@@ -41,7 +41,7 @@ from .spectral import (
     write_pseudospectrum_csv,
 )
 from .perturb import (
-    PerturbationCertificate, small_te, disconnect, disconnect_rr0,
+    PerturbationCertificate, disconnect, disconnect_rr0,
     counterexample_operator, counterexample_net, net_spacing,
     CounterexampleReport, verify_counterexample, certificate_to_dict,
     certificate_from_dict, write_certificate,

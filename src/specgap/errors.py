@@ -11,7 +11,6 @@ __all__ = [
     "BelowRoundoff",
     "InfiniteCPhi",
     "NotDominating",
-    "BadLambda",
     "DimensionOne",
     "ContourThroughSpectrum",
     "EnclosesAllOrNone",
@@ -65,10 +64,6 @@ class InfiniteCPhi(SpecgapError):
 
 class NotDominating(SpecgapError):
     """The norm does not dominate the operator norm on its ideal."""
-
-
-class BadLambda(SpecgapError):
-    """The supplied point is not in the spectrum within tolerance."""
 
 
 class DimensionOne(SpecgapError):

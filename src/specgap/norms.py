@@ -41,6 +41,7 @@ __all__ = [
     "NormSpec",
     "operator_norm_spec",
     "phi_eval",
+    "phi_rank_one",
     "f_phi",
     "FPhiResult",
     "c_phi",
@@ -190,6 +191,29 @@ def phi_eval(spec: NormSpec, X: BlockOperator) -> float:
         w = spec.weight_of(sid)
         v = spec.base_of(sid).of_matrix(block)
         terms.append(w * v)
+    return _aggregate(spec, terms)
+
+
+def phi_rank_one(spec: NormSpec, structure, k: int, a: np.ndarray,
+                 b: np.ndarray) -> float:
+    """:func:`phi_eval` of the rank-one ``a b*`` in summand ``k`` (zero on the
+    other summands of ``structure``, given as ``(id, dim)`` pairs), in closed
+    form: ``w_k ||a|| ||b||``, because a rank-one matrix has the single
+    singular value ``||a|| ||b||`` and the operator, Schatten-p and Ky Fan-k
+    norms all equal it.  Raises :class:`~specgap.errors.ShapeMismatch` on the
+    same structures as :func:`phi_eval`.
+    """
+    s1 = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+    terms = []
+    for sid, _ in structure:
+        w = spec.weight_of(sid)
+        spec.base_of(sid)   # raises ShapeMismatch where phi_eval would
+        terms.append(w * s1 if sid == k else 0.0)
+    return _aggregate(spec, terms)
+
+
+def _aggregate(spec: NormSpec, terms) -> float:
+    """Combine the weighted per-summand norms by the spec's sup or lq rule."""
     if spec.agg == "sup":
         return max(terms)
     return float(np.sum(np.asarray(terms) ** spec.q) ** (1.0 / spec.q))

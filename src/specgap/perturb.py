@@ -1,30 +1,37 @@
 """Small-norm perturbations that disconnect spectra.
 
-The main pipeline: take the rightmost spectrum point ``lambda`` and the
-rank-one projection ``E = v v*`` onto the smallest right singular vector
-``v`` of ``T - lambda`` (over all blocks), and add
+The main pipeline: take the rightmost spectrum point ``lambda``, in summand
+``k``, and a unit vector ``v`` there with ``T v = lambda v``: the leading
+vector of a complex Schur form ``T_k = Z U Z*``, reordered (LAPACK
+``trexc``) so that the diagonal entry closest to ``lambda`` comes first.
+With ``E = v v*``, add
 
     X = (mu I - T) E,        mu = lambda + eps0.
 
-Then ``T + X = T (I - E) + mu E`` is block upper triangular with respect to
-``ran E`` and ``ran(I - E)``, so ``sigma(T + X) = {mu} u sigma(C)`` with ``C``
-the compression of ``T`` to ``ran(I - E)``.  The norm cost is
+In the basis ``Z``, ``T + X`` is ``U`` with its (1, 1) entry replaced by
+``mu``, still upper triangular, so
+
+    sigma(T + X) = {mu} u diag(U22) u (the other blocks' spectra)
+
+with ``U22 = U[1:, 1:]`` the compression of ``T_k`` to ``v``'s orthogonal
+complement; ``T + X`` is never factored again.  The norm cost is
 
     phi(X) <= eps0 phi(E) + phi((T - lambda) E) < eps
 
 for ``eps0 = eps / (2 (1 + c_phi))`` (``eps / 2`` in the operator-norm
 variant `disconnect_rr0`), because ``phi((T - lambda) E)`` must stay below
-the fixed budget ``delta = eps0 * 1e-3``.  A budget below the round-off in
-``sigma_min(T - lambda)`` raises :class:`BelowRoundoff`.
+the fixed budget ``delta = eps0 * 1e-3``.  Both ``E`` and ``(T - lambda) E``
+are rank one, ``a b*`` in summand ``k``, so their norms are the closed form
+``w_k ||a|| ||b||`` (`norms.phi_rank_one`); ``phi(X)`` is measured on ``X``
+as stored.  A budget below the round-off in ``sigma_min(T - lambda)`` raises
+:class:`BelowRoundoff`.
 
-The split is certified by ``s = sigma_min(C - mu)``, a lower bound on the
-distance from ``mu`` to ``sigma(C)``.  ``C`` needs no further factorization:
-the other right singular vectors of the same SVD span ``ran(I - E)`` in the
-block holding ``v``, and ``C`` is ``T`` itself on the other blocks.  A
-certificate is issued only when ``s`` exceeds its rounding bound
-``10 n u (||T|| + |mu|)`` (``n`` the total dimension, ``u`` the unit
-round-off).  The single-linkage component reports of ``sigma(T)`` and of
-the computed ``sigma(T + X)`` ride along for inspection.
+The split is certified by ``s = min(sigma_min(U22 - mu), sigma_min(T_j -
+mu) for j != k)``, a lower bound on the distance from ``mu`` to the rest of
+``sigma(T + X)``.  A certificate is issued only when ``s`` exceeds its
+rounding bound ``10 n u (||T|| + |mu|)`` (``n`` the total dimension, ``u``
+the unit round-off).  The single-linkage component reports of ``sigma(T)``
+and of ``sigma(T + X)`` ride along for inspection.
 
 `counterexample_operator` builds the opposite phenomenon: with weights
 doubling per summand (so the sup-inf constant is infinite), no small
@@ -39,6 +46,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import ztrexc
 
 from .algebra import (
     DEFAULT_TOL,
@@ -49,7 +58,6 @@ from .algebra import (
     operator_from_dict,
 )
 from .errors import (
-    BadLambda,
     BelowRoundoff,
     BudgetNotLessThanOne,
     ConvergenceFailure,
@@ -65,13 +73,16 @@ from .norms import (
     norm_from_dict,
     operator_norm_spec,
     phi_eval,
+    phi_rank_one,
     spec_c_phi,
     spec_identity_infimum,
 )
 from .spectral import (
     SpectrumReport,
+    block_eigenvalues,
     cluster_points,
     eigenvalues,
+    pool_spectra,
     rightmost_boundary_point,  # unused here; bench/tracing.py rebinds it
     spectrum_components,
 )
@@ -79,7 +90,6 @@ from . import __version__ as _version
 
 __all__ = [
     "PerturbationCertificate",
-    "small_te",
     "disconnect",
     "disconnect_rr0",
     "counterexample_operator",
@@ -92,23 +102,10 @@ __all__ = [
     "write_certificate",
 ]
 
-LAMBDA_TOL = 1e-8          # how close lambda must sit to the spectrum
+LAMBDA_TOL = 1e-8          # distances to mu below this count as mu itself
 DELTA_FACTOR = 1e-3        # the budget for phi((T - lambda) E) is eps0 * this
 SEPARATION_FACTOR = 10.0   # s must exceed this * n * u * (||T|| + |mu|)
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
-
-
-def _smallest_right_singular(T: BlockOperator, lam: complex):
-    """``(sid, sigma_min, V)`` for ``T - lam``: the summand holding the
-    smallest singular value, that value, and the block's right singular
-    vectors as columns in decreasing singular-value order (``V[:, -1]`` is
-    the minimizer; the other columns span its orthogonal complement)."""
-    best = None
-    for sid, b in T.summands:
-        _, s, vh = np.linalg.svd(b - complex(lam) * np.eye(b.shape[0]))
-        if best is None or s[-1] < best[1]:
-            best = (sid, float(s[-1]), vh.conj().T)
-    return best
 
 
 def _rank_one(structure, sid: int, a: np.ndarray, b: np.ndarray) -> BlockOperator:
@@ -124,31 +121,6 @@ def _rank_one_projection(structure, sid: int, v: np.ndarray) -> Projection:
                       ranks=tuple(int(s == sid) for s, _ in structure))
 
 
-def small_te(T: BlockOperator, lam: complex, eps: float, spec: NormSpec) -> Projection:
-    """Rank-one E with ``phi(E) <= c_phi`` and ``phi((T - lam I) E) < eps``.
-
-    ``lam`` must sit in the spectrum (within ``1e-8``).  ``E = v v*`` for the
-    smallest right singular vector ``v`` of ``T - lam I``, so
-    ``phi((T - lam I) E) <= c_phi sigma_min(T - lam I)``; raises
-    :class:`BelowRoundoff` when ``sigma_min`` is not below
-    ``eps / (1 + c_phi)``.
-    """
-    cphi = spec_c_phi(spec)
-    if math.isinf(cphi):
-        raise InfiniteCPhi("c_phi is infinite; no small-TE projection exists")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ev = eigenvalues(T)
-    if np.abs(ev - complex(lam)).min() > LAMBDA_TOL:
-        raise BadLambda(f"lambda={lam} is {np.abs(ev - complex(lam)).min():.3e} "
-                        f"away from the spectrum (tol {LAMBDA_TOL})")
-    sid, smin, V = _smallest_right_singular(T, lam)
-    if not smin < eps / (1.0 + cphi):
-        raise BelowRoundoff(f"sigma_min(T - lambda) = {smin:.3e} is not below "
-                            f"the budget {eps / (1.0 + cphi):.3e}")
-    return _rank_one_projection(T.structure(), sid, V[:, -1])
-
-
 # -- certificates ----------------------------------------------------------
 
 
@@ -157,9 +129,12 @@ class PerturbationCertificate:
     """Everything needed to audit one disconnection.
 
     ``X = w v*`` and ``E = v v*`` live in summand ``summand`` of an operator
-    with block ``structure`` (``(id, dim)`` pairs).  Both are rebuilt on
-    access, so a certificate holds two vectors rather than two dense
-    operators.
+    with block ``structure`` (``(id, dim)`` pairs).  ``v`` is the leading
+    vector of that block's reordered complex Schur form, a unit eigenvector
+    for ``lam``.  Both operators are rebuilt on access, so a certificate
+    holds two vectors rather than two dense operators.
+    ``components_after`` clusters ``sigma(T + X) = {mu} u diag(U22) u`` (the
+    other blocks' spectra), read off that Schur form.
     """
 
     summand: int
@@ -172,7 +147,7 @@ class PerturbationCertificate:
     delta: float
     phi_E: float
     phi_TE: float
-    separation: float       # sigma_min(C - mu), C = T compressed to ran(I - E)
+    separation: float       # sigma_min(C - mu), C = U22 in summand, T elsewhere
     separation_bound: float
     components_before: SpectrumReport
     components_after: SpectrumReport
@@ -193,33 +168,53 @@ class PerturbationCertificate:
         return self.separation > self.separation_bound
 
 
+def _leading_schur(t: np.ndarray, lam: complex):
+    """Complex Schur form ``t = Z U Z*`` reordered so that the diagonal entry
+    closest to ``lam`` sits at (1, 1); ``Z[:, 0]`` is then an eigenvector."""
+    try:
+        U, Z = scipy.linalg.schur(t, output="complex")
+    except scipy.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"Schur factorization failed: {exc}")
+    i = int(np.argmin(np.abs(np.diag(U) - lam)))
+    if i:
+        U, Z, info = ztrexc(U, Z, i + 1, 1)
+        if info:
+            raise ConvergenceFailure(f"trexc failed to reorder the Schur form "
+                                     f"(info = {info})")
+    return U, Z
+
+
 def _build_certificate(T, spec, eps, eps0, route):
     """The rank-one certificate at the rightmost spectrum point (see the
     module docstring); raises when a claim it would make does not hold."""
-    ev = eigenvalues(T)
+    spectra = block_eigenvalues(T)
+    ev = pool_spectra(spectra)
     lam = complex(ev[-1])   # the rightmost point, as rightmost_boundary_point
     mu = lam + eps0
     delta = eps0 * DELTA_FACTOR
     structure = T.structure()
-    sid, smin, V = _smallest_right_singular(T, lam)
-    t, v = T.block(sid), V[:, -1].copy()
+    k = next(j for j, e in enumerate(spectra) if (e == lam).any())
+    sid, t = T.summands[k]
+    U, Z = _leading_schur(t, lam)
+    v = Z[:, 0] / np.linalg.norm(Z[:, 0])   # Z is unitary only to O(n u)
     tv = t @ v
-    phi_TE = phi_eval(spec, _rank_one(structure, sid, tv - lam * v, v))
+    phi_TE = phi_rank_one(spec, structure, sid, tv - lam * v, v)
     if not phi_TE < delta:
+        smin = float(np.linalg.svd(t - lam * np.eye(t.shape[0]),
+                                   compute_uv=False)[-1])
         raise BelowRoundoff(
             f"sigma_min(T - lambda) = {smin:.3e} gives phi((T - lambda) E) = "
             f"{phi_TE:.3e}, not below the budget delta = {delta:.3e}")
     w = mu * v - tv
     for a in (v, w):
         a.setflags(write=False)
-    X = _rank_one(structure, sid, w, v)
-    phi_X = phi_eval(spec, X)
+    phi_X = phi_eval(spec, _rank_one(structure, sid, w, v))
     if not (phi_X < eps):
         raise ConvergenceFailure(f"phi(X)={phi_X} failed the < eps={eps} bound")
 
-    # sigma(T + X) = {mu} u sigma(C): certify mu's distance to sigma(C)
-    Q = V[:, :-1]
-    C = [Q.conj().T @ t @ Q if s == sid else b for s, b in T.summands]
+    # sigma(T + X) = {mu} u sigma(C), C = U22 in summand k and T elsewhere:
+    # certify mu's distance to sigma(C)
+    C = [U[1:, 1:] if j == k else b for j, (_, b) in enumerate(T.summands)]
     separation = min(float(np.linalg.svd(c - mu * np.eye(c.shape[0]),
                                          compute_uv=False)[-1])
                      for c in C if c.size)
@@ -230,7 +225,8 @@ def _build_certificate(T, spec, eps, eps0, route):
             f"sigma_min(C - mu) = {separation:.3e} does not exceed its rounding "
             f"bound {bound:.3e}; the split at mu = lambda + eps0 is not certified")
 
-    after = eigenvalues(T + X)
+    spectra[k] = np.concatenate(([mu], np.diag(U)[1:]))
+    after = pool_spectra(spectra)
     others = np.abs(after - mu)
     others = others[others > max(LAMBDA_TOL, 1e-12 * max(t_norm, 1.0))]
     d = float(others.min()) if others.size else math.inf
@@ -240,7 +236,7 @@ def _build_certificate(T, spec, eps, eps0, route):
     return PerturbationCertificate(
         summand=sid, v=v, w=w, structure=structure, phi_X=phi_X, lam=lam,
         eps0=float(eps0), delta=float(delta),
-        phi_E=phi_eval(spec, _rank_one(structure, sid, v, v)), phi_TE=phi_TE,
+        phi_E=phi_rank_one(spec, structure, sid, v, v), phi_TE=phi_TE,
         separation=separation, separation_bound=bound,
         components_before=comp_before, components_after=comp_after,
         gap_achieved=comp_after.gap, norm=spec, route=route)

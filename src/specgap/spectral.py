@@ -23,6 +23,8 @@ from .algebra import BlockOperator
 from .errors import ConvergenceFailure, EmptySpectralWindow
 
 __all__ = [
+    "block_eigenvalues",
+    "pool_spectra",
     "eigenvalues",
     "SpectrumReport",
     "link_components",
@@ -38,20 +40,29 @@ __all__ = [
 ]
 
 
-def eigenvalues(T: BlockOperator) -> np.ndarray:
-    """All eigenvalues (with multiplicity), pooled over blocks.
-
-    Sorted lexicographically by (Re, Im) so equal inputs give equal output.
-    """
+def block_eigenvalues(T: BlockOperator) -> list:
+    """Each block's eigenvalues (with multiplicity), one array per summand in
+    summand order."""
     vals = []
     for sid, b in T.summands:
         try:
             vals.append(scipy.linalg.eigvals(b))
         except Exception as exc:  # LinAlgError and friends
             raise ConvergenceFailure(f"eigensolver failed on summand {sid}: {exc}")
+    return vals
+
+
+def pool_spectra(vals) -> np.ndarray:
+    """Concatenate per-block spectra, sorted lexicographically by (Re, Im) so
+    equal inputs give equal output."""
     out = np.concatenate(vals)
-    order = np.lexsort((out.imag, out.real))
-    return out[order]
+    return out[np.lexsort((out.imag, out.real))]
+
+
+def eigenvalues(T: BlockOperator) -> np.ndarray:
+    """All eigenvalues (with multiplicity), pooled over blocks and sorted by
+    (Re, Im)."""
+    return pool_spectra(block_eigenvalues(T))
 
 
 def link_components(n: int, pairs) -> list:

@@ -3,9 +3,13 @@ typed failures."""
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
+import numpy.linalg._linalg as np_linalg_impl
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from specgap.algebra import AlgebraSpec, block_operator, identity_like, write_operator
 from specgap.cli import main
@@ -15,6 +19,7 @@ from specgap.sampling import random_block_operator, rng_from_seed
 from specgap.spectral import eigenvalues
 
 from conftest import make_spec
+from test_acceptance import EPS_CYCLE, MASTER_SEED, _random_dominating_spec
 
 # disconnect_rr0 at eps = 1e-14 puts the budget delta = 5e-18 below the
 # round-off in sigma_min(T - lambda) of this well-conditioned 8 + 12 operator
@@ -116,3 +121,65 @@ def test_cli_budget_below_roundoff_exits_1(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert "BelowRoundoff" in err
+
+
+def _criterion_1_certificates(n=40):
+    """The first ``n`` operators of the criterion-1 corpus, with certificates."""
+    rng = rng_from_seed((MASTER_SEED, 1))
+    for i in range(n):
+        dims = tuple(int(d) for d in rng.integers(2, 65, int(rng.integers(2, 5))))
+        T = random_block_operator(AlgebraSpec(dims=dims, tail="none"), rng)
+        spec = _random_dominating_spec(dims, rng)
+        yield T, disconnect(T, EPS_CYCLE[i % len(EPS_CYCLE)], spec)
+
+
+def test_after_spectrum_matches_a_fresh_eigensolve():
+    # sigma(T + X) is read off the reordered Schur form, never computed from
+    # T + X; a fresh eigensolve must give the same multiset
+    for T, cert in [*_random_certificates(), *_criterion_1_certificates()]:
+        got = np.asarray(cert.components_after.eigenvalues)
+        want = eigenvalues(T + cert.X)
+        assert got.shape == want.shape
+        dist = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(dist)
+        assert dist[rows, cols].max() <= 1e-9
+
+
+def test_rightmost_eigenvalue_is_moved_to_the_front_of_the_schur_form():
+    # triangular already, with the rightmost eigenvalue 1 last on the
+    # diagonal: v must come from the reordered form, not the first column
+    t = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0]])
+    cert = disconnect_rr0(block_operator([(0, t)]), 0.1)
+    assert cert.lam == 1.0
+    residual = np.linalg.norm(t @ cert.v - cert.lam * cert.v)
+    assert residual <= 1e-14 * np.linalg.norm(t, 2)
+
+
+def test_one_factorization_per_block(monkeypatch):
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eig", "eigvals", "schur"):
+        monkeypatch.setattr(scipy.linalg, name,
+                            counted(name, getattr(scipy.linalg, name)))
+    svd = np.linalg.svd
+
+    def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls["svd_uv" if compute_uv else "svd"] += 1
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    # np.linalg.norm(., 2) reaches svd through numpy's private module
+    for owner in (np.linalg, np_linalg_impl):
+        monkeypatch.setattr(owner, "svd", counted_svd)
+    alg = AlgebraSpec(dims=(5, 7, 4), tail="none")
+    T = random_block_operator(alg, rng_from_seed(3))
+    cert = disconnect(T, 1e-2, make_spec([1.0, 2.0, 3.0]))
+    assert cert.disconnected
+    assert calls["eigvals"] == 3 and calls["eig"] == 0     # no eig of T + X
+    assert calls["schur"] == 1
+    assert calls["svd_uv"] == 0 and calls["svd"] > 0

@@ -11,7 +11,8 @@ from specgap.errors import (InfiniteCPhi, NoConvergenceCertificate, NotDominatin
 from specgap.norms import (BaseNorm, OPERATOR, NormSpec, c_phi,
                            check_unitary_invariance, dominating_check, f_phi,
                            norm_from_dict, norm_to_dict, operator_norm_spec,
-                           phi_eval, read_norm_spec, write_norm_spec)
+                           phi_eval, phi_rank_one, read_norm_spec,
+                           write_norm_spec)
 from specgap.sampling import (random_block_operator, random_projection,
                               random_subprojection, rng_from_seed)
 
@@ -73,6 +74,23 @@ def test_phi_eval_weighted_sup_and_lq(rng):
     assert phi_eval(sup_spec, X) == pytest.approx(max(2 * 4, 5 * 1), rel=1e-12)
     lq_spec = make_spec([2.0, 5.0], agg="lq", q=2)
     assert phi_eval(lq_spec, X) == pytest.approx(np.hypot(8.0, 5.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("agg,q", [("sup", None), ("lq", 1.5)])
+def test_phi_rank_one_matches_phi_eval(agg, q, rng):
+    spec = make_spec([1.5, 1.0, 2.0],
+                     kinds=[("schatten", 1, None), ("operator", None, None),
+                            ("kyfan", None, 2)], agg=agg, q=q)
+    structure = ((0, 2), (1, 3), (2, 4))
+    for k, d in structure:
+        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        X = block_operator([(s, np.outer(a, b.conj()) if s == k else np.zeros((n, n)))
+                            for s, n in structure])
+        assert phi_rank_one(spec, structure, k, a, b) == pytest.approx(
+            phi_eval(spec, X), rel=1e-12)
+    with pytest.raises(ShapeMismatch):
+        phi_rank_one(spec, structure + ((3, 2),), 0, a[:2], b[:2])
 
 
 def test_phi_eval_is_a_norm_on(small_alg, rng):

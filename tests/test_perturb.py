@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from specgap.algebra import AlgebraSpec, IdealSpec, block_operator, identity_like
-from specgap.errors import (BadLambda, DimensionOne, InfiniteCPhi, NotDominating,
-                            ShapeMismatch)
-from specgap.norms import c_phi, operator_norm_spec, phi_eval
+from specgap.errors import DimensionOne, InfiniteCPhi, NotDominating, ShapeMismatch
+from specgap.norms import c_phi
 from specgap.perturb import (certificate_from_dict, certificate_to_dict,
                              counterexample_net, counterexample_operator,
-                             disconnect, disconnect_rr0, net_spacing, small_te,
+                             disconnect, disconnect_rr0, net_spacing,
                              verify_counterexample, write_certificate)
 from specgap.sampling import random_block_operator, rng_from_seed
 from specgap.spectral import eigenvalues
@@ -30,14 +29,14 @@ def test_rr0_frozen_two_point_example():
     assert cert.route == "rr0"
 
 
-def test_small_te_on_nilpotent_jordan_block():
-    # the kernel column is the whole spectral window: (T - 0) E = 0 exactly
+def test_rr0_on_nilpotent_jordan_block():
+    # the Schur vector is the kernel column e1: (T - 0) E = 0 exactly
     J = block_operator([(0, np.array([[0.0, 1.0], [0.0, 0.0]]))])
-    spec = operator_norm_spec(1)
-    E = small_te(J, 0.0, 0.3, spec)
-    assert E.rank == 1
-    np.testing.assert_allclose(E.base.block(0), np.diag([1.0, 0.0]), atol=1e-9)
-    assert phi_eval(spec, J @ E.base) < 1e-12
+    cert = disconnect_rr0(J, 0.3)
+    assert cert.lam == 0.0 and cert.E.rank == 1
+    assert abs(abs(cert.v[0]) - 1.0) < 1e-12 and abs(cert.v[1]) < 1e-12
+    np.testing.assert_allclose(cert.E.base.block(0), np.diag([1.0, 0.0]), atol=1e-9)
+    assert cert.phi_TE < 1e-12
 
 
 def test_scalar_spectrum_still_splits():
@@ -84,8 +83,6 @@ def test_disconnect_guards():
         disconnect_rr0(T, 0.0)
     with pytest.raises(ShapeMismatch):
         disconnect(T, 0.1, make_spec([1.0, 2.0]), IdealSpec("finitely_supported"))
-    with pytest.raises(BadLambda):
-        small_te(T, 99.0, 0.1, make_spec([1.0, 2.0]))
 
 
 def test_ideal_constrained_perturbation():
