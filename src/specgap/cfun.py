@@ -23,15 +23,21 @@ range — the perturbed curves must still cross near the origin.
 
 Interval endpoints and isolated points are exact rationals
 (:class:`fractions.Fraction`), so gap midpoints, clopen cuts and piece
-diameters are computed without rounding; PL data is floating point.
+diameters are computed without rounding; PL data is floating point.  Pieces
+stay sorted, so clopen cuts are exact ``Fraction`` bisections, and a
+certificate evaluates each function once, at the knots of all pieces.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import scipy.spatial
@@ -67,12 +73,13 @@ __all__ = [
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))       # exact decimal reading of the repr
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    try:
+        if isinstance(x, (float, str)):
+            return Fraction(str(x))   # a float's repr, read exactly; nan fails
+    except (ValueError, ZeroDivisionError):
+        pass
     raise ShapeMismatch(f"cannot read {x!r} as a rational number")
 
 
@@ -144,16 +151,15 @@ class CompactRealSet:
                 ivals.append((a, b))
         pts.extend(_frac(p) for p in self.points)
         ivals.sort()
-        pts = sorted(set(pts))
-        pieces = sorted([(a, b) for a, b in ivals] + [(p, p) for p in pts])
+        object.__setattr__(self, "intervals", tuple(ivals))
+        object.__setattr__(self, "points", tuple(sorted(set(pts))))
+        pieces = self.pieces()
         if not pieces:
             raise ShapeMismatch("the empty set is not a compact subset here")
         for (a1, b1), (a2, b2) in zip(pieces, pieces[1:]):
             if a2 <= b1:
                 raise ShapeMismatch(
                     f"pieces [{a1},{b1}] and [{a2},{b2}] touch or overlap")
-        object.__setattr__(self, "intervals", tuple(ivals))
-        object.__setattr__(self, "points", tuple(pts))
 
     @classmethod
     def cantor(cls, depth: int, ratio, lo=0, hi=1) -> "CompactRealSet":
@@ -163,13 +169,11 @@ class CompactRealSet:
 
     @property
     def inf(self) -> Fraction:
-        cands = [a for a, _ in self.intervals] + list(self.points)
-        return min(cands)
+        return self.pieces()[0][0]
 
     @property
     def sup(self) -> Fraction:
-        cands = [b for _, b in self.intervals] + list(self.points)
-        return max(cands)
+        return self.pieces()[-1][1]
 
     @property
     def diam(self) -> Fraction:
@@ -179,28 +183,29 @@ class CompactRealSet:
     def more_than_one(self) -> bool:
         return bool(self.intervals) or len(self.points) > 1
 
-    def pieces(self):
-        """All material as (lo, hi) pairs, points degenerate, sorted."""
-        return sorted([(a, b) for a, b in self.intervals]
-                      + [(p, p) for p in self.points])
+    def pieces(self) -> tuple:
+        """All material as (lo, hi) pairs, points degenerate, sorted: a merge
+        of the sorted intervals and points (no points: the intervals)."""
+        if not self.points:
+            return self.intervals
+        return tuple(heapq.merge(self.intervals, ((p, p) for p in self.points)))
 
     def contains(self, x) -> bool:
         x = _frac(x)
-        return any(a <= x <= b for a, b in self.pieces())
+        pieces = self.pieces()
+        k = bisect.bisect_right(pieces, x, key=itemgetter(0))
+        return k > 0 and x <= pieces[k - 1][1]
 
     def restrict(self, lo: Fraction, hi: Fraction) -> "CompactRealSet":
-        """X ∩ [lo, hi] where the cuts fall in gaps (no piece may straddle)."""
-        ivals, pts = [], []
-        for a, b in self.pieces():
-            if b < lo or a > hi:
-                continue
+        """X ∩ [lo, hi] where the cuts fall in gaps (no piece may straddle):
+        a run of pieces found by bisection, so only its ends can straddle."""
+        pieces = self.pieces()
+        kept = pieces[bisect.bisect_left(pieces, lo, key=itemgetter(1)):
+                      bisect.bisect_right(pieces, hi, key=itemgetter(0))]
+        for a, b in kept[:1] + kept[-1:]:
             if a < lo or b > hi:
                 raise ShapeMismatch(f"cut [{lo},{hi}] slices piece [{a},{b}]")
-            if a == b:
-                pts.append(a)
-            else:
-                ivals.append((a, b))
-        return CompactRealSet(intervals=tuple(ivals), points=tuple(pts))
+        return CompactRealSet(intervals=kept)
 
 
 def is_finite_interval_union(X: CompactRealSet) -> bool:
@@ -220,9 +225,7 @@ class ClopenPiece:
 
     @property
     def diam(self) -> Fraction:
-        if len(self.subset.points) == 1 and not self.subset.intervals:
-            return Fraction(0)
-        return self.subset.sup - self.subset.inf
+        return self.subset.diam
 
     @property
     def hull(self):
@@ -230,11 +233,11 @@ class ClopenPiece:
 
 
 def _isolated_point_piece(X: CompactRealSet) -> ClopenPiece:
-    x0 = min(X.points)
-    below = [b for _, b in X.pieces() if b < x0]
-    above = [a for a, _ in X.pieces() if a > x0]
-    cut_lo = (max(below) + x0) / 2 if below else x0 - 1
-    cut_hi = (min(above) + x0) / 2 if above else x0 + 1
+    x0 = X.points[0]
+    pieces = X.pieces()
+    k = bisect.bisect_left(pieces, x0, key=itemgetter(0))
+    cut_lo = (pieces[k - 1][1] + x0) / 2 if k else x0 - 1
+    cut_hi = (pieces[k + 1][0] + x0) / 2 if k + 1 < len(pieces) else x0 + 1
     return ClopenPiece(subset=CompactRealSet(points=(x0,)),
                        cut_lo=cut_lo, cut_hi=cut_hi)
 
@@ -296,9 +299,13 @@ class PLFunction:
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if t_arr.size == 0:
+            return np.empty(t_arr.shape, dtype=complex)
         b = np.asarray(self.breakpoints)
-        if t_arr.min() < b[0] - 1e-12 or t_arr.max() > b[-1] + 1e-12:
-            raise ShapeMismatch(f"evaluation outside domain [{b[0]}, {b[-1]}]")
+        lo, hi = t_arr.min(), t_arr.max()
+        if not (lo >= b[0] - 1e-12 and hi <= b[-1] + 1e-12):    # NaN fails too
+            raise ShapeMismatch(f"evaluation on [{lo}, {hi}] outside "
+                                f"domain [{b[0]}, {b[-1]}]")
         v = np.asarray(self.values)
         out = np.interp(t_arr, b, v.real) + 1j * np.interp(t_arr, b, v.imag)
         return out if np.ndim(t) else complex(out[0])
@@ -320,28 +327,41 @@ class PLFunction:
         b = b[(b >= lo) & (b <= hi)]
         return PLFunction(breakpoints=b, values=self(b))
 
-    def segments(self):
-        v = self.values
-        return [(v[i], v[i + 1]) for i in range(len(v) - 1)]
-
     def sup_norm_on(self, X: CompactRealSet) -> float:
         """Exact sup of |f| over X: |f| is convex on each linear segment, so
         the max over an interval is attained at a breakpoint or an interval
-        endpoint — all of which are evaluated, none sampled."""
+        endpoint — all of which are evaluated (in one call), none sampled."""
         lo, hi = self.domain
         if float(X.inf) < lo - 1e-12 or float(X.sup) > hi + 1e-12:
             raise ShapeMismatch("X is not contained in the function's domain")
-        b = np.asarray(self.breakpoints)
-        best = 0.0
-        for a, c in X.pieces():
-            fa, fc = float(a), float(c)
-            if fa == fc:
-                best = max(best, abs(self(fa)))
-                continue
-            inner = b[(b > fa) & (b < fc)]
-            cand = np.concatenate(([fa], inner, [fc]))
-            best = max(best, float(np.max(np.abs(self(cand)))))
-        return best
+        z, _, point = _knot_values(X, self, self.breakpoints)
+        return _max_modulus(z, point)
+
+
+def _knot_values(X: CompactRealSet, fn, breakpoints, drop=None):
+    """``fn`` at the knots of all pieces of X in one call: each piece's ends
+    and the breakpoints strictly inside it (a point gives [p, p]), sorted.
+    Pieces inside the open interval ``drop`` are left out.  Returns the values,
+    the masks of knot pairs within one piece and of point-piece knots."""
+    ends = np.array(X.pieces(), dtype=float).reshape(-1, 2)
+    if drop is not None:
+        ends = ends[~((drop[0] < ends[:, 0]) & (ends[:, 1] < drop[1]))]
+    b, flat = np.asarray(breakpoints, dtype=float), ends.ravel()
+    below = np.searchsorted(flat, b, side="left")      # ends below b: odd inside
+    inside = (below % 2 == 1) & (below == np.searchsorted(flat, b, side="right"))
+    n_knots = np.bincount(below[inside] // 2, minlength=len(ends)) + 2
+    t = np.sort(np.concatenate([flat, b[inside]]))
+    same = np.ones(max(len(t) - 1, 0), dtype=bool)
+    same[np.cumsum(n_knots)[:-1] - 1] = False
+    return fn(t), same, np.repeat(ends[:, 0] == ends[:, 1], n_knots)
+
+
+def _max_modulus(z, point) -> float:
+    """max(0, max |z|), rounded as per-piece scalar code rounds it: C hypot
+    (CPython's ``abs``) at point pieces, NumPy's array ``abs`` (a SIMD loop
+    that differs in the last bit) on intervals."""
+    return max(float(np.max(np.abs(z[~point]), initial=0.0)),
+               float(np.max(np.hypot(z[point].real, z[point].imag), initial=0.0)))
 
 
 def pl_approximate(f, tol: float, lo=None, hi=None, max_refine: int = 18):
@@ -367,14 +387,18 @@ def pl_approximate(f, tol: float, lo=None, hi=None, max_refine: int = 18):
     raise ExhaustedSamples(f"could not reach tol={tol} with {n} samples")
 
 
-def _seg_dist(z, a, b):
+def _seg_dists(z, a, b):
+    """Distances from z to the segments [a, b], broadcast; a zero-length
+    segment projects onto a.  Moduli round as CPython's scalar ``abs`` (C
+    hypot), and ``|b - a|**2`` takes C ``pow``, not always ``x * x``."""
     ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(z - a)
-    t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * ab))
+    denom = np.array([abs(w) ** 2 for w in ab.tolist()])
+    za = z - a
+    s = np.divide(za.real * ab.real + za.imag * ab.imag, denom,
+                  out=np.zeros(za.shape), where=denom != 0.0)
+    s = np.clip(s, 0.0, 1.0)
+    return np.hypot(np.real(z) - (a.real + s * ab.real),
+                    np.imag(z) - (a.imag + s * ab.imag))
 
 
 def offrange_lambda(G: PLFunction, target: complex, tol: float):
@@ -387,16 +411,17 @@ def offrange_lambda(G: PLFunction, target: complex, tol: float):
     Returns ``(lambda, clearance)``.
     """
     target = complex(target)
-    segs = G.segments()
+    v = np.asarray(G.values)
     best = (None, 0.0)
     n_ang, radii = 16, (0.9, 0.7, 0.5, 0.3)
     for _ in range(6):
         for r in radii:
             ang = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
-            for z in target + tol * r * np.exp(1j * ang):
-                clear = min(_seg_dist(z, a, b) for a, b in segs)
-                if clear > best[1]:
-                    best = (complex(z), float(clear))
+            z = target + tol * r * np.exp(1j * ang)
+            clear = _seg_dists(z[:, None], v[:-1], v[1:]).min(axis=1)
+            k = int(np.argmax(clear))   # first strict maximum of the ring
+            if clear[k] > best[1]:
+                best = (complex(z[k]), float(clear[k]))
         if best[0] is not None and best[1] > 0.0:
             return best
         n_ang *= 3
@@ -424,35 +449,22 @@ class CfunDisconnectResult:
 
 def _nearest_in_piece(piece: ClopenPiece) -> Fraction:
     sub = piece.subset
+    pieces = sub.pieces()
     center = (sub.inf + sub.sup) / 2
-    best, best_d = None, None
-    for a, b in sub.pieces():
-        cand = center if a <= center <= b else (a if center < a else b)
-        d = abs(cand - center)
-        if best is None or d < best_d:
-            best, best_d = cand, d
-    return best
+    k = bisect.bisect_right(pieces, center, key=itemgetter(0))
+    b = pieces[k - 1][1]
+    if center <= b:
+        return center
+    a = pieces[k][0]                      # center sits in the gap (b, a)
+    return b if center - b <= a - center else a
 
 
 def _range_gap_outside(g: PLFunction, X: CompactRealSet, piece: ClopenPiece,
                        lam: complex) -> float:
     """Exact distance from lam to the image of g over X \\ piece."""
-    gap = math.inf
-    b = np.asarray(g.breakpoints)
-    lo_cut, hi_cut = float(piece.cut_lo), float(piece.cut_hi)
-    for a, c in X.pieces():
-        fa, fc = float(a), float(c)
-        if lo_cut < fa and fc < hi_cut:
-            continue                      # that's the piece itself
-        if fa == fc:
-            gap = min(gap, abs(lam - g(fa)))
-            continue
-        inner = b[(b > fa) & (b < fc)]
-        knots = np.concatenate(([fa], inner, [fc]))
-        vals = g(knots)
-        for z0, z1 in zip(vals[:-1], vals[1:]):
-            gap = min(gap, _seg_dist(lam, z0, z1))
-    return float(gap)
+    z, same, _ = _knot_values(X, g, g.breakpoints,
+                              drop=(float(piece.cut_lo), float(piece.cut_hi)))
+    return float(np.min(_seg_dists(lam, z[:-1][same], z[1:][same]), initial=math.inf))
 
 
 def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconnectResult:
@@ -479,11 +491,8 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
     lip = G.lipschitz()
     budget = eps / 3.0
     max_pieces = 1 if X.points else X.generator.depth
-    piece = None
-    for p in clopen_small_pieces(X, max_pieces):
-        if lip * float(p.diam) < budget:
-            piece = p
-            break
+    piece = next((p for p in clopen_small_pieces(X, max_pieces)
+                  if lip * float(p.diam) < budget), None)
     if piece is None:
         raise ValueError("no clopen piece is small enough; deepen the "
                          "generator stage or loosen eps")
@@ -491,8 +500,7 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
     t0 = _nearest_in_piece(piece)
     lam, clearance = offrange_lambda(G, G(float(t0)), eps / 3.0)
 
-    x_lo, x_hi = piece.hull
-    f_lo, f_hi = float(x_lo), float(x_hi)
+    f_lo, f_hi = map(float, piece.hull)
     cl, ch = float(piece.cut_lo), float(piece.cut_hi)
     b = np.asarray(G.breakpoints)
     v = np.asarray(G.values)
@@ -522,17 +530,9 @@ def _sup_dist(g: PLFunction, f: PLFunction, X: CompactRealSet) -> float:
     """Exact sup over X of |g - f| for PL g, f: the difference is linear
     between adjacent knots of either function, so its modulus peaks at a
     knot or an X-interval endpoint."""
-    knots = np.union1d(np.asarray(g.breakpoints), np.asarray(f.breakpoints))
-    best = 0.0
-    for a, c in X.pieces():
-        fa, fc = float(a), float(c)
-        if fa == fc:
-            best = max(best, abs(g(fa) - f(fa)))
-            continue
-        inner = knots[(knots > fa) & (knots < fc)]
-        cand = np.concatenate(([fa], inner, [fc]))
-        best = max(best, float(np.max(np.abs(g(cand) - f(cand)))))
-    return best
+    knots = np.union1d(g.breakpoints, f.breakpoints)
+    z, _, point = _knot_values(X, lambda t: g(t) - f(t), knots)
+    return _max_modulus(z, point)
 
 
 def nondensity_witness(n: int):

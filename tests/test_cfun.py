@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgap.cfun import (CompactRealSet, PLFunction, cfun_disconnect,
-                          clopen_small_pieces, is_finite_interval_union,
-                          nondensity_witness, offrange_lambda, pl_approximate,
-                          pl_from_dict, pl_to_dict, range_components, read_pl,
-                          read_set, set_from_dict, set_to_dict, write_pl,
-                          write_set)
+from specgap.cfun import (ClopenPiece, CompactRealSet, PLFunction,
+                          _nearest_in_piece, _range_gap_outside, _sup_dist,
+                          cfun_disconnect, clopen_small_pieces,
+                          is_finite_interval_union, nondensity_witness,
+                          offrange_lambda, pl_approximate, pl_from_dict,
+                          pl_to_dict, range_components, read_pl, read_set,
+                          set_from_dict, set_to_dict, write_pl, write_set)
 from specgap.errors import ExhaustedSamples, FiniteUnion, ShapeMismatch
 from specgap.sampling import rng_from_seed
 
@@ -34,6 +37,65 @@ def test_set_normalization_and_validation():
         CompactRealSet()                                # empty
     with pytest.raises(ShapeMismatch):
         CompactRealSet(intervals=((1, 0),))
+
+
+def test_numpy_integer_endpoints_are_read_exactly():
+    X = CompactRealSet(intervals=((np.int32(2), np.int64(3)),), points=(np.int64(1),))
+    assert X.points == (Fraction(1),) and X.intervals == ((Fraction(2), Fraction(3)),)
+    assert all(type(x.numerator) is int for x in (X.points[0], *X.intervals[0]))
+
+
+def test_nonfinite_endpoints_raise_shape_mismatch():
+    for bad in (float("nan"), float("inf"), -np.inf, np.float64("nan"), "nan"):
+        with pytest.raises(ShapeMismatch):
+            CompactRealSet(intervals=((0, bad),))
+        with pytest.raises(ShapeMismatch):
+            CompactRealSet(points=(bad,))
+
+
+def _restrict_by_scan(X, lo, hi):
+    """Reference: keep the pieces meeting [lo, hi], reject any it slices."""
+    kept = []
+    for a, b in sorted(X.intervals + tuple((p, p) for p in X.points)):
+        if b < lo or a > hi:
+            continue
+        if a < lo or b > hi:
+            raise ShapeMismatch(f"cut [{lo},{hi}] slices piece [{a},{b}]")
+        kept.append((a, b))
+    return CompactRealSet(intervals=tuple(kept))
+
+
+def test_restrict_at_piece_endpoints_and_inside_pieces():
+    X = CompactRealSet(intervals=((0, 1), (2, 3), (5, 6)), points=(4, 7))
+    # cuts on a piece's own ends keep it, points included
+    Y = X.restrict(Fraction(2), Fraction(6))
+    assert Y.intervals == ((2, 3), (5, 6)) and Y.points == (4,)
+    assert X.restrict(4, 4).points == (4,) and not X.restrict(4, 4).intervals
+    assert X.restrict(Fraction(3, 2), 7) == CompactRealSet(intervals=((2, 3), (5, 6)),
+                                                          points=(4, 7))
+    # a cut inside a piece (or on its far end) slices it
+    for lo, hi in ((Fraction(5, 2), 7), (0, Fraction(11, 2)), (1, 7), (0, 5)):
+        with pytest.raises(ShapeMismatch, match="slices piece"):
+            X.restrict(lo, hi)
+    # every cut drawn from the ends, gap midpoints and piece interiors
+    cuts = sorted({Fraction(k, 4) for k in range(-2, 31)})
+    for lo in cuts:
+        for hi in cuts:
+            try:
+                want = _restrict_by_scan(X, lo, hi)
+            except ShapeMismatch as exc:
+                with pytest.raises(ShapeMismatch, match=re.escape(str(exc))):
+                    X.restrict(lo, hi)
+                continue
+            assert X.restrict(lo, hi) == want
+
+
+def test_contains_bisects_points_and_intervals():
+    X = CompactRealSet(intervals=((0, 1), (2, 3)), points=(Fraction(3, 2), 5))
+    inside = [0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 5]
+    outside = [-1, Fraction(5, 4), Fraction(7, 4), 4, 6]
+    assert all(X.contains(x) for x in inside)
+    assert not any(X.contains(x) for x in outside)
 
 
 def test_cantor_stage_structure():
@@ -80,6 +142,21 @@ def test_pl_eval_and_domain():
         PLFunction(breakpoints=(0.0,), values=(1.0,))
     with pytest.raises(ShapeMismatch):
         PLFunction(breakpoints=(0.0, 0.0), values=(1.0, 2.0))
+
+
+def test_pl_eval_at_nan_raises_shape_mismatch():
+    f = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, 1j))
+    with pytest.raises(ShapeMismatch):
+        f(float("nan"))
+    with pytest.raises(ShapeMismatch):
+        f(np.array([0.5, np.nan]))
+
+
+def test_pl_eval_on_empty_array():
+    f = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, 1j))
+    for empty in (np.array([]), [], np.empty((0, 3))):
+        out = f(empty)
+        assert out.dtype == complex and out.shape == np.shape(empty)
 
 
 def test_lipschitz_and_refine():
@@ -134,6 +211,27 @@ def test_cfun_disconnect_on_cantor_stage():
             assert res.g(t) == pytest.approx(res.lam, abs=1e-12)
     rep = range_components(res.g, X, resolution=res.range_gap / 12.0)
     assert rep.n_components >= 2
+
+
+def test_cfun_disconnect_evaluates_in_bulk(monkeypatch):
+    """A fixed number of evaluations, whatever the number of pieces: one for
+    the target value, one at each cut, g and f once for the sup distance and
+    g once for the range gap."""
+    sizes = []
+    call = PLFunction.__call__
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return call(self, t)
+
+    monkeypatch.setattr(PLFunction, "__call__", counted)
+    X = CompactRealSet.cantor(depth=8, ratio="1/3")
+    assert len(X.pieces()) == 256
+    f = PLFunction(breakpoints=(-0.5, 0.2, 1.5), values=(0.0, 1j, 2.0))
+    res = cfun_disconnect(X, f, eps=0.05)
+    assert res.sup_dist < 0.05
+    assert len(sizes) == 6
+    assert max(sizes) >= 2 * 256        # the bulk calls see every piece
 
 
 def test_cfun_disconnect_on_isolated_points():
@@ -243,3 +341,172 @@ def test_cantor_piece_partition_property(depth, ratio, seed):
     diams = [p.diam for p in pieces]
     assert diams == sorted(diams, reverse=True)
     assert diams[-1] <= X.diam * ratio ** (n - 1)
+
+
+# -- bulk evaluation against per-piece references ---------------------------------
+# The references evaluate piece by piece with scalar arithmetic; the bulk code
+# must reproduce them bit for bit (==), including CPython's rounding of abs.
+
+def _ref_pieces(X):
+    return sorted(X.intervals + tuple((p, p) for p in X.points))
+
+
+def _ref_seg_dist(z, a, b):
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(z - a)
+    t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / denom
+    t = min(1.0, max(0.0, t))
+    return abs(z - (a + t * ab))
+
+
+def _ref_nearest(X):
+    center = (X.inf + X.sup) / 2
+    best, best_d = None, None
+    for a, b in _ref_pieces(X):
+        cand = center if a <= center <= b else (a if center < a else b)
+        if best is None or abs(cand - center) < best_d:
+            best, best_d = cand, abs(cand - center)
+    return best
+
+
+def _ref_sup_norm_on(f, X):
+    b = np.asarray(f.breakpoints)
+    best = 0.0
+    for a, c in _ref_pieces(X):
+        fa, fc = float(a), float(c)
+        if fa == fc:
+            best = max(best, abs(f(fa)))
+            continue
+        cand = np.concatenate(([fa], b[(b > fa) & (b < fc)], [fc]))
+        best = max(best, float(np.max(np.abs(f(cand)))))
+    return best
+
+
+def _ref_sup_dist(g, f, X):
+    knots = np.union1d(np.asarray(g.breakpoints), np.asarray(f.breakpoints))
+    best = 0.0
+    for a, c in _ref_pieces(X):
+        fa, fc = float(a), float(c)
+        if fa == fc:
+            best = max(best, abs(g(fa) - f(fa)))
+            continue
+        cand = np.concatenate(([fa], knots[(knots > fa) & (knots < fc)], [fc]))
+        best = max(best, float(np.max(np.abs(g(cand) - f(cand)))))
+    return best
+
+
+def _ref_range_gap_outside(g, X, piece, lam):
+    gap = math.inf
+    b = np.asarray(g.breakpoints)
+    lo_cut, hi_cut = float(piece.cut_lo), float(piece.cut_hi)
+    for a, c in _ref_pieces(X):
+        fa, fc = float(a), float(c)
+        if lo_cut < fa and fc < hi_cut:
+            continue
+        if fa == fc:
+            gap = min(gap, abs(lam - g(fa)))
+            continue
+        vals = g(np.concatenate(([fa], b[(b > fa) & (b < fc)], [fc])))
+        for z0, z1 in zip(vals[:-1], vals[1:]):
+            gap = min(gap, _ref_seg_dist(lam, z0, z1))
+    return float(gap)
+
+
+def _ref_offrange_lambda(G, target, tol):
+    target = complex(target)
+    segs = list(zip(G.values[:-1], G.values[1:]))
+    best = (None, 0.0)
+    n_ang, radii = 16, (0.9, 0.7, 0.5, 0.3)
+    for _ in range(6):
+        for r in radii:
+            ang = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
+            for z in target + tol * r * np.exp(1j * ang):
+                clear = min(_ref_seg_dist(z, a, b) for a, b in segs)
+                if clear > best[1]:
+                    best = (complex(z), float(clear))
+        if best[0] is not None and best[1] > 0.0:
+            return best
+        n_ang *= 3
+        radii = tuple(r * 0.6 for r in radii) + radii
+    raise ExhaustedSamples("no clearing value")
+
+
+GRID = 8            # endpoints and some knots sit on the grid k / GRID - 5
+
+
+@st.composite
+def mixed_sets(draw):
+    kind = draw(st.sampled_from(["points", "intervals", "mixed"]))
+    ks = sorted(draw(st.lists(st.integers(0, 80), min_size=2, max_size=14, unique=True)))
+    ends = [Fraction(k, GRID) - 5 for k in ks]
+    ivals, pts, i = [], [], 0
+    while i < len(ends):
+        pair = i + 1 < len(ends) and (kind == "intervals" or
+                                      (kind == "mixed" and draw(st.booleans())))
+        if pair:
+            ivals.append((ends[i], ends[i + 1]))
+            i += 2
+        else:
+            pts.append(ends[i])
+            i += 1
+    return CompactRealSet(intervals=tuple(ivals), points=tuple(pts))
+
+
+_values = st.one_of(st.integers(-3, 3).map(lambda k: k / 2),
+                    st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def pl_covering(draw, X):
+    """A PL function on [inf X - 1, sup X + 1] whose knots include grid
+    points, so some fall exactly on piece ends."""
+    lo, hi = float(X.inf) - 1.0, float(X.sup) + 1.0
+    on_grid = draw(st.lists(st.integers(0, 80).map(lambda k: k / GRID - 5.0),
+                            max_size=10))
+    off_grid = draw(st.lists(st.floats(lo, hi), max_size=6))
+    b = np.union1d([lo, hi], [x for x in on_grid + off_grid if lo <= x <= hi])
+    vals = [complex(draw(_values), draw(_values)) for _ in b]
+    return PLFunction(breakpoints=b, values=vals)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_bulk_evaluation_matches_per_piece_references(data):
+    X = data.draw(mixed_sets())
+    g, f = data.draw(pl_covering(X)), data.draw(pl_covering(X))
+    assert f.sup_norm_on(X) == _ref_sup_norm_on(f, X)
+    assert _nearest_in_piece(ClopenPiece(subset=X, cut_lo=X.inf - 1,
+                                         cut_hi=X.sup + 1)) == _ref_nearest(X)
+    assert _sup_dist(g, f, X) == _ref_sup_dist(g, f, X)
+
+    cut = sorted(data.draw(st.lists(st.integers(-1, 81), min_size=2, max_size=2)))
+    piece = ClopenPiece(subset=X, cut_lo=Fraction(2 * cut[0] + 1, 2 * GRID) - 5,
+                        cut_hi=Fraction(2 * cut[1] + 1, 2 * GRID) - 5)
+    lam = data.draw(st.one_of(st.sampled_from(g.values),
+                              st.builds(complex, _values, _values)))
+    assert _range_gap_outside(g, X, piece, lam) == _ref_range_gap_outside(g, X, piece, lam)
+
+    target = data.draw(st.one_of(st.sampled_from(g.values),
+                                 st.builds(complex, _values, _values)))
+    tol = data.draw(st.floats(1e-3, 4.0))
+    try:
+        want = _ref_offrange_lambda(g, target, tol)
+    except ExhaustedSamples:
+        with pytest.raises(ExhaustedSamples):
+            offrange_lambda(g, target, tol)
+    else:
+        assert offrange_lambda(g, target, tol) == want
+
+
+def test_segment_projection_squares_with_pow():
+    """|b - a|**2 is C pow(h, 2), which differs from h * h in the last bit
+    for this h; lam on the segment then sits at distance 0.0 with pow and
+    2.2e-16 with h * h."""
+    h, lam = 1.747937, 1.299 + 0j
+    assert h ** 2 != h * h
+    g = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, h))
+    X = CompactRealSet(intervals=((0, 1),))
+    piece = ClopenPiece(subset=X, cut_lo=Fraction(2), cut_hi=Fraction(3))
+    assert _range_gap_outside(g, X, piece, lam) == _ref_range_gap_outside(g, X, piece, lam) == 0.0
