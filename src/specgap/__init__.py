@@ -20,9 +20,9 @@ from .errors import (
     NoConvergenceCertificate, UsageError,
 )
 from .algebra import (
-    BlockOperator, AlgebraSpec, IdealSpec, Projection, block_operator,
+    BlockOperator, AlgebraSpec, Projection, block_operator,
     identity_like, zero_like, central_projection, validate_projection,
-    central_support, minimal_subprojection,
+    minimal_subprojection,
     operator_to_dict, operator_from_dict, read_operator, write_operator,
 )
 from .norms import (

@@ -2,12 +2,9 @@
 
 Operators live in a direct sum of full matrix algebras: an element is a
 finite list of square complex blocks, one per *summand*, indexed by a
-non-negative summand id.  An algebra either has exactly the listed summands
-(``tail="none"``) or continues with infinitely many further copies of the
-last summand dimension (``tail="repeat_last"``).  Concrete operators are
-always finitely supported; tail summands beyond the realized list simply
-carry zero blocks and may appear explicitly (with ids past the realized
-range) when an element is supported out in the tail.
+non-negative summand id.  :class:`AlgebraSpec` records the shape of the
+ambient algebra (the summand dimensions, optionally continued by infinitely
+many copies of the last one), which the closed forms in ``norms`` read.
 
 All values are immutable after construction: block arrays are copied in and
 marked read-only, and every operation returns a new object.
@@ -25,20 +22,17 @@ from .errors import (
     EmptyBlock,
     NotAProjection,
     ShapeMismatch,
-    ZeroProjection,
 )
 
 __all__ = [
     "BlockOperator",
     "AlgebraSpec",
-    "IdealSpec",
     "Projection",
     "block_operator",
     "identity_like",
     "zero_like",
     "central_projection",
     "validate_projection",
-    "central_support",
     "minimal_subprojection",
     "read_operator",
     "write_operator",
@@ -156,9 +150,6 @@ class BlockOperator:
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return all(np.abs(b).max() <= tol for _, b in self.summands)
 
-    def block_norms(self) -> tuple:
-        return tuple(float(np.linalg.norm(b, 2)) for _, b in self.summands)
-
 
 def block_operator(pairs: Iterable) -> BlockOperator:
     """Build a :class:`BlockOperator` from ``(id, matrix)`` pairs."""
@@ -184,7 +175,7 @@ def central_projection(template: BlockOperator, mask: Iterable) -> BlockOperator
     ))
 
 
-# -- algebra / ideal descriptors ----------------------------------------
+# -- algebra descriptor ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -192,8 +183,7 @@ class AlgebraSpec:
     """Shape of the ambient algebra: realized summand dims plus optional tail.
 
     ``tail="repeat_last"`` declares infinitely many further summands, all of
-    the last listed dimension.  Only finitely many can ever be touched by a
-    concrete operator; the tail matters for norm and ideal semantics.
+    the last listed dimension; the norm closed forms check a spec against it.
     """
 
     dims: tuple
@@ -210,50 +200,6 @@ class AlgebraSpec:
     @property
     def n_realized(self) -> int:
         return len(self.dims)
-
-    def dim_of(self, sid: int) -> int:
-        if 0 <= sid < len(self.dims):
-            return self.dims[sid]
-        if sid >= len(self.dims) and self.tail == "repeat_last":
-            return self.dims[-1]
-        raise ShapeMismatch(f"summand {sid} outside algebra with {len(self.dims)} "
-                            f"summands and tail={self.tail!r}")
-
-    def contains(self, op: BlockOperator) -> bool:
-        try:
-            return all(b.shape[0] == self.dim_of(sid) for sid, b in op.summands)
-        except ShapeMismatch:
-            return False
-
-    def require(self, op: BlockOperator):
-        if not self.contains(op):
-            raise ShapeMismatch("operator does not fit the declared algebra")
-
-    def identity(self) -> BlockOperator:
-        if self.tail != "none":
-            raise ShapeMismatch("identity of an infinite-tail algebra is not "
-                                "finitely supported; work with the closed forms instead")
-        return BlockOperator(tuple((i, np.eye(d)) for i, d in enumerate(self.dims)))
-
-
-@dataclass(frozen=True)
-class IdealSpec:
-    """Which ideal perturbations are drawn from.
-
-    ``full`` is the whole algebra.  ``finitely_supported`` (elements touching
-    only finitely many summands) is a proper ideal only when the algebra has
-    an infinite tail, and is required to pair with ``tail="repeat_last"``.
-    """
-
-    kind: str = "full"
-
-    def __post_init__(self):
-        if self.kind not in ("full", "finitely_supported"):
-            raise ShapeMismatch(f"unknown ideal kind {self.kind!r}")
-
-    def check_against(self, alg: AlgebraSpec):
-        if self.kind == "finitely_supported" and alg.tail != "repeat_last":
-            raise ShapeMismatch("finitely_supported ideal requires tail='repeat_last'")
 
 
 # -- projections ---------------------------------------------------------
@@ -275,9 +221,6 @@ class Projection:
     @property
     def support(self) -> tuple:
         return tuple(sid for (sid, _), r in zip(self.base.summands, self.ranks) if r > 0)
-
-    def complement(self) -> "Projection":
-        return validate_projection(identity_like(self.base) - self.base, tol=self.tol)
 
 
 def validate_projection(A: BlockOperator, tol: float = DEFAULT_TOL) -> Projection:
@@ -304,11 +247,6 @@ def validate_projection(A: BlockOperator, tol: float = DEFAULT_TOL) -> Projectio
     return Projection(base=A, tol=tol, ranks=tuple(ranks))
 
 
-def central_support(P: Projection) -> tuple:
-    """Ids of the summands where ``P`` has a nonzero block."""
-    return P.support
-
-
 def minimal_subprojection(P: Projection, sid: int) -> Projection:
     """Rank-one subprojection of ``P`` living entirely in summand ``sid``.
 
@@ -330,21 +268,16 @@ def minimal_subprojection(P: Projection, sid: int) -> Projection:
     return validate_projection(BlockOperator(blocks), tol=max(P.tol, 1e-12))
 
 
-def require_nonzero(P: Projection):
-    if P.rank == 0:
-        raise ZeroProjection("projection is zero")
-
-
 # -- JSON persistence -----------------------------------------------------
 
 # Schema: {"summands": [{"id": 0, "dim": 2, "re": [[..]], "im": [[..]]}, ...],
-#          "tail": "none" | "repeat_last"}
-# Floats survive a round trip exactly (shortest-repr JSON encoding).
+#          "tail": "none"}
+# Files are always written with "tail": "none"; a reader still refuses any
+# value other than "none" or "repeat_last".  Floats survive a round trip
+# exactly (shortest-repr JSON encoding).
 
 
-def operator_to_dict(op: BlockOperator, tail: str = "none") -> dict:
-    if tail not in ("none", "repeat_last"):
-        raise ShapeMismatch(f"unknown tail kind {tail!r}")
+def operator_to_dict(op: BlockOperator) -> dict:
     return {
         "summands": [
             {
@@ -355,11 +288,11 @@ def operator_to_dict(op: BlockOperator, tail: str = "none") -> dict:
             }
             for sid, b in op.summands
         ],
-        "tail": tail,
+        "tail": "none",
     }
 
 
-def operator_from_dict(data: dict):
+def operator_from_dict(data: dict) -> BlockOperator:
     pairs = []
     for item in data["summands"]:
         re = np.array(item["re"], dtype=float)
@@ -371,17 +304,15 @@ def operator_from_dict(data: dict):
     tail = data.get("tail", "none")
     if tail not in ("none", "repeat_last"):
         raise ShapeMismatch(f"unknown tail kind {tail!r}")
-    return BlockOperator(tuple(pairs)), tail
+    return BlockOperator(tuple(pairs))
 
 
-def write_operator(op: BlockOperator, path, tail: str = "none"):
+def write_operator(op: BlockOperator, path):
     with open(path, "w") as fh:
-        json.dump(operator_to_dict(op, tail=tail), fh, sort_keys=True,
-                  separators=(",", ":"))
+        json.dump(operator_to_dict(op), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def read_operator(path):
-    """Read an operator file; returns ``(BlockOperator, tail)``."""
+def read_operator(path) -> BlockOperator:
     with open(path) as fh:
         return operator_from_dict(json.load(fh))

@@ -319,14 +319,6 @@ class PLFunction:
         v = np.asarray(self.values)
         return float(np.max(np.abs(np.diff(v)) / np.diff(b)))
 
-    def refine(self, extra) -> "PLFunction":
-        """Same function with extra breakpoints inserted."""
-        b = np.union1d(np.asarray(self.breakpoints),
-                       np.asarray([float(x) for x in extra]))
-        lo, hi = self.domain
-        b = b[(b >= lo) & (b <= hi)]
-        return PLFunction(breakpoints=b, values=self(b))
-
     def sup_norm_on(self, X: CompactRealSet) -> float:
         """Exact sup of |f| over X: |f| is convex on each linear segment, so
         the max over an interval is attained at a breakpoint or an interval

@@ -4,10 +4,11 @@ Every subcommand reads/writes the package's JSON and CSV formats, prints a
 single machine-readable JSON report on stdout (keys sorted, compact
 separators, so identical runs emit identical bytes) and reserves stderr for
 human-facing notes.  Exit codes: 0 success, 1 a domain failure (the
-construction or check did not go through), 2 usage errors.  File outputs
-are confined to ``--output-dir``.  When ``--seed`` is omitted, the
-``SPECTOOL_SEED`` environment variable is consulted before falling back
-to 0.
+construction or check did not go through), 2 usage errors: bad flags,
+argument values the library rejects with ``ValueError``, and missing or
+malformed input files.  File outputs are confined to ``--output-dir``.
+When ``--seed`` is omitted, the ``SPECTOOL_SEED`` environment variable is
+consulted before falling back to 0.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import pathlib
 import sys
 
 from . import __version__
-from .algebra import (AlgebraSpec, BlockOperator, IdealSpec, read_operator,
-                      write_operator)
+from .algebra import AlgebraSpec, BlockOperator, read_operator, write_operator
 from .cfun import cfun_disconnect, range_components, read_pl, read_set, write_pl
 from .errors import SpecgapError, UsageError
 from .norms import c_phi, dominating_check, read_norm_spec
@@ -110,9 +110,9 @@ def _cert_summary(cert) -> dict:
 
 
 def _cmd_disconnect(args) -> int:
-    T, _tail = read_operator(args.operator)
+    T = read_operator(args.operator)
     spec = read_norm_spec(args.norm)
-    cert = disconnect(T, args.eps, spec, IdealSpec(args.ideal))
+    cert = disconnect(T, args.eps, spec)
     payload = _cert_summary(cert)
     _write_out(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
     _emit(args, payload)
@@ -120,7 +120,7 @@ def _cmd_disconnect(args) -> int:
 
 
 def _cmd_disconnect_rr0(args) -> int:
-    T, _tail = read_operator(args.operator)
+    T = read_operator(args.operator)
     cert = disconnect_rr0(T, args.eps)
     payload = _cert_summary(cert)
     _write_out(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
@@ -138,7 +138,7 @@ def _cmd_cphi(args) -> int:
 
 
 def _cmd_riesz(args) -> int:
-    T, _tail = read_operator(args.operator)
+    T = read_operator(args.operator)
     if args.center is not None:
         if args.radius is None:
             raise UsageError("--center needs --radius")
@@ -164,7 +164,7 @@ def _cmd_riesz(args) -> int:
 
 
 def _cmd_pseudospectrum(args) -> int:
-    T, _tail = read_operator(args.operator)
+    T = read_operator(args.operator)
     try:
         re_min, re_max, im_min, im_max = (float(x) for x in args.grid.split(","))
     except ValueError:
@@ -256,7 +256,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", required=True)
     p.add_argument("--norm", required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--ideal", choices=("full", "finitely_supported"), default="full")
     p.add_argument("--out", help="write the full certificate JSON here")
     p.set_defaults(func=_cmd_disconnect)
 
@@ -341,7 +340,7 @@ def main(argv=None) -> int:
     except SpecgapError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

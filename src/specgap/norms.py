@@ -171,13 +171,10 @@ class NormSpec:
             raise ShapeMismatch("norm tail class and algebra tail disagree")
 
 
-def operator_norm_spec(n_summands: int, tail_weights: str = "none",
-                       tail_sup: float = None) -> NormSpec:
+def operator_norm_spec(n_summands: int) -> NormSpec:
     """Plain operator norm: unit weights, operator base, sup aggregation."""
-    if tail_weights == "repeat_last":      # convenience for algebra tails
-        tail_weights, tail_sup = "bounded", 1.0
     return NormSpec(base=(OPERATOR,) * n_summands, weights=(1.0,) * n_summands,
-                    agg="sup", tail_weights=tail_weights, tail_sup=tail_sup)
+                    agg="sup")
 
 
 def phi_eval(spec: NormSpec, X: BlockOperator) -> float:
@@ -262,11 +259,6 @@ def spec_c_phi(spec: NormSpec) -> float:
     return float(top)
 
 
-def _identity_infimum(spec: NormSpec, alg: AlgebraSpec) -> float:
-    spec.check_against(alg)
-    return spec_identity_infimum(spec)
-
-
 def spec_identity_infimum(spec: NormSpec) -> float:
     """``f_phi`` of the identity without materializing it: the infimum of all
     summand weights, including the tail family (same proviso as
@@ -286,7 +278,8 @@ def dominating_check(spec: NormSpec, alg: AlgebraSpec) -> bool:
     Equivalent to ``f_phi(identity) >= 1``: with unit-normalized operator
     norm this is exactly the condition for ``||X|| <= phi(X)``.
     """
-    return _identity_infimum(spec, alg) >= 1.0
+    spec.check_against(alg)
+    return spec_identity_infimum(spec) >= 1.0
 
 
 def check_unitary_invariance(phi, X: BlockOperator, trials: int = 20,

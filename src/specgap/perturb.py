@@ -52,7 +52,6 @@ from scipy.linalg.lapack import ztrexc
 from .algebra import (
     DEFAULT_TOL,
     BlockOperator,
-    IdealSpec,
     Projection,
     operator_to_dict,
     operator_from_dict,
@@ -242,26 +241,29 @@ def _build_certificate(T, spec, eps, eps0, route):
         gap_achieved=comp_after.gap, norm=spec, route=route)
 
 
-def disconnect(T: BlockOperator, eps: float, spec: NormSpec,
-               ideal: IdealSpec = IdealSpec("full")) -> PerturbationCertificate:
+def _check_inputs(T: BlockOperator, eps: float):
+    """The guards both entry points share: total dimension >= 2 and a
+    finite positive budget."""
+    if T.total_dim < 2:
+        raise DimensionOne("cannot disconnect a 1-dimensional spectrum")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+
+
+def disconnect(T: BlockOperator, eps: float, spec: NormSpec) -> PerturbationCertificate:
     """Disconnect ``sigma(T)`` with ``phi(X) < eps``.
 
     Requires total dimension >= 2, finite ``c_phi``, and a norm dominating
     the operator norm.  The certificate splits off the point
     ``lambda + eps0`` with ``eps0 = eps / (2 (1 + c_phi))``.
     """
-    if T.total_dim < 2:
-        raise DimensionOne("cannot disconnect a 1-dimensional spectrum")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_inputs(T, eps)
     cphi = spec_c_phi(spec)
     if math.isinf(cphi):
         raise InfiniteCPhi("c_phi is infinite: arbitrarily small perturbations "
                            "cannot disconnect (see counterexample_operator)")
     if spec_identity_infimum(spec) < 1.0:
         raise NotDominating("norm must dominate the operator norm (f_phi(I) >= 1)")
-    if ideal.kind == "finitely_supported" and spec.tail_weights == "none":
-        raise ShapeMismatch("finitely_supported ideal needs an infinite tail")
     return _build_certificate(T, spec, eps, eps / (2.0 * (1.0 + cphi)), "sup_inf")
 
 
@@ -271,10 +273,7 @@ def disconnect_rr0(T: BlockOperator, eps: float) -> PerturbationCertificate:
     Same pipeline as :func:`disconnect`, with the certificate measured in
     the plain operator norm.
     """
-    if T.total_dim < 2:
-        raise DimensionOne("cannot disconnect a 1-dimensional spectrum")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_inputs(T, eps)
     return _build_certificate(T, operator_norm_spec(max(T.ids) + 1), eps,
                               eps / 2.0, "rr0")
 
@@ -358,6 +357,8 @@ def verify_counterexample(T: BlockOperator, spec: NormSpec, trials: int = 100,
     """
     if not phi_budget < 1.0:
         raise BudgetNotLessThanOne(f"phi_budget={phi_budget} must be < 1")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     K = len(T.summands)
     lams = np.array([b[0, 0] for _, b in T.summands])
     spacing = net_spacing(lams, K)
@@ -432,8 +433,8 @@ def certificate_from_dict(data: dict) -> dict:
     """Light-weight reader: operators and the norm are reconstructed, the
     spectral reports come back as plain dicts."""
     out = dict(data)
-    out["X"] = operator_from_dict(data["X"])[0]
-    out["E"] = operator_from_dict(data["E"])[0]
+    out["X"] = operator_from_dict(data["X"])
+    out["E"] = operator_from_dict(data["E"])
     out["lambda"] = complex(*data["lambda"])
     out["norm"] = norm_from_dict(data["norm"])
     return out

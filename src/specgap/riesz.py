@@ -250,10 +250,6 @@ class IdempotentReport:
     rank: int
     corank: int
 
-    @property
-    def min_rank_corank(self) -> int:
-        return min(self.rank, self.corank)
-
 
 def verify_idempotent(P: BlockOperator, T: BlockOperator) -> IdempotentReport:
     """Residuals certifying that ``P`` weakly reduces ``T``.

@@ -235,34 +235,33 @@ def _random_disconnect_setup(rng, max_dim=12, max_summands=3):
     return alg, T, spec
 
 
-def disconnect_batch(n: int = 25, eps: float = 1e-2, seed=3) -> CheckResult:
-    """End-to-end disconnections on random operators: the perturbation must
-    stay under budget and the spectrum must split."""
+def _disconnect_loop(name: str, run, n: int, eps: float, seed) -> CheckResult:
+    """End-to-end disconnections ``run(T, eps, spec)`` on random operators:
+    the perturbation must stay under budget and the spectrum must split."""
     rng = rng_from_seed(seed)
     worst = 0.0
+    split = True
     for _ in range(n):
         _, T, spec = _random_disconnect_setup(rng)
-        cert = disconnect(T, eps, spec)
+        cert = run(T, eps, spec)
         worst = max(worst, cert.phi_X / eps)
         if not cert.disconnected or cert.components_after.n_components < 2:
-            return CheckResult(name="disconnect", passed=False, worst=worst,
-                               tol=1.0, detail={"n": n, "eps": eps})
-    return CheckResult(name="disconnect", passed=worst < 1.0, worst=worst,
+            split = False
+            break
+    return CheckResult(name=name, passed=split and worst < 1.0, worst=worst,
                        tol=1.0, detail={"n": n, "eps": eps})
+
+
+def disconnect_batch(n: int = 25, eps: float = 1e-2, seed=3) -> CheckResult:
+    """Weighted-norm :func:`disconnect` runs (see :func:`_disconnect_loop`)."""
+    return _disconnect_loop("disconnect", disconnect, n, eps, seed)
 
 
 def rr0_batch(n: int = 25, eps: float = 1e-2, seed=4) -> CheckResult:
-    rng = rng_from_seed(seed)
-    worst = 0.0
-    for _ in range(n):
-        _, T, _ = _random_disconnect_setup(rng)
-        cert = disconnect_rr0(T, eps)
-        worst = max(worst, cert.phi_X / eps)
-        if not cert.disconnected:
-            return CheckResult(name="disconnect-rr0", passed=False,
-                               worst=worst, tol=1.0, detail={"n": n})
-    return CheckResult(name="disconnect-rr0", passed=worst < 1.0, worst=worst,
-                       tol=1.0, detail={"n": n, "eps": eps})
+    """Operator-norm :func:`disconnect_rr0` runs (see :func:`_disconnect_loop`)."""
+    return _disconnect_loop("disconnect-rr0",
+                            lambda T, eps, _spec: disconnect_rr0(T, eps),
+                            n, eps, seed)
 
 
 def riesz_batch(n: int = 30, seed=5, tol: float = 1e-8) -> CheckResult:

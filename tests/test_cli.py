@@ -112,6 +112,23 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
     with pytest.raises(SystemExit) as ei:
         main(["no-such-command"])
     assert ei.value.code == 2
+    with pytest.raises(SystemExit) as ei:     # the removed --ideal flag
+        main(["disconnect", "--operator", str(op_file), "--norm", str(norm_file),
+              "--eps", "0.1", "--ideal", "full"])
+    assert ei.value.code == 2
+    # argument values the library rejects with ValueError are usage errors too
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    for argv in (("counterexample", "--k", "1"),
+                 ("counterexample", "--trials", "0"),
+                 ("shift-demo", "--n", "3"),
+                 ("disconnect-rr0", "--operator", op_file, "--eps", "0"),
+                 ("disconnect-rr0", "--operator", op_file, "--eps", "nan"),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "0.1",
+                  "--grid=1,1,0,1"),
+                 ("disconnect-rr0", "--operator", bad_json, "--eps", "0.1")):
+        code, payload, err = run(capsys, *argv, "--output-dir", tmp_path)
+        assert code == 2 and payload is None and "usage error" in err, argv
 
 
 def test_outputs_confined_to_output_dir(capsys, tmp_path, op_file, norm_file):

@@ -10,9 +10,8 @@ from specgap.errors import (InfiniteCPhi, NoConvergenceCertificate, NotDominatin
                             ShapeMismatch)
 from specgap.norms import (BaseNorm, OPERATOR, NormSpec, c_phi,
                            check_unitary_invariance, dominating_check, f_phi,
-                           norm_from_dict, norm_to_dict, operator_norm_spec,
-                           phi_eval, phi_rank_one, read_norm_spec,
-                           write_norm_spec)
+                           norm_from_dict, norm_to_dict, phi_eval, phi_rank_one,
+                           read_norm_spec, write_norm_spec)
 from specgap.sampling import (random_block_operator, random_projection,
                               random_subprojection, rng_from_seed)
 
@@ -162,12 +161,6 @@ def test_unitary_invariance_probe(small_alg, rng):
     # an entrywise functional is not unitarily invariant and must be caught
     broken = lambda Y: float(abs(Y.block(0)[0, 0]))
     assert check_unitary_invariance(broken, X, trials=10) > 1e-3
-
-
-def test_operator_norm_spec_tail_mapping():
-    spec = operator_norm_spec(2, tail_weights="repeat_last")
-    assert spec.tail_weights == "bounded" and spec.tail_sup == 1.0
-    assert phi_eval(spec, block_operator([(0, DIAG34), (1, DIAG34)])) == pytest.approx(4.0)
 
 
 def test_norm_json_roundtrip(tmp_path):

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from specgap.algebra import AlgebraSpec, IdealSpec, block_operator, identity_like
-from specgap.errors import DimensionOne, InfiniteCPhi, NotDominating, ShapeMismatch
+from specgap.algebra import AlgebraSpec, block_operator, identity_like
+from specgap.errors import DimensionOne, InfiniteCPhi, NotDominating
 from specgap.norms import c_phi
 from specgap.perturb import (certificate_from_dict, certificate_to_dict,
                              counterexample_net, counterexample_operator,
@@ -81,14 +82,17 @@ def test_disconnect_guards():
         disconnect(T, 0.1, make_spec([0.5, 2.0]))
     with pytest.raises(ValueError):
         disconnect_rr0(T, 0.0)
-    with pytest.raises(ShapeMismatch):
-        disconnect(T, 0.1, make_spec([1.0, 2.0]), IdealSpec("finitely_supported"))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            disconnect_rr0(T, bad)
+        with pytest.raises(ValueError):
+            disconnect(T, bad, make_spec([1.0, 2.0]))
 
 
 def test_ideal_constrained_perturbation():
     T = block_operator([(0, np.diag([0.0, 1.0])), (1, np.diag([0.3, 0.7]))])
     spec = make_spec([1.0, 1.0], tail_weights="bounded", tail_sup=1.0)
-    cert = disconnect(T, 0.2, spec, IdealSpec("finitely_supported"))
+    cert = disconnect(T, 0.2, spec)
     assert cert.disconnected
     # finitely supported: the perturbation lives in realized summands only
     assert cert.X.ids == T.ids
@@ -113,6 +117,14 @@ def test_verify_counterexample_passes():
     assert rep.all_passed and rep.trials == 15
     assert rep.bound_violations == 0 and rep.connectivity_failures == 0
     assert rep.delta > rep.net_spacing > 0.0
+
+
+def test_verify_counterexample_needs_a_trial():
+    # zero trials would report all_passed having checked nothing
+    T, spec = counterexample_operator(4)
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            verify_counterexample(T, spec, trials=trials)
 
 
 def test_net_spacing_monotone_in_k():
