@@ -16,8 +16,8 @@ from .errors import (
     SpecgapError, ShapeMismatch, NotAProjection, EmptyBlock, ZeroProjection,
     ConvergenceFailure, EmptySpectralWindow, BelowRoundoff, InfiniteCPhi,
     NotDominating, DimensionOne, ContourThroughSpectrum,
-    EnclosesAllOrNone, FiniteUnion, ExhaustedSamples, BudgetNotLessThanOne,
-    NoConvergenceCertificate, UsageError,
+    EnclosesAllOrNone, FiniteUnion, ExhaustedSamples, StageTooShallow,
+    BudgetNotLessThanOne, NoConvergenceCertificate, UsageError,
 )
 from .algebra import (
     BlockOperator, AlgebraSpec, Projection, block_operator,

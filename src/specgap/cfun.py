@@ -42,7 +42,7 @@ from operator import itemgetter
 import numpy as np
 import scipy.spatial
 
-from .errors import ExhaustedSamples, FiniteUnion, ShapeMismatch
+from .errors import ExhaustedSamples, FiniteUnion, ShapeMismatch, StageTooShallow
 from .spectral import link_components
 
 __all__ = [
@@ -469,8 +469,8 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
     exactly from the PL data and certified < eps, and {lambda} sits at the
     returned positive distance from the rest of the range.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if is_finite_interval_union(X):
         raise FiniteUnion("every function on a finite interval union is "
                           "approximated by connected-range functions only")
@@ -486,8 +486,8 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
     piece = next((p for p in clopen_small_pieces(X, max_pieces)
                   if lip * float(p.diam) < budget), None)
     if piece is None:
-        raise ValueError("no clopen piece is small enough; deepen the "
-                         "generator stage or loosen eps")
+        raise StageTooShallow("no clopen piece is small enough; deepen the "
+                              "generator stage or loosen eps")
 
     t0 = _nearest_in_piece(piece)
     lam, clearance = offrange_lambda(G, G(float(t0)), eps / 3.0)

@@ -16,6 +16,7 @@ __all__ = [
     "EnclosesAllOrNone",
     "FiniteUnion",
     "ExhaustedSamples",
+    "StageTooShallow",
     "BudgetNotLessThanOne",
     "NoConvergenceCertificate",
     "UsageError",
@@ -84,6 +85,10 @@ class FiniteUnion(SpecgapError):
 
 class ExhaustedSamples(SpecgapError):
     """Could not find a value off the range of the function near the target."""
+
+
+class StageTooShallow(SpecgapError):
+    """No clopen piece of the set's generator stage is small enough for eps."""
 
 
 class BudgetNotLessThanOne(SpecgapError):

@@ -1,20 +1,24 @@
 """Small-norm perturbations that disconnect spectra.
 
 The main pipeline: take the rightmost spectrum point ``lambda``, in summand
-``k``, and a unit vector ``v`` there with ``T v = lambda v``: the leading
-vector of a complex Schur form ``T_k = Z U Z*``, reordered (LAPACK
-``trexc``) so that the diagonal entry closest to ``lambda`` comes first.
+``k``, and a unit vector ``v`` there with ``T v = lambda v`` up to round-off:
+from one column-pivoted QR ``(T_k - lambda I)* = Q R P*`` (LAPACK
+``geqp3``), ``v`` is the last column of ``Q``, with ``||(T_k - lambda) v|| =
+|r_nn|``, and the other columns ``Q1`` span ``v``'s orthogonal complement.
 With ``E = v v*``, add
 
     X = (mu I - T) E,        mu = lambda + eps0.
 
-In the basis ``Z``, ``T + X`` is ``U`` with its (1, 1) entry replaced by
-``mu``, still upper triangular, so
+In the basis ``[v Q1]``, ``T_k + X_k`` is block upper triangular with
+diagonal blocks ``mu`` and ``C = Q1* T_k Q1``, and ``sigma(C)`` is
+``sigma(T_k)`` without one copy of ``lambda`` (up to the residual
+``|r_nn|``), so
 
-    sigma(T + X) = {mu} u diag(U22) u (the other blocks' spectra)
+    sigma(T + X) = {mu} u (sigma(T_k) minus one lambda) u (the other blocks'
+    spectra)
 
-with ``U22 = U[1:, 1:]`` the compression of ``T_k`` to ``v``'s orthogonal
-complement; ``T + X`` is never factored again.  The norm cost is
+is read off the eigenvalues of ``T`` already computed; ``T + X`` is never
+factored.  The norm cost is
 
     phi(X) <= eps0 phi(E) + phi((T - lambda) E) < eps
 
@@ -26,8 +30,8 @@ are rank one, ``a b*`` in summand ``k``, so their norms are the closed form
 as stored.  A budget below the round-off in ``sigma_min(T - lambda)`` raises
 :class:`BelowRoundoff`.
 
-The split is certified by ``s = min(sigma_min(U22 - mu), sigma_min(T_j -
-mu) for j != k)``, a lower bound on the distance from ``mu`` to the rest of
+The split is certified by ``s = min(sigma_min(C - mu), sigma_min(T_j - mu)
+for j != k)``, a lower bound on the distance from ``mu`` to the rest of
 ``sigma(T + X)``.  A certificate is issued only when ``s`` exceeds its
 rounding bound ``10 n u (||T|| + |mu|)`` (``n`` the total dimension, ``u``
 the unit round-off).  The single-linkage component reports of ``sigma(T)``
@@ -47,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import ztrexc
 
 from .algebra import (
     DEFAULT_TOL,
@@ -128,12 +131,12 @@ class PerturbationCertificate:
     """Everything needed to audit one disconnection.
 
     ``X = w v*`` and ``E = v v*`` live in summand ``summand`` of an operator
-    with block ``structure`` (``(id, dim)`` pairs).  ``v`` is the leading
-    vector of that block's reordered complex Schur form, a unit eigenvector
-    for ``lam``.  Both operators are rebuilt on access, so a certificate
+    with block ``structure`` (``(id, dim)`` pairs).  ``v`` is the near-null
+    vector of that block's column-pivoted QR, a unit eigenvector for ``lam``
+    up to round-off.  Both operators are rebuilt on access, so a certificate
     holds two vectors rather than two dense operators.
-    ``components_after`` clusters ``sigma(T + X) = {mu} u diag(U22) u`` (the
-    other blocks' spectra), read off that Schur form.
+    ``components_after`` clusters ``sigma(T + X)``: ``mu``, the block's
+    other eigenvalues and the other blocks' spectra.
     """
 
     summand: int
@@ -146,7 +149,7 @@ class PerturbationCertificate:
     delta: float
     phi_E: float
     phi_TE: float
-    separation: float       # sigma_min(C - mu), C = U22 in summand, T elsewhere
+    separation: float       # sigma_min(C - mu), C = Q1* T Q1 in summand, T elsewhere
     separation_bound: float
     components_before: SpectrumReport
     components_after: SpectrumReport
@@ -167,22 +170,6 @@ class PerturbationCertificate:
         return self.separation > self.separation_bound
 
 
-def _leading_schur(t: np.ndarray, lam: complex):
-    """Complex Schur form ``t = Z U Z*`` reordered so that the diagonal entry
-    closest to ``lam`` sits at (1, 1); ``Z[:, 0]`` is then an eigenvector."""
-    try:
-        U, Z = scipy.linalg.schur(t, output="complex")
-    except scipy.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"Schur factorization failed: {exc}")
-    i = int(np.argmin(np.abs(np.diag(U) - lam)))
-    if i:
-        U, Z, info = ztrexc(U, Z, i + 1, 1)
-        if info:
-            raise ConvergenceFailure(f"trexc failed to reorder the Schur form "
-                                     f"(info = {info})")
-    return U, Z
-
-
 def _build_certificate(T, spec, eps, eps0, route):
     """The rank-one certificate at the rightmost spectrum point (see the
     module docstring); raises when a claim it would make does not hold."""
@@ -194,13 +181,16 @@ def _build_certificate(T, spec, eps, eps0, route):
     structure = T.structure()
     k = next(j for j, e in enumerate(spectra) if (e == lam).any())
     sid, t = T.summands[k]
-    U, Z = _leading_schur(t, lam)
-    v = Z[:, 0] / np.linalg.norm(Z[:, 0])   # Z is unitary only to O(n u)
+    # (T_k - lambda)* = Q R P* (column-pivoted QR), so (T_k - lambda) Q[:, -1]
+    # = P R* e_n has norm |r_nn|: the last column of Q is the near-null
+    # vector and the others, Q1, span its orthogonal complement
+    shifted = t - lam * np.eye(t.shape[0])
+    Q, _, _ = scipy.linalg.qr(shifted.conj().T, pivoting=True)
+    v = Q[:, -1] / np.linalg.norm(Q[:, -1])   # Q is unitary only to O(n u)
     tv = t @ v
     phi_TE = phi_rank_one(spec, structure, sid, tv - lam * v, v)
     if not phi_TE < delta:
-        smin = float(np.linalg.svd(t - lam * np.eye(t.shape[0]),
-                                   compute_uv=False)[-1])
+        smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
         raise BelowRoundoff(
             f"sigma_min(T - lambda) = {smin:.3e} gives phi((T - lambda) E) = "
             f"{phi_TE:.3e}, not below the budget delta = {delta:.3e}")
@@ -211,9 +201,11 @@ def _build_certificate(T, spec, eps, eps0, route):
     if not (phi_X < eps):
         raise ConvergenceFailure(f"phi(X)={phi_X} failed the < eps={eps} bound")
 
-    # sigma(T + X) = {mu} u sigma(C), C = U22 in summand k and T elsewhere:
-    # certify mu's distance to sigma(C)
-    C = [U[1:, 1:] if j == k else b for j, (_, b) in enumerate(T.summands)]
+    # sigma(T + X) = {mu} u sigma(C), C = Q1* T_k Q1 in summand k and T
+    # elsewhere: certify mu's distance to sigma(C)
+    Q1 = Q[:, :-1]
+    C = [Q1.conj().T @ t @ Q1 if j == k else b
+         for j, (_, b) in enumerate(T.summands)]
     separation = min(float(np.linalg.svd(c - mu * np.eye(c.shape[0]),
                                          compute_uv=False)[-1])
                      for c in C if c.size)
@@ -224,7 +216,8 @@ def _build_certificate(T, spec, eps, eps0, route):
             f"sigma_min(C - mu) = {separation:.3e} does not exceed its rounding "
             f"bound {bound:.3e}; the split at mu = lambda + eps0 is not certified")
 
-    spectra[k] = np.concatenate(([mu], np.diag(U)[1:]))
+    e = spectra[k]
+    spectra[k] = np.concatenate(([mu], np.delete(e, np.flatnonzero(e == lam)[0])))
     after = pool_spectra(spectra)
     others = np.abs(after - mu)
     others = others[others > max(LAMBDA_TOL, 1e-12 * max(t_norm, 1.0))]

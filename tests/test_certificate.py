@@ -39,8 +39,27 @@ def _random_certificates():
         yield T, disconnect_rr0(T, eps)
 
 
+def _kahan(n, theta=1.2):
+    """The Kahan matrix: upper triangular, on which column-pivoted QR does not
+    reveal its rank."""
+    s, c = np.sin(theta), np.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def _deflation_edge_cases():
+    """Operators whose lambda sits in a 1x1 block, is repeated, is defective,
+    or lives in a block that defeats rank-revealing QR."""
+    jordan = np.array([[0.5, 1.0], [0.0, 0.5]])
+    for blocks in ([np.array([[2.0]]), np.diag([0.0, 1.0])],
+                   [np.diag([1.0, 1.0, 0.0])],
+                   [jordan, np.diag([0.0, 0.2])],
+                   [_kahan(64)], [_kahan(64).T]):
+        T = block_operator(list(enumerate(blocks)))
+        yield T, disconnect_rr0(T, 1e-2)
+
+
 def test_separation_bounds_distance_to_the_rest_of_the_spectrum():
-    for T, cert in _random_certificates():
+    for T, cert in [*_random_certificates(), *_deflation_edge_cases()]:
         mu = cert.lam + cert.eps0
         dist = np.abs(eigenvalues(T + cert.X) - mu)
         rest = np.delete(dist, np.argmin(dist))   # drop mu itself
@@ -134,8 +153,9 @@ def _criterion_1_certificates(n=40):
 
 
 def test_after_spectrum_matches_a_fresh_eigensolve():
-    # sigma(T + X) is read off the reordered Schur form, never computed from
-    # T + X; a fresh eigensolve must give the same multiset
+    # sigma(T + X) is read off the eigenvalues of T, with lambda swapped for
+    # mu, never computed from T + X; a fresh eigensolve must give the same
+    # multiset
     for T, cert in [*_random_certificates(), *_criterion_1_certificates()]:
         got = np.asarray(cert.components_after.eigenvalues)
         want = eigenvalues(T + cert.X)
@@ -145,14 +165,19 @@ def test_after_spectrum_matches_a_fresh_eigensolve():
         assert dist[rows, cols].max() <= 1e-9
 
 
-def test_rightmost_eigenvalue_is_moved_to_the_front_of_the_schur_form():
-    # triangular already, with the rightmost eigenvalue 1 last on the
-    # diagonal: v must come from the reordered form, not the first column
+def test_deflation_vector_is_null_to_roundoff():
+    # ||(T_k - lambda) v|| <= 10 n_k u ||T_k||, also where lambda is last on
+    # the diagonal of a triangular block, so the first column is no answer
     t = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0]])
-    cert = disconnect_rr0(block_operator([(0, t)]), 0.1)
+    triangular = block_operator([(0, t)])
+    cert = disconnect_rr0(triangular, 0.1)
     assert cert.lam == 1.0
-    residual = np.linalg.norm(t @ cert.v - cert.lam * cert.v)
-    assert residual <= 1e-14 * np.linalg.norm(t, 2)
+    u = np.finfo(float).eps / 2.0
+    for T, cert in [(triangular, cert), *_deflation_edge_cases(),
+                    *_criterion_1_certificates(200)]:
+        t = T.block(cert.summand)
+        residual = np.linalg.norm(t @ cert.v - cert.lam * cert.v)
+        assert residual <= 10 * t.shape[0] * u * np.linalg.norm(t, 2)
 
 
 def test_one_factorization_per_block(monkeypatch):
@@ -164,7 +189,7 @@ def test_one_factorization_per_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eig", "eigvals", "schur"):
+    for name in ("eig", "eigvals", "schur", "qr"):
         monkeypatch.setattr(scipy.linalg, name,
                             counted(name, getattr(scipy.linalg, name)))
     svd = np.linalg.svd
@@ -181,5 +206,5 @@ def test_one_factorization_per_block(monkeypatch):
     cert = disconnect(T, 1e-2, make_spec([1.0, 2.0, 3.0]))
     assert cert.disconnected
     assert calls["eigvals"] == 3 and calls["eig"] == 0     # no eig of T + X
-    assert calls["schur"] == 1
+    assert calls["schur"] == 0 and calls["qr"] == 1      # one QR of lambda's block
     assert calls["svd_uv"] == 0 and calls["svd"] > 0

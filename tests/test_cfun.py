@@ -249,8 +249,9 @@ def test_cfun_disconnect_guards():
     f = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
     with pytest.raises(FiniteUnion):
         cfun_disconnect(CompactRealSet(intervals=((0, 1),)), f, eps=0.1)
-    with pytest.raises(ValueError):
-        cfun_disconnect(CompactRealSet.cantor(depth=4, ratio="1/3"), f, eps=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cfun_disconnect(CompactRealSet.cantor(depth=4, ratio="1/3"), f, eps=bad)
     singleton = CompactRealSet(points=(0.5,))
     with pytest.raises(ValueError):
         cfun_disconnect(singleton, f, eps=0.1)

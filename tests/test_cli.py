@@ -62,6 +62,28 @@ def test_disconnect_rr0_command(capsys, tmp_path, op_file):
     assert payload["eps0"] == pytest.approx(0.25)
 
 
+# The CLI JSON only gains keys: a key dropped or renamed breaks its readers
+SUMMARY_KEYS = {"components_after", "components_before", "delta", "disconnected",
+                "eps0", "gap_achieved", "lambda", "out", "phi_E", "phi_TE",
+                "phi_X", "route", "seed", "separation", "separation_bound",
+                "version"}
+CERTIFICATE_KEYS = {"E", "X", "components_after", "components_before", "delta",
+                    "eps0", "gap_achieved", "lambda", "norm", "phi_E", "phi_TE",
+                    "phi_X", "route", "seed", "separation", "separation_bound",
+                    "version"}
+
+
+@pytest.mark.parametrize("command", ["disconnect", "disconnect-rr0"])
+def test_disconnect_key_sets(capsys, tmp_path, op_file, norm_file, command):
+    extra = ("--norm", norm_file) if command == "disconnect" else ()
+    code, payload, _ = run(capsys, command, "--operator", op_file, *extra,
+                           "--eps", "0.1", "--output-dir", tmp_path,
+                           "--out", "cert.json")
+    assert code == 0
+    assert set(payload) == SUMMARY_KEYS
+    assert set(json.loads((tmp_path / "cert.json").read_text())) == CERTIFICATE_KEYS
+
+
 def test_cphi_command(capsys, tmp_path, norm_file):
     code, payload, _ = run(capsys, "cphi", "--norm", norm_file,
                            "--dims", "2,2", "--output-dir", tmp_path)
@@ -175,6 +197,19 @@ def test_cfun_disconnect_command(capsys, tmp_path):
     assert payload["sup_dist"] < 0.1 and payload["range_gap"] > 0.0
     assert payload["range_components"] >= 2
     assert (tmp_path / "g.json").exists()
+
+
+def test_cfun_disconnect_too_shallow_stage_exits_1(capsys, tmp_path):
+    # eps too small for every clopen piece of the stage: a failed
+    # construction, not a usage error
+    write_set(CompactRealSet.cantor(depth=6, ratio="1/3"), tmp_path / "set.json")
+    write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
+             tmp_path / "fn.json")
+    code, payload, err = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
+                             "--fn", tmp_path / "fn.json", "--eps", "1e-9",
+                             "--output-dir", tmp_path)
+    assert code == 1 and payload is None
+    assert err.startswith("StageTooShallow: no clopen piece is small enough")
 
 
 def test_counterexample_command(capsys, tmp_path):
