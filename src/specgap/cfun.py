@@ -264,17 +264,36 @@ def clopen_small_pieces(X: CompactRealSet, n: int):
     if n > gen.depth:
         raise ValueError(f"stage depth {gen.depth} supplies at most "
                          f"{gen.depth} pieces; asked for {n}")
+    return [ClopenPiece(subset=X.restrict(lo, hi), cut_lo=lo, cut_hi=hi)
+            for lo, hi in _gap_cuts(X)[:n]]
+
+
+def _gap_cuts(X: CompactRealSet):
+    """The (cut_lo, cut_hi) pairs of :func:`clopen_small_pieces` on a
+    generator-backed X, all ``depth`` of them."""
+    gen = X.generator
     L = gen.hi - gen.lo
     # m_j = lo + L r^{j-1} / 2 is the midpoint of the gap splitting the
     # leftmost level-(j-1) interval; the m_j decrease toward inf X.
     mids = [gen.lo + L * gen.ratio ** (j - 1) / 2 for j in range(1, gen.depth + 1)]
-    pieces = []
-    for j in range(n):
-        lo_cut = mids[j]
-        hi_cut = mids[j - 1] if j >= 1 else X.sup + 1
-        pieces.append(ClopenPiece(subset=X.restrict(lo_cut, hi_cut),
-                                  cut_lo=lo_cut, cut_hi=hi_cut))
-    return pieces
+    return [(mids[j], mids[j - 1] if j >= 1 else X.sup + 1) for j in range(gen.depth)]
+
+
+def _first_small_piece(X: CompactRealSet, lip: float, budget: float):
+    """The first of ``clopen_small_pieces(X, depth)`` (one piece when X has
+    an isolated point) with ``lip * diam < budget``, or None.  Each piece's
+    diameter is read off ``X.pieces()`` by bisecting at its cuts, so only
+    the chosen piece is built."""
+    if X.points:
+        piece = _isolated_point_piece(X)
+        return piece if lip * float(piece.diam) < budget else None
+    pieces = X.pieces()
+    for lo, hi in _gap_cuts(X):
+        first = pieces[bisect.bisect_left(pieces, lo, key=itemgetter(1))][0]
+        last = pieces[bisect.bisect_right(pieces, hi, key=itemgetter(0)) - 1][1]
+        if lip * float(last - first) < budget:
+            return ClopenPiece(subset=X.restrict(lo, hi), cut_lo=lo, cut_hi=hi)
+    return None
 
 
 # -- piecewise linear functions ---------------------------------------------
@@ -480,11 +499,7 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
     if (float(X.inf) < G.domain[0] - 1e-12 or float(X.sup) > G.domain[1] + 1e-12):
         raise ShapeMismatch("f's domain must cover X")
 
-    lip = G.lipschitz()
-    budget = eps / 3.0
-    max_pieces = 1 if X.points else X.generator.depth
-    piece = next((p for p in clopen_small_pieces(X, max_pieces)
-                  if lip * float(p.diam) < budget), None)
+    piece = _first_small_piece(X, G.lipschitz(), eps / 3.0)
     if piece is None:
         raise StageTooShallow("no clopen piece is small enough; deepen the "
                               "generator stage or loosen eps")
@@ -580,26 +595,28 @@ def range_components(g: PLFunction, X: CompactRealSet,
         raise ValueError("resolution must be positive")
     lip = g.lipschitz()
     threshold = 3.0 * lip * resolution
-    chains = []
+    params = []
     b = np.asarray(g.breakpoints)
     for a, c in X.pieces():
         fa, fc = float(a), float(c)
         if fa == fc:
-            chains.append(np.asarray([g(fa)]))
+            params.append(np.asarray([fa]))
             continue
         m = max(2, int(math.ceil((fc - fa) / resolution)) + 1)
-        t = np.union1d(np.linspace(fa, fc, m), b[(b > fa) & (b < fc)])
-        chains.append(np.asarray(g(t)))
+        params.append(np.union1d(np.linspace(fa, fc, m), b[(b > fa) & (b < fc)]))
 
-    # One pooled tree instead of chain-pair queries: a deep Cantor set yields
-    # thousands of two-sample chains, and the quadratic pair loop dominates.
-    pooled = np.concatenate(chains)
-    owner = np.repeat(np.arange(len(chains)), [len(c) for c in chains])
+    # One evaluation and one pooled tree instead of chain-pair queries: a
+    # deep Cantor set yields thousands of two-sample chains.
+    pooled = g(np.concatenate(params))
+    owner = np.repeat(np.arange(len(params)), [len(t) for t in params])
     xy = np.column_stack([pooled.real, pooled.imag])
     pairs = scipy.spatial.cKDTree(xy).query_pairs(float(threshold), output_type="ndarray")
-    oa, ob = owner[pairs[:, 0]], owner[pairs[:, 1]]
-    cross = oa != ob
-    labels = link_components(len(chains), zip(oa[cross].tolist(), ob[cross].tolist()))
+    n_chains = len(params)
+    # one edge per pair of chains (owners are sorted, so each pair reads low, high)
+    links = np.unique(owner[pairs[:, 0]] * n_chains + owner[pairs[:, 1]])
+    lo, hi = np.divmod(links, n_chains)
+    cross = lo != hi
+    labels = link_components(n_chains, zip(lo[cross].tolist(), hi[cross].tolist()))
     n_comps = max(labels) + 1
     gap = math.inf
     if n_comps > 1:

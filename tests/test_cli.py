@@ -148,6 +148,18 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
                  ("disconnect-rr0", "--operator", op_file, "--eps", "nan"),
                  ("pseudospectrum", "--operator", op_file, "--eps", "0.1",
                   "--grid=1,1,0,1"),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "0.1",
+                  "--grid=nan,1,0,1"),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "0.1",
+                  "--grid=0,inf,0,1"),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "nan",
+                  "--grid=0,1,0,1"),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "-1",
+                  "--grid=0,1,0,1"),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "0",
+                  "--grid=0,1,0,1"),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "inf",
+                  "--grid=0,1,0,1"),
                  ("disconnect-rr0", "--operator", bad_json, "--eps", "0.1")):
         code, payload, err = run(capsys, *argv, "--output-dir", tmp_path)
         assert code == 2 and payload is None and "usage error" in err, argv
@@ -176,6 +188,17 @@ def test_pseudospectrum_command(capsys, tmp_path, op_file):
     assert code == 0
     assert 0.0 < payload["marked_fraction"] < 1.0
     assert (tmp_path / "ps.csv").read_text().startswith("re,im,marked")
+
+
+def test_pseudospectrum_nan_entry_exits_1(capsys, tmp_path):
+    T = block_operator([(0, np.diag([0.0, 1.0])),
+                        (1, np.array([[np.nan, 0.0], [0.0, 1.0]]))])
+    write_operator(T, tmp_path / "nan.json")
+    code, payload, err = run(capsys, "pseudospectrum", "--operator", tmp_path / "nan.json",
+                             "--eps", "0.1", "--grid=-1,1,-1,1", "--nx", "5", "--ny", "5",
+                             "--output-dir", tmp_path)
+    assert code == 1 and payload is None
+    assert "ConvergenceFailure" in err and "summand 1" in err
 
 
 def test_shift_demo_command(capsys, tmp_path):

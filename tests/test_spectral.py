@@ -1,13 +1,20 @@
 import csv
+from collections import Counter
 
 import numpy as np
+import numpy.linalg._linalg as np_linalg_impl
 import pytest
+import scipy.linalg
 
 from specgap.algebra import block_operator
+from specgap.errors import ConvergenceFailure
 from specgap.spectral import (GridSpec, cluster_points, eigenvalues,
                               min_singular_value, pseudospectrum_grid,
                               rightmost_boundary_point, spectrum_components,
                               write_pseudospectrum_csv, write_spectrum_csv)
+from specgap.uppertri import shift_example
+
+U = np.finfo(float).eps
 
 
 def test_eigenvalues_union_and_order(rng):
@@ -66,8 +73,99 @@ def test_pseudospectrum_on_normal_operator(rng):
     np.testing.assert_array_equal(ps.marked()[clear], (dist <= 0.5)[clear])
     assert 0.0 < ps.marked_fraction < 1.0
     ps2 = pseudospectrum_grid(T, eps=0.5, grid=grid, threads=2)
-    np.testing.assert_allclose(np.asarray(ps.sigma_min),
-                               np.asarray(ps2.sigma_min), rtol=1e-12)
+    assert np.array_equal(ps.sigma_min, ps2.sigma_min)
+
+
+def _ginibre(rng, n):
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+
+
+def _normal(rng, eigenvalues):
+    Q = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))[0]
+    return Q @ np.diag(eigenvalues) @ Q.T
+
+
+def _edge_cases():
+    rng = np.random.default_rng(10)
+    unit = GridSpec(-1.2, 1.2, -1.2, 1.2, nx=21, ny=21)     # centre exactly 0.0
+    return {
+        "zero_4x4": ([np.zeros((4, 4))], unit),
+        "identity_4x4": ([np.eye(4)], unit),
+        "scalar_3x3": ([(0.4 - 0.3j) * np.eye(3)], unit),
+        "one_by_one": ([np.array([[0.3 - 0.2j]])], unit),
+        "jordan_20x20": ([np.diag(np.ones(19), 1)], unit),
+        "scaled_1e8": ([1e8 * _ginibre(rng, 12)],
+                       GridSpec(-1.6e8, 1.6e8, -1.6e8, 1.6e8, nx=21, ny=21)),
+        "three_blocks": ([_ginibre(rng, 5), _ginibre(rng, 9), np.array([[0.5]])], unit),
+        # 0.08 grid spacing: sigma_min ~ 0.08**100 at |z| = 0.08, below rounding
+        "half_shift_100": ([shift_example(200)[1].T1],
+                           GridSpec(-0.4, 0.4, -0.4, 0.4, nx=11, ny=11)),
+        # far from a normal block's spectrum the smallest singular values
+        # cluster, and Lanczos without reorthogonalization is off after n steps
+        "normal_far_field": ([_normal(rng, np.linspace(-2.0, 2.0, 24))],
+                             GridSpec(-1.0, 1.0, 3.0, 5.0, nx=7, ny=7)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_edge_cases()))
+def test_pseudospectrum_matches_dense_svd(case):
+    """Against one gesvd per point and block, within 10 n u (||T_j|| + |z|)."""
+    blocks, grid = _edge_cases()[case]
+    ps = pseudospectrum_grid(block_operator(list(enumerate(blocks))), 1e-3, grid)
+    sig = np.asarray(ps.sigma_min)
+    z = grid.res()[None, :] + 1j * grid.ims()[:, None]
+    ref = np.full(z.shape, np.inf)
+    tol = np.zeros(z.shape)
+    for b in blocks:
+        n = b.shape[0]
+        for iy, ix in np.ndindex(z.shape):
+            s = scipy.linalg.svd(b - z[iy, ix] * np.eye(n), compute_uv=False,
+                                 lapack_driver="gesvd")[-1]
+            ref[iy, ix] = min(ref[iy, ix], s)
+        tol = np.maximum(tol, 10 * n * U * (np.linalg.norm(b, 2) + np.abs(z)))
+    assert np.all(np.isfinite(sig)) and np.all(sig >= 0.0)
+    assert np.all(np.abs(sig - ref) <= tol), np.max(np.abs(sig - ref) / tol)
+
+
+def test_pseudospectrum_exactly_singular_point_is_zero():
+    # the nilpotent shift's Schur form has a zero diagonal: at z = 0.0 a
+    # pivot vanishes and R - z is exactly singular
+    grid = GridSpec(-1.2, 1.2, -1.2, 1.2, nx=21, ny=21)
+    ps = pseudospectrum_grid(block_operator([(0, np.diag(np.ones(19), 1))]), 1e-3, grid)
+    assert grid.res()[10] == 0.0 and grid.ims()[10] == 0.0
+    assert ps.sigma_min[10][10] == 0.0
+
+
+def test_pseudospectrum_one_schur_per_block(monkeypatch):
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
+    for owner in (np.linalg, np_linalg_impl):
+        monkeypatch.setattr(owner, "svd", counted("svd", owner.svd))
+    rng = np.random.default_rng(4)
+    T = block_operator([(0, _ginibre(rng, 6)), (2, _ginibre(rng, 3)), (5, _ginibre(rng, 7))])
+    grid = GridSpec(-1.5, 1.5, -1.5, 1.5, nx=31, ny=31)     # several chunks
+    for threads in (1, 2):
+        pseudospectrum_grid(T, 0.1, grid, threads=threads)
+    assert calls["schur"] == 2 * 3 and calls["svd"] == 0
+
+
+def test_pseudospectrum_input_guards():
+    T = block_operator([(0, np.diag([0.0, 1.0]))])
+    grid = GridSpec(-1, 1, -1, 1, nx=5, ny=5)
+    for eps in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            pseudospectrum_grid(T, eps, grid)
+    bad = block_operator([(0, np.diag([0.0, 1.0])), (3, np.array([[np.nan, 0.0], [0.0, 1.0]]))])
+    with pytest.raises(ConvergenceFailure, match="summand 3"):
+        pseudospectrum_grid(bad, 0.1, grid)
 
 
 def test_grid_spec_validation():
@@ -75,6 +173,10 @@ def test_grid_spec_validation():
         GridSpec(re_min=1, re_max=0, im_min=0, im_max=1, nx=4, ny=4)
     with pytest.raises(ValueError):
         GridSpec(re_min=0, re_max=1, im_min=0, im_max=1, nx=1, ny=4)
+    for bounds in ((np.nan, 1, 0, 1), (0, np.inf, 0, 1), (0, 1, -np.inf, 1),
+                   (0, 1, 0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(*bounds)
 
 
 def test_csv_writers(tmp_path, rng):
