@@ -12,9 +12,11 @@ A pseudospectrum grid factors each block once, to its complex Schur form R,
 and finds sigma_min(R - z) for many grid points at a time by inverse
 Lanczos on ((R - z)^* (R - z))^{-1}: each step is one forward and one back
 substitution per point, O(n^2) instead of an O(n^3) SVD (Trefethen,
-"Computation of pseudospectra", Acta Numerica 8, 1999).  The tests hold
-the values to within 10 n u (||T_j|| + |z|) of a dense SVD; see
-:func:`pseudospectrum_grid`."""
+"Computation of pseudospectra", Acta Numerica 8, 1999; Wright & Trefethen,
+SIAM J. Sci. Comput. 23, 2001).  A kernel call takes _ENTRIES // n points,
+so the per-step Python cost is shared by as many points as memory allows.
+The tests hold the values to within 10 n u (||T_j|| + |z|) of a dense SVD;
+see :func:`pseudospectrum_grid`."""
 
 from __future__ import annotations
 
@@ -206,7 +208,7 @@ class PseudospectrumGrid:
         return float(np.count_nonzero(m)) / m.size
 
 
-_CHUNK = 256        # grid points per kernel call: memory is O(n * _CHUNK)
+_ENTRIES = 2 ** 18  # entries per (n, points) array of one kernel call
 _NB = 16            # rows per substitution block
 _RISE = 1e-14       # a point ends once its top Ritz value rises less than this
 _NEWTON_STEPS = 60
@@ -322,16 +324,17 @@ def _top_ritz(alpha, beta, below, weight):
 
 
 def _block_sigma_min(blk: _SchurBlock, z: np.ndarray) -> np.ndarray:
-    """sigma_min(R - z) for each point of a chunk.
+    """sigma_min(R - z) for each point of z, at most _ENTRIES // n of them.
 
     Lanczos without reorthogonalization settles almost every point.  One
     that runs all n steps still rising may have lost orthogonality on the
     way, so it runs again with full reorthogonalization, for which n steps
-    exhaust the space; those reruns go 16 * _CHUNK // n points at a time,
-    which keeps their stored bases at 16 n * _CHUNK entries."""
+    exhaust the space; those reruns go _ENTRIES // n^2 points at a time
+    (64 at n = 64: with fewer, per-step Python overhead dominates), which
+    keeps their stored bases at max(_ENTRIES, n^2) entries."""
     sigma, rerun = _lanczos(blk, z, reorth=False)
     rerun = np.flatnonzero(rerun)
-    batch = max(1, 16 * _CHUNK // blk.diag.shape[0])
+    batch = max(1, _ENTRIES // blk.diag.shape[0] ** 2)
     for lo in range(0, len(rerun), batch):
         pts = rerun[lo:lo + batch]
         sigma[pts] = _lanczos(blk, z[pts], reorth=True)[0]
@@ -433,14 +436,18 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
     value under the floor, and an exactly singular R - z (a zero pivot)
     gives 0.
 
-    The grid's points go through in fixed chunks of ``_CHUNK``, all blocks
-    per chunk, so memory is O(n * _CHUNK) for any grid (reruns store their
-    Lanczos bases, 16 n * _CHUNK entries at most).  ``threads`` workers
-    map over the chunks; the chunks do not depend on it, so the output is
+    A block of dimension n takes _ENTRIES // n grid points per kernel call
+    (at least one), so each call's arrays hold O(_ENTRIES) entries for any
+    grid; reruns store their Lanczos bases, max(_ENTRIES, n^2) entries at
+    most.  The (block, slice) tasks depend on the grid and the block
+    dimensions alone; ``threads`` workers (at least 1) map over them, and
+    each block's values are folded in by ``np.minimum``, so the output is
     bitwise identical for every thread count.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
     res = grid.res()
     ims = grid.ims()
     z = np.empty((len(ims), len(res)), dtype=complex)
@@ -450,18 +457,25 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
     zmax = float(np.max(np.abs(z)))
     blocks = [_schur_block(sid, np.asarray(b), zmax) for sid, b in T.summands]
 
-    def chunk(lo):
-        zc = z[lo:lo + _CHUNK]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.min([_block_sigma_min(blk, zc) for blk in blocks], axis=0)
+    tasks = []
+    for blk in blocks:
+        step = max(1, _ENTRIES // blk.diag.shape[0])
+        tasks += [(blk, slice(lo, lo + step)) for lo in range(0, len(z), step)]
 
-    starts = range(0, len(z), _CHUNK)
+    def run(task):
+        blk, pts = task
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _block_sigma_min(blk, z[pts])
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, starts))
+            parts = list(pool.map(run, tasks))
     else:
-        parts = [chunk(lo) for lo in starts]
-    sig = np.concatenate(parts).reshape(len(ims), len(res))
+        parts = [run(task) for task in tasks]
+    sig = np.full(len(z), np.inf)
+    for (_, pts), part in zip(tasks, parts):
+        np.minimum(sig[pts], part, out=sig[pts])
+    sig = sig.reshape(len(ims), len(res))
     return PseudospectrumGrid(res=tuple(float(x) for x in res),
                               ims=tuple(float(y) for y in ims),
                               sigma_min=tuple(tuple(float(v) for v in r) for r in sig),

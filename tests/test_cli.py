@@ -160,6 +160,9 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
                   "--grid=0,1,0,1"),
                  ("pseudospectrum", "--operator", op_file, "--eps", "inf",
                   "--grid=0,1,0,1"),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "0.1",
+                  "--grid=0,1,0,1", "--threads", "0"),
+                 ("shift-demo", "--n", "8", "--threads", "-3"),
                  ("disconnect-rr0", "--operator", bad_json, "--eps", "0.1")):
         code, payload, err = run(capsys, *argv, "--output-dir", tmp_path)
         assert code == 2 and payload is None and "usage error" in err, argv

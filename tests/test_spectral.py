@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,6 +8,7 @@ import numpy.linalg._linalg as np_linalg_impl
 import pytest
 import scipy.linalg
 
+from specgap import spectral
 from specgap.algebra import block_operator
 from specgap.errors import ConvergenceFailure
 from specgap.spectral import (GridSpec, cluster_points, eigenvalues,
@@ -107,11 +110,8 @@ def _edge_cases():
     }
 
 
-@pytest.mark.parametrize("case", sorted(_edge_cases()))
-def test_pseudospectrum_matches_dense_svd(case):
+def _assert_matches_dense_svd(ps, blocks, grid):
     """Against one gesvd per point and block, within 10 n u (||T_j|| + |z|)."""
-    blocks, grid = _edge_cases()[case]
-    ps = pseudospectrum_grid(block_operator(list(enumerate(blocks))), 1e-3, grid)
     sig = np.asarray(ps.sigma_min)
     z = grid.res()[None, :] + 1j * grid.ims()[:, None]
     ref = np.full(z.shape, np.inf)
@@ -125,6 +125,13 @@ def test_pseudospectrum_matches_dense_svd(case):
         tol = np.maximum(tol, 10 * n * U * (np.linalg.norm(b, 2) + np.abs(z)))
     assert np.all(np.isfinite(sig)) and np.all(sig >= 0.0)
     assert np.all(np.abs(sig - ref) <= tol), np.max(np.abs(sig - ref) / tol)
+
+
+@pytest.mark.parametrize("case", sorted(_edge_cases()))
+def test_pseudospectrum_matches_dense_svd(case):
+    blocks, grid = _edge_cases()[case]
+    ps = pseudospectrum_grid(block_operator(list(enumerate(blocks))), 1e-3, grid)
+    _assert_matches_dense_svd(ps, blocks, grid)
 
 
 def test_pseudospectrum_exactly_singular_point_is_zero():
@@ -145,16 +152,52 @@ def test_pseudospectrum_one_schur_per_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def kernel(blk, z):
+        calls[blk.diag.shape[0]] += 1
+        return block_sigma_min(blk, z)
+
+    block_sigma_min = spectral._block_sigma_min
+    monkeypatch.setattr(spectral, "_block_sigma_min", kernel)
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
     monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
     for owner in (np.linalg, np_linalg_impl):
         monkeypatch.setattr(owner, "svd", counted("svd", owner.svd))
+    # a small entry budget splits each block's 961 points over several calls
+    monkeypatch.setattr(spectral, "_ENTRIES", 2 ** 9)
     rng = np.random.default_rng(4)
-    T = block_operator([(0, _ginibre(rng, 6)), (2, _ginibre(rng, 3)), (5, _ginibre(rng, 7))])
-    grid = GridSpec(-1.5, 1.5, -1.5, 1.5, nx=31, ny=31)     # several chunks
-    for threads in (1, 2):
-        pseudospectrum_grid(T, 0.1, grid, threads=threads)
+    blocks = [_ginibre(rng, 6), _ginibre(rng, 3), _ginibre(rng, 7)]
+    T = block_operator([(0, blocks[0]), (2, blocks[1]), (5, blocks[2])])
+    grid = GridSpec(-1.5, 1.5, -1.5, 1.5, nx=31, ny=31)
+    ps = [pseudospectrum_grid(T, 0.1, grid, threads=threads) for threads in (1, 2)]
     assert calls["schur"] == 2 * 3 and calls["svd"] == 0
+    assert min(calls[6], calls[3], calls[7]) >= 2 * 3
+    assert ps[0].sigma_min == ps[1].sigma_min
+    monkeypatch.undo()      # the reference SVDs are not counted
+    _assert_matches_dense_svd(ps[0], blocks, grid)
+
+
+@pytest.mark.parametrize("case", ["ginibre_64", "normal_far_field"])
+def test_pseudospectrum_memory_is_bounded(monkeypatch, case):
+    """The traced peak (NumPy reports its buffers to tracemalloc) stays within
+    8 * 16 max(_ENTRIES, n^2) bytes plus the Schur factors R and G, although
+    at _ENTRIES = 2^16 n * points is 3.6 times _ENTRIES for the Ginibre
+    block, and the normal block reruns 930 points whose bases would take
+    more than 8 * 16 _ENTRIES bytes if stored at once."""
+    monkeypatch.setattr(spectral, "_ENTRIES", 2 ** 16)
+    if case == "ginibre_64":
+        b = _ginibre(np.random.default_rng(5), 64)
+        grid = GridSpec(-1.5, 1.5, -1.5, 1.5, nx=61, ny=61)
+    else:
+        (b,), grid = _edge_cases()[case]
+        grid = dataclasses.replace(grid, nx=31, ny=31)
+    n = b.shape[0]
+    tracemalloc.start()
+    try:
+        pseudospectrum_grid(block_operator([(0, b)]), 0.1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * max(spectral._ENTRIES, n * n) + 2 * 16 * n * n, peak
 
 
 def test_pseudospectrum_input_guards():
@@ -163,6 +206,9 @@ def test_pseudospectrum_input_guards():
     for eps in (np.nan, -1.0, 0.0, np.inf):
         with pytest.raises(ValueError, match="eps"):
             pseudospectrum_grid(T, eps, grid)
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            pseudospectrum_grid(T, 0.1, grid, threads=threads)
     bad = block_operator([(0, np.diag([0.0, 1.0])), (3, np.array([[np.nan, 0.0], [0.0, 1.0]]))])
     with pytest.raises(ConvergenceFailure, match="summand 3"):
         pseudospectrum_grid(bad, 0.1, grid)
