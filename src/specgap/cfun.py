@@ -25,7 +25,8 @@ Interval endpoints and isolated points are exact rationals
 (:class:`fractions.Fraction`), so gap midpoints, clopen cuts and piece
 diameters are computed without rounding; PL data is floating point.  Pieces
 stay sorted, so clopen cuts are exact ``Fraction`` bisections, and a
-certificate evaluates each function once, at the knots of all pieces.
+certificate rounds the piece ends to floats once and evaluates each
+function once, at the knots of all pieces.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import heapq
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -138,6 +139,7 @@ class CompactRealSet:
     intervals: tuple = ()
     points: tuple = ()
     generator: CantorGenerator = None
+    _pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ivals, pts = [], []
@@ -153,7 +155,8 @@ class CompactRealSet:
         ivals.sort()
         object.__setattr__(self, "intervals", tuple(ivals))
         object.__setattr__(self, "points", tuple(sorted(set(pts))))
-        pieces = self.pieces()
+        pieces = tuple(heapq.merge(self.intervals, ((p, p) for p in self.points)))
+        object.__setattr__(self, "_pieces", pieces)
         if not pieces:
             raise ShapeMismatch("the empty set is not a compact subset here")
         for (a1, b1), (a2, b2) in zip(pieces, pieces[1:]):
@@ -184,11 +187,8 @@ class CompactRealSet:
         return bool(self.intervals) or len(self.points) > 1
 
     def pieces(self) -> tuple:
-        """All material as (lo, hi) pairs, points degenerate, sorted: a merge
-        of the sorted intervals and points (no points: the intervals)."""
-        if not self.points:
-            return self.intervals
-        return tuple(heapq.merge(self.intervals, ((p, p) for p in self.points)))
+        """All material as (lo, hi) pairs, points degenerate, sorted."""
+        return self._pieces
 
     def contains(self, x) -> bool:
         x = _frac(x)
@@ -311,6 +311,8 @@ class PLFunction:
         v = np.asarray([complex(z) for z in self.values], dtype=complex)
         if b.ndim != 1 or b.shape != v.shape or len(b) < 2:
             raise ShapeMismatch("need matching breakpoints/values, length >= 2")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+            raise ValueError("breakpoints and values must be finite")
         if not np.all(np.diff(b) > 0):
             raise ShapeMismatch("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))
@@ -343,18 +345,24 @@ class PLFunction:
         the max over an interval is attained at a breakpoint or an interval
         endpoint — all of which are evaluated (in one call), none sampled."""
         lo, hi = self.domain
-        if float(X.inf) < lo - 1e-12 or float(X.sup) > hi + 1e-12:
+        ends = _float_ends(X)
+        if ends[0, 0] < lo - 1e-12 or ends[-1, 1] > hi + 1e-12:
             raise ShapeMismatch("X is not contained in the function's domain")
-        z, _, point = _knot_values(X, self, self.breakpoints)
+        z, _, point = _knot_values(ends, self, self.breakpoints)
         return _max_modulus(z, point)
 
 
-def _knot_values(X: CompactRealSet, fn, breakpoints, drop=None):
-    """``fn`` at the knots of all pieces of X in one call: each piece's ends
-    and the breakpoints strictly inside it (a point gives [p, p]), sorted.
-    Pieces inside the open interval ``drop`` are left out.  Returns the values,
-    the masks of knot pairs within one piece and of point-piece knots."""
-    ends = np.array(X.pieces(), dtype=float).reshape(-1, 2)
+def _float_ends(X: CompactRealSet) -> np.ndarray:
+    """X's piece ends as a (pieces, 2) array; int / int is ``float(Fraction)``."""
+    return np.array([(a.numerator / a.denominator, b.numerator / b.denominator)
+                     for a, b in X.pieces()])
+
+
+def _knot_values(ends, fn, breakpoints, drop=None):
+    """``fn`` in one call at the knots of the pieces with float ``ends``: each
+    piece's ends and the breakpoints strictly inside it ([p, p] for a point),
+    sorted.  Pieces inside the open interval ``drop`` are left out.  Returns
+    the values, the masks of knot pairs within one piece and of point knots."""
     if drop is not None:
         ends = ends[~((drop[0] < ends[:, 0]) & (ends[:, 1] < drop[1]))]
     b, flat = np.asarray(breakpoints, dtype=float), ends.ravel()
@@ -470,10 +478,10 @@ def _nearest_in_piece(piece: ClopenPiece) -> Fraction:
     return b if center - b <= a - center else a
 
 
-def _range_gap_outside(g: PLFunction, X: CompactRealSet, piece: ClopenPiece,
+def _range_gap_outside(g: PLFunction, ends, piece: ClopenPiece,
                        lam: complex) -> float:
-    """Exact distance from lam to the image of g over X \\ piece."""
-    z, same, _ = _knot_values(X, g, g.breakpoints,
+    """Exact distance from lam to g(X \\ piece), X given by its float ends."""
+    z, same, _ = _knot_values(ends, g, g.breakpoints,
                               drop=(float(piece.cut_lo), float(piece.cut_hi)))
     return float(np.min(_seg_dists(lam, z[:-1][same], z[1:][same]), initial=math.inf))
 
@@ -496,7 +504,8 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
     if not X.more_than_one:
         raise ValueError("need |X| > 1 to disconnect a range")
     G = pl_approximate(f, eps / 3.0)
-    if (float(X.inf) < G.domain[0] - 1e-12 or float(X.sup) > G.domain[1] + 1e-12):
+    ends = _float_ends(X)
+    if ends[0, 0] < G.domain[0] - 1e-12 or ends[-1, 1] > G.domain[1] + 1e-12:
         raise ShapeMismatch("f's domain must cover X")
 
     piece = _first_small_piece(X, G.lipschitz(), eps / 3.0)
@@ -525,20 +534,20 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
         nb.extend(b[right]); nv.extend(v[right])
     g = PLFunction(breakpoints=nb, values=nv)
 
-    sup_dist = _sup_dist(g, f, X)
-    range_gap = _range_gap_outside(g, X, piece, lam)
+    sup_dist = _sup_dist(g, f, ends)
+    range_gap = _range_gap_outside(g, ends, piece, lam)
     assert sup_dist < eps and range_gap > 0.0
     return CfunDisconnectResult(g=g, lam=lam, t0=t0, piece=piece,
                                 sup_dist=sup_dist, range_gap=range_gap,
                                 lam_clearance=clearance)
 
 
-def _sup_dist(g: PLFunction, f: PLFunction, X: CompactRealSet) -> float:
-    """Exact sup over X of |g - f| for PL g, f: the difference is linear
-    between adjacent knots of either function, so its modulus peaks at a
-    knot or an X-interval endpoint."""
+def _sup_dist(g: PLFunction, f: PLFunction, ends) -> float:
+    """Exact sup over X of |g - f| for PL g, f, given the float ends of X's
+    pieces: the difference is linear between adjacent knots of either
+    function, so its modulus peaks at a knot or an X-interval endpoint."""
     knots = np.union1d(g.breakpoints, f.breakpoints)
-    z, _, point = _knot_values(X, lambda t: g(t) - f(t), knots)
+    z, _, point = _knot_values(ends, lambda t: g(t) - f(t), knots)
     return _max_modulus(z, point)
 
 
@@ -591,14 +600,13 @@ def range_components(g: PLFunction, X: CompactRealSet,
     the factor 3 absorbs the discretization of the true image.  ``gap`` is
     the smallest distance between final components (inf when connected).
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     lip = g.lipschitz()
     threshold = 3.0 * lip * resolution
     params = []
     b = np.asarray(g.breakpoints)
-    for a, c in X.pieces():
-        fa, fc = float(a), float(c)
+    for fa, fc in _float_ends(X).tolist():
         if fa == fc:
             params.append(np.asarray([fa]))
             continue
@@ -608,15 +616,19 @@ def range_components(g: PLFunction, X: CompactRealSet,
     # One evaluation and one pooled tree instead of chain-pair queries: a
     # deep Cantor set yields thousands of two-sample chains.
     pooled = g(np.concatenate(params))
-    owner = np.repeat(np.arange(len(params)), [len(t) for t in params])
-    xy = np.column_stack([pooled.real, pooled.imag])
-    pairs = scipy.spatial.cKDTree(xy).query_pairs(float(threshold), output_type="ndarray")
     n_chains = len(params)
-    # one edge per pair of chains (owners are sorted, so each pair reads low, high)
-    links = np.unique(owner[pairs[:, 0]] * n_chains + owner[pairs[:, 1]])
-    lo, hi = np.divmod(links, n_chains)
+    if n_chains == 1:
+        return RangeReport(1, math.inf, threshold, resolution, len(pooled))
+    owner = np.repeat(np.arange(n_chains), [len(t) for t in params])
+    xy = np.column_stack([pooled.real, pooled.imag])
+    # sliding-midpoint splits (Maneewongvatana & Mount, 1999) build faster
+    tree = scipy.spatial.cKDTree(xy, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(float(threshold), output_type="ndarray")
+    # i < j and owners never decrease: one (low, high) edge per linked chain pair
+    lo, hi = owner[pairs[:, 0]], owner[pairs[:, 1]]
     cross = lo != hi
-    labels = link_components(n_chains, zip(lo[cross].tolist(), hi[cross].tolist()))
+    lo, hi = np.divmod(np.unique(lo[cross] * n_chains + hi[cross]), n_chains)
+    labels = link_components(n_chains, zip(lo.tolist(), hi.tolist()))
     n_comps = max(labels) + 1
     gap = math.inf
     if n_comps > 1:

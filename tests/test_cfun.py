@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgap.cfun import (ClopenPiece, CompactRealSet, PLFunction,
+from specgap.cfun import (ClopenPiece, CompactRealSet, PLFunction, _float_ends,
                           _nearest_in_piece, _range_gap_outside, _sup_dist,
                           cfun_disconnect, clopen_small_pieces,
                           is_finite_interval_union, nondensity_witness,
@@ -17,6 +17,7 @@ from specgap.cfun import (ClopenPiece, CompactRealSet, PLFunction,
                           set_from_dict, set_to_dict, write_pl, write_set)
 from specgap.errors import ExhaustedSamples, FiniteUnion, ShapeMismatch
 from specgap.sampling import rng_from_seed
+from specgap.spectral import link_components
 
 
 # -- sets ---------------------------------------------------------------------
@@ -51,6 +52,23 @@ def test_nonfinite_endpoints_raise_shape_mismatch():
             CompactRealSet(intervals=((0, bad),))
         with pytest.raises(ShapeMismatch):
             CompactRealSet(points=(bad,))
+
+
+def test_float_ends_are_bitwise_float_of_each_fraction():
+    big = Fraction(2 ** 60 + 1, 2 ** 7)               # 2**53 + 1/128
+    # rounding the numerator first would give ...661.0, one ulp below
+    sharp = Fraction(2 ** 54 + 1, 3)
+    assert float(sharp) != float(sharp.numerator) / float(sharp.denominator)
+    X = CompactRealSet(intervals=((Fraction(-2, 7), Fraction(1, 3)),
+                                  (Fraction(10 ** 30 + 7, 10 ** 30), Fraction(3, 2)),
+                                  (Fraction(10 ** 400 + 1, 10 ** 399), 11),
+                                  (big, big + 1), (sharp, sharp + 1)),
+                       points=(Fraction(5, 3),))
+    ends = _float_ends(X)
+    assert ends.dtype == np.float64 and ends.shape == (6, 2)
+    want = np.array([[float(a), float(b)] for a, b in X.pieces()])
+    assert ends.tobytes() == want.tobytes()
+    assert ends[2, 0] == ends[2, 1] == float(Fraction(5, 3))     # the point piece
 
 
 def _restrict_by_scan(X, lo, hi):
@@ -142,6 +160,25 @@ def test_pl_eval_and_domain():
         PLFunction(breakpoints=(0.0,), values=(1.0,))
     with pytest.raises(ShapeMismatch):
         PLFunction(breakpoints=(0.0, 0.0), values=(1.0, 2.0))
+
+
+def test_pl_function_rejects_nonfinite_data():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            PLFunction(breakpoints=(0.0, bad), values=(0.0, 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            PLFunction(breakpoints=(0.0, 1.0), values=(0.0, complex(bad, 0.0)))
+        with pytest.raises(ValueError, match="must be finite"):
+            PLFunction(breakpoints=(0.0, 1.0), values=(0.0, complex(0.0, bad)))
+        with pytest.raises(ValueError, match="must be finite"):
+            pl_from_dict({"breakpoints": [0.0, 1.0], "re": [0.0, bad]})
+    # neither entry point is reached with such data: no StageTooShallow from
+    # cfun_disconnect, no SciPy "data must be finite" from range_components
+    X = CompactRealSet.cantor(depth=4, ratio="1/3")
+    with pytest.raises(ValueError, match="must be finite"):
+        cfun_disconnect(X, PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, math.nan)), 0.1)
+    with pytest.raises(ValueError, match="must be finite"):
+        range_components(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, math.inf)), X)
 
 
 def test_pl_eval_at_nan_raises_shape_mismatch():
@@ -236,6 +273,22 @@ def test_cfun_disconnect_evaluates_in_bulk(monkeypatch):
     assert max(sizes) >= 2 * 256        # the bulk calls see every piece
 
 
+def test_cfun_disconnect_rounds_x_once(monkeypatch):
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return _float_ends(X)
+
+    monkeypatch.setattr("specgap.cfun._float_ends", counted)
+    f = PLFunction(breakpoints=(-0.5, 0.2, 1.5), values=(0.0, 1j, 2.0))
+    for X, eps in ((CompactRealSet.cantor(depth=8, ratio="1/3"), 0.05),
+                   (CompactRealSet(intervals=((0, Fraction(1, 3)),), points=(1,)), 0.25)):
+        calls.clear()
+        cfun_disconnect(X, f, eps)
+        assert calls == [X]
+
+
 def test_cfun_disconnect_on_isolated_points():
     X = CompactRealSet(points=(0, 1, 2))
     f = PLFunction(breakpoints=(-1.0, 3.0), values=(0.0, 4.0))
@@ -294,6 +347,73 @@ def test_range_components_counts_and_gap():
     joined = range_components(g, CompactRealSet(intervals=((0, 3),)),
                               resolution=1e-3)
     assert joined.connected and joined.gap == np.inf
+
+
+def test_range_components_resolution_guard():
+    g = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
+    X = CompactRealSet(intervals=((0, Fraction(1, 4)),), points=(1,))
+    for bad in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            range_components(g, X, resolution=bad)
+
+
+def _ref_range_components(g, X, resolution):
+    """Brute-force single linkage on the documented samples: every sample
+    pair within the threshold, plus consecutive samples of each chain."""
+    threshold = 3.0 * g.lipschitz() * resolution
+    b = np.asarray(g.breakpoints)
+    chains = []
+    for a, c in X.pieces():
+        fa, fc = float(a), float(c)
+        if fa == fc:
+            chains.append(np.asarray([fa]))
+            continue
+        m = max(2, int(math.ceil((fc - fa) / resolution)) + 1)
+        chains.append(np.union1d(np.linspace(fa, fc, m), b[(b > fa) & (b < fc)]))
+    z = g(np.concatenate(chains))
+    xy = np.column_stack([z.real, z.imag])
+    dist = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=-1))
+    i, j = np.nonzero(np.triu(dist <= threshold, k=1))
+    starts = np.cumsum([0] + [len(t) for t in chains])
+    along = [(k, k + 1) for s, e in zip(starts[:-1], starts[1:]) for k in range(s, e - 1)]
+    labels = np.asarray(link_components(len(z), list(zip(i.tolist(), j.tolist())) + along))
+    n_comps = int(labels.max()) + 1
+    apart = labels[:, None] != labels[None, :]
+    gap = float(dist[apart].min()) if n_comps > 1 else math.inf
+    return n_comps, len(z), gap
+
+
+def _range_reference_cases():
+    rng = rng_from_seed(20260814)
+    cantor = CompactRealSet.cantor(depth=6, ratio="1/3")
+    t = np.linspace(-0.5, 1.5, 9)
+    f = PLFunction(breakpoints=t, values=rng.standard_normal(9) + 1j * rng.standard_normal(9))
+    yield "cantor-6", f, cantor, 1e-3
+    yield "cantor-6-split", cfun_disconnect(cantor, f, 0.5).g, cantor, 1e-3
+    for n in (1, 2, 3, 4):
+        W, fw = nondensity_witness(n)
+        vals = np.asarray(fw.values)
+        bump = rng.standard_normal(len(vals)) + 1j * rng.standard_normal(len(vals))
+        bump *= 0.099 / np.abs(bump).max()
+        yield f"witness-{n}", PLFunction(breakpoints=fw.breakpoints, values=vals + bump), W, 1e-2
+    plateaus = PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0), values=(0.0, 0.0, 3.0, 3.0))
+    yield "two-plateaus", plateaus, CompactRealSet(intervals=((0, Fraction(1, 2)),
+                                                              (Fraction(5, 2), 3))), 1e-3
+
+
+@pytest.mark.parametrize("case", list(_range_reference_cases()), ids=lambda c: c[0])
+def test_range_components_matches_brute_force_linkage(case):
+    _, g, X, resolution = case
+    rep = range_components(g, X, resolution=resolution)
+    assert (rep.n_components, rep.n_samples, rep.gap) == _ref_range_components(g, X, resolution)
+
+
+def test_range_components_outside_the_domain_raises():
+    g = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, 1j))
+    for X in (CompactRealSet(intervals=((Fraction(1, 2), 2),)),
+              CompactRealSet.cantor(depth=3, ratio="1/3", lo=Fraction(1, 2), hi=2)):
+        with pytest.raises(ShapeMismatch):
+            range_components(g, X, resolution=1e-2)
 
 
 # -- persistence ------------------------------------------------------------------
@@ -482,14 +602,15 @@ def test_bulk_evaluation_matches_per_piece_references(data):
     assert f.sup_norm_on(X) == _ref_sup_norm_on(f, X)
     assert _nearest_in_piece(ClopenPiece(subset=X, cut_lo=X.inf - 1,
                                          cut_hi=X.sup + 1)) == _ref_nearest(X)
-    assert _sup_dist(g, f, X) == _ref_sup_dist(g, f, X)
+    assert _sup_dist(g, f, _float_ends(X)) == _ref_sup_dist(g, f, X)
 
     cut = sorted(data.draw(st.lists(st.integers(-1, 81), min_size=2, max_size=2)))
     piece = ClopenPiece(subset=X, cut_lo=Fraction(2 * cut[0] + 1, 2 * GRID) - 5,
                         cut_hi=Fraction(2 * cut[1] + 1, 2 * GRID) - 5)
     lam = data.draw(st.one_of(st.sampled_from(g.values),
                               st.builds(complex, _values, _values)))
-    assert _range_gap_outside(g, X, piece, lam) == _ref_range_gap_outside(g, X, piece, lam)
+    assert (_range_gap_outside(g, _float_ends(X), piece, lam)
+            == _ref_range_gap_outside(g, X, piece, lam))
 
     target = data.draw(st.one_of(st.sampled_from(g.values),
                                  st.builds(complex, _values, _values)))
@@ -512,4 +633,5 @@ def test_segment_projection_squares_with_pow():
     g = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, h))
     X = CompactRealSet(intervals=((0, 1),))
     piece = ClopenPiece(subset=X, cut_lo=Fraction(2), cut_hi=Fraction(3))
-    assert _range_gap_outside(g, X, piece, lam) == _ref_range_gap_outside(g, X, piece, lam) == 0.0
+    assert (_range_gap_outside(g, _float_ends(X), piece, lam)
+            == _ref_range_gap_outside(g, X, piece, lam) == 0.0)

@@ -238,6 +238,20 @@ def test_cfun_disconnect_too_shallow_stage_exits_1(capsys, tmp_path):
     assert err.startswith("StageTooShallow: no clopen piece is small enough")
 
 
+def test_cfun_disconnect_usage_failures_exit_2(capsys, tmp_path):
+    write_set(CompactRealSet.cantor(depth=6, ratio="1/3"), tmp_path / "set.json")
+    write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
+             tmp_path / "fn.json")
+    (tmp_path / "nan.json").write_text('{"breakpoints":[-0.5,1.5],"im":[0.0,0.0],'
+                                       '"re":[0.0,NaN]}\n')
+    for fn, resolution in (("fn.json", "inf"), ("fn.json", "nan"), ("fn.json", "0"),
+                           ("nan.json", "1e-3")):
+        code, payload, err = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
+                                 "--fn", tmp_path / fn, "--eps", "0.1",
+                                 "--resolution", resolution, "--output-dir", tmp_path)
+        assert code == 2 and payload is None and "usage error" in err, (fn, resolution)
+
+
 def test_counterexample_command(capsys, tmp_path):
     code, payload, _ = run(capsys, "counterexample", "--k", "4",
                            "--trials", "5", "--output-dir", tmp_path)
