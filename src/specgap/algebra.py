@@ -207,12 +207,40 @@ class AlgebraSpec:
 
 @dataclass(frozen=True)
 class Projection:
-    """A validated orthogonal projection; build through :func:`validate_projection`
-    (or directly for ``v v*`` with a unit vector ``v``)."""
+    """An orthogonal projection, held as one factor per summand.
 
-    base: BlockOperator
+    ``factors`` holds ``(id, W)`` pairs, ``W`` an ``n x r`` matrix with
+    orthonormal columns, so the block is ``W W*`` of rank ``r``.  The
+    constructor is the one check of that invariant: ``||W* W - I_r||_F <=
+    tol`` or :class:`NotAProjection`, and ``r <= n`` or :class:`ShapeMismatch`.
+    ``base`` builds the dense blocks on access.
+    """
+
+    factors: tuple = ()
     tol: float = DEFAULT_TOL
-    ranks: tuple = ()
+
+    def __post_init__(self):
+        pairs = []
+        for sid, w in self.factors:
+            w = np.array(w, dtype=np.complex128, copy=True)
+            if w.ndim != 2 or w.shape[1] > w.shape[0]:
+                raise ShapeMismatch(f"summand {sid}: factor {w.shape} not n x r, r <= n")
+            g = w.conj().T @ w - np.eye(w.shape[1])
+            res = float(np.sqrt(np.vdot(g, g).real))
+            if not res <= self.tol:     # NaN fails too
+                raise NotAProjection(f"summand {sid}: ||W*W - I||_F = {res:.3e} "
+                                     f"exceeds tol={self.tol:.3e}", residual=res)
+            w.setflags(write=False)
+            pairs.append((int(sid), w))
+        object.__setattr__(self, "factors", tuple(pairs))
+
+    @property
+    def base(self) -> BlockOperator:
+        return BlockOperator(tuple((sid, w @ w.conj().T) for sid, w in self.factors))
+
+    @property
+    def ranks(self) -> tuple:
+        return tuple(w.shape[1] for _, w in self.factors)
 
     @property
     def rank(self) -> int:
@@ -220,52 +248,43 @@ class Projection:
 
     @property
     def support(self) -> tuple:
-        return tuple(sid for (sid, _), r in zip(self.base.summands, self.ranks) if r > 0)
+        return tuple(sid for sid, w in self.factors if w.shape[1] > 0)
 
 
 def validate_projection(A: BlockOperator, tol: float = DEFAULT_TOL) -> Projection:
-    """Check blockwise that ``A`` is an orthogonal projection.
+    """Check blockwise that dense ``A`` is an orthogonal projection.
 
-    Requires ``||A - A*|| <= tol`` and ``||A@A - A|| <= tol`` on every block;
-    raises :class:`NotAProjection` carrying the worst residual otherwise.
-    Block ranks are counted from the spectrum of the symmetrized block (the
-    eigenvalues sit within ``tol`` of {0, 1}, so the count at the 1/2 cutoff
-    is unambiguous).
+    Requires finite entries, ``||A - A*|| <= tol`` and ``||A@A - A|| <= tol``
+    on every block; raises :class:`NotAProjection` carrying the worst
+    residual otherwise (``inf`` for a non-finite entry).  Each block's factor
+    is the eigenvectors of its symmetrized part with eigenvalue above 1/2
+    (the eigenvalues sit within ``tol`` of {0, 1}, so the cut is unambiguous).
     """
-    worst = 0.0
-    ranks = []
+    factors = []
     for sid, b in A.summands:
+        if not np.isfinite(b).all():
+            raise NotAProjection(f"summand {sid} has a non-finite entry", residual=np.inf)
         herm = np.linalg.norm(b - b.conj().T, 2)
         idem = np.linalg.norm(b @ b - b, 2)
-        worst = max(worst, herm, idem)
         if herm > tol or idem > tol:
             raise NotAProjection(
                 f"summand {sid}: ||P-P*||={herm:.3e}, ||P@P-P||={idem:.3e} "
                 f"exceed tol={tol:.3e}", residual=max(herm, idem))
-        evals = np.linalg.eigvalsh((b + b.conj().T) / 2.0)
-        ranks.append(int(np.count_nonzero(evals > 0.5)))
-    return Projection(base=A, tol=tol, ranks=tuple(ranks))
+        evals, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
+        factors.append((sid, vecs[:, evals > 0.5]))
+    return Projection(tuple(factors), tol=tol)
 
 
 def minimal_subprojection(P: Projection, sid: int) -> Projection:
-    """Rank-one subprojection of ``P`` living entirely in summand ``sid``.
-
-    Takes a unit eigenvector of the block with eigenvalue ~1.  Raises
-    :class:`EmptyBlock` if ``P`` has no weight in that summand.
+    """Rank-one subprojection of ``P`` in summand ``sid``: the first column
+    of that block's factor.  Raises :class:`EmptyBlock` if ``P`` has no
+    weight in that summand.
     """
-    if sid not in P.base.ids:
-        raise EmptyBlock(f"projection has no summand {sid}")
-    idx = P.base.ids.index(sid)
-    if P.ranks[idx] == 0:
-        raise EmptyBlock(f"projection block {sid} is zero")
-    b = P.base.block(sid)
-    evals, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-    v = vecs[:, -1]           # eigenvalue closest to 1
-    e = np.outer(v, v.conj())
-    blocks = tuple(
-        (s, e if s == sid else np.zeros_like(blk)) for s, blk in P.base.summands
-    )
-    return validate_projection(BlockOperator(blocks), tol=max(P.tol, 1e-12))
+    w = dict(P.factors).get(sid)
+    if w is None or w.shape[1] == 0:
+        raise EmptyBlock(f"projection has no weight in summand {sid}")
+    return Projection(tuple((s, f[:, :1] if s == sid else f[:, :0])
+                            for s, f in P.factors), tol=P.tol)
 
 
 # -- JSON persistence -----------------------------------------------------

@@ -317,6 +317,9 @@ class PLFunction:
             raise ShapeMismatch("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))
         object.__setattr__(self, "values", tuple(complex(z) for z in v))
+        with np.errstate(over="ignore"):    # finite data whose slopes overflow
+            if not math.isfinite(self.lipschitz()):
+                raise ValueError("slopes between breakpoints must be finite")
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))

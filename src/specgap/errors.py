@@ -32,7 +32,7 @@ class ShapeMismatch(SpecgapError):
 
 
 class NotAProjection(SpecgapError):
-    """Candidate fails ||P*P - P|| / ||P - P*|| tolerance; carries the residual."""
+    """Candidate fails a projection tolerance; carries the residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

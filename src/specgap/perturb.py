@@ -53,7 +53,6 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (
-    DEFAULT_TOL,
     BlockOperator,
     Projection,
     operator_to_dict,
@@ -117,12 +116,6 @@ def _rank_one(structure, sid: int, a: np.ndarray, b: np.ndarray) -> BlockOperato
         for s, d in structure))
 
 
-def _rank_one_projection(structure, sid: int, v: np.ndarray) -> Projection:
-    # v is a unit vector, so v v* is an orthogonal projection by construction
-    return Projection(base=_rank_one(structure, sid, v, v), tol=DEFAULT_TOL,
-                      ranks=tuple(int(s == sid) for s, _ in structure))
-
-
 # -- certificates ----------------------------------------------------------
 
 
@@ -133,8 +126,8 @@ class PerturbationCertificate:
     ``X = w v*`` and ``E = v v*`` live in summand ``summand`` of an operator
     with block ``structure`` (``(id, dim)`` pairs).  ``v`` is the near-null
     vector of that block's column-pivoted QR, a unit eigenvector for ``lam``
-    up to round-off.  Both operators are rebuilt on access, so a certificate
-    holds two vectors rather than two dense operators.
+    up to round-off.  ``X`` is rebuilt on access and ``E`` is the projection
+    with factor ``v``, so a certificate holds two vectors, not two operators.
     ``components_after`` clusters ``sigma(T + X)``: ``mu``, the block's
     other eigenvalues and the other blocks' spectra.
     """
@@ -163,7 +156,8 @@ class PerturbationCertificate:
 
     @property
     def E(self) -> Projection:
-        return _rank_one_projection(self.structure, self.summand, self.v)
+        return Projection(tuple((s, self.v[:, None] if s == self.summand
+                                 else np.zeros((d, 0))) for s, d in self.structure))
 
     @property
     def disconnected(self) -> bool:
@@ -411,7 +405,7 @@ def certificate_to_dict(cert: PerturbationCertificate, seed=None) -> dict:
         "delta": cert.delta,
         "separation": cert.separation,
         "separation_bound": cert.separation_bound,
-        "E": operator_to_dict(cert.E.base),
+        "E": operator_to_dict(_rank_one(cert.structure, cert.summand, cert.v, cert.v)),
         "phi_E": cert.phi_E,
         "phi_TE": cert.phi_TE,
         "gap_achieved": (cert.gap_achieved if math.isfinite(cert.gap_achieved)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraSpec, BlockOperator, Projection, validate_projection
+from .algebra import AlgebraSpec, BlockOperator, Projection
 
 __all__ = [
     "rng_from_seed",
@@ -80,30 +80,22 @@ def random_psd(n: int, rng, scale: float = 1.0) -> np.ndarray:
 
 def random_projection(alg: AlgebraSpec, ranks, rng, tol: float = 1e-9) -> Projection:
     """Random orthogonal projection with the given rank in each realized summand."""
-    blocks = []
+    if len(ranks) != len(alg.dims):
+        raise ValueError(f"{len(ranks)} ranks for {len(alg.dims)} summands")
+    factors = []
     for i, (d, r) in enumerate(zip(alg.dims, ranks)):
         if not 0 <= r <= d:
             raise ValueError(f"rank {r} out of range for dim {d}")
-        if r == 0:
-            blocks.append((i, np.zeros((d, d))))
-        else:
-            u = haar_unitary(d, rng)[:, :r]
-            blocks.append((i, u @ u.conj().T))
-    return validate_projection(BlockOperator(tuple(blocks)), tol=tol)
+        factors.append((i, haar_unitary(d, rng)[:, :r] if r else np.zeros((d, 0))))
+    return Projection(tuple(factors), tol=tol)
 
 
 def random_subprojection(P: Projection, ranks, rng, tol: float = 1e-9) -> Projection:
     """Random projection E <= P with prescribed block ranks (capped by P's)."""
-    blocks = []
-    for (sid, b), pr, r in zip(P.base.summands, P.ranks, ranks):
-        d = b.shape[0]
-        r = min(int(r), pr)
-        if r == 0:
-            blocks.append((sid, np.zeros((d, d))))
-            continue
-        evals, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
-        basis = vecs[:, evals > 0.5]                  # range of the block
-        mix = haar_unitary(basis.shape[1], rng)[:, :r]
-        w = basis @ mix
-        blocks.append((sid, w @ w.conj().T))
-    return validate_projection(BlockOperator(tuple(blocks)), tol=tol)
+    if len(ranks) != len(P.factors):
+        raise ValueError(f"{len(ranks)} ranks for {len(P.factors)} summands")
+    factors = []
+    for (sid, w), r in zip(P.factors, ranks):
+        r = min(int(r), w.shape[1])
+        factors.append((sid, w @ haar_unitary(w.shape[1], rng)[:, :r] if r else w[:, :0]))
+    return Projection(tuple(factors), tol=tol)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgap.algebra import (AlgebraSpec, BlockOperator, block_operator,
+from specgap.algebra import (AlgebraSpec, BlockOperator, Projection, block_operator,
                              central_projection, identity_like, minimal_subprojection,
                              operator_from_dict, operator_to_dict, read_operator,
                              validate_projection, write_operator, zero_like)
 from specgap.errors import (EmptyBlock, NotAProjection, ShapeMismatch,
                             ZeroProjection)
 from specgap.norms import f_phi
-from specgap.sampling import random_block_operator, random_projection, rng_from_seed
+from specgap.sampling import (haar_unitary, random_block_operator, random_projection,
+                              rng_from_seed)
 
 from conftest import make_spec
 
@@ -101,6 +102,28 @@ def test_validate_projection_accepts_and_rejects(rng):
     with pytest.raises(NotAProjection) as ei:
         validate_projection(random_block_operator(alg, rng))
     assert ei.value.residual > 1e-9
+    # a non-finite entry is refused before any SVD can fail to converge
+    for bad in (np.nan, np.inf):
+        blk = np.eye(3)
+        blk[0, 1] = bad
+        with pytest.raises(NotAProjection) as ei:
+            validate_projection(block_operator([(0, blk), (1, np.eye(4))]))
+        assert ei.value.residual == np.inf
+
+
+def test_projection_factor_invariant(rng):
+    with pytest.raises(NotAProjection) as ei:
+        Projection(((0, [[1.0], [1.0]]),))         # W*W = 2, not 1
+    assert ei.value.residual > 1e-9
+    with pytest.raises(ShapeMismatch):
+        Projection(((0, np.eye(2, 3)),))             # wider than its block
+    # a dense projection comes back from its factors within tol
+    q = haar_unitary(4, rng)[:, :2]
+    A = block_operator([(0, np.diag([1.0, 0.0, 1.0])), (1, q @ q.conj().T),
+                        (3, np.zeros((2, 2)))])
+    P = validate_projection(A)
+    assert P.ranks == (2, 2, 0) and P.support == (0, 1)
+    assert (P.base - A).is_zero(tol=P.tol)
 
 
 def test_central_support_and_minimal_subprojection(rng):

@@ -11,7 +11,8 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from specgap.algebra import AlgebraSpec, block_operator, identity_like, write_operator
+from specgap.algebra import (AlgebraSpec, block_operator, identity_like, operator_to_dict,
+                             write_operator)
 from specgap.cli import main
 from specgap.errors import BelowRoundoff, ConvergenceFailure
 from specgap.perturb import certificate_to_dict, disconnect, disconnect_rr0
@@ -150,6 +151,16 @@ def _criterion_1_certificates(n=40):
         T = random_block_operator(AlgebraSpec(dims=dims, tail="none"), rng)
         spec = _random_dominating_spec(dims, rng)
         yield T, disconnect(T, EPS_CYCLE[i % len(EPS_CYCLE)], spec)
+
+
+def test_certificate_e_is_written_as_the_outer_product_of_v():
+    # E is held as its factor v; W W* differs from np.outer(v, v*) in the last
+    # bits, so the JSON must still come from the outer product
+    for _, cert in _criterion_1_certificates():
+        want = block_operator([(s, np.outer(cert.v, cert.v.conj()) if s == cert.summand
+                                else np.zeros((d, d))) for s, d in cert.structure])
+        assert (json.dumps(certificate_to_dict(cert)["E"])
+                == json.dumps(operator_to_dict(want)))
 
 
 def test_after_spectrum_matches_a_fresh_eigensolve():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specgap.cfun import (ClopenPiece, CompactRealSet, PLFunction, _float_ends,
@@ -172,6 +172,11 @@ def test_pl_function_rejects_nonfinite_data():
             PLFunction(breakpoints=(0.0, 1.0), values=(0.0, complex(0.0, bad)))
         with pytest.raises(ValueError, match="must be finite"):
             pl_from_dict({"breakpoints": [0.0, 1.0], "re": [0.0, bad]})
+    # finite data whose slope overflows to inf
+    with pytest.raises(ValueError, match="must be finite"):
+        PLFunction(breakpoints=(0.0, 1.0), values=(-1e308, 1e308))
+    with pytest.raises(ValueError, match="must be finite"):
+        pl_from_dict({"breakpoints": [0.0, 5e-324], "re": [0.0, 1.0]})
     # neither entry point is reached with such data: no StageTooShallow from
     # cfun_disconnect, no SciPy "data must be finite" from range_components
     X = CompactRealSet.cantor(depth=4, ratio="1/3")
@@ -591,6 +596,10 @@ def pl_covering(draw, X):
     off_grid = draw(st.lists(st.floats(lo, hi), max_size=6))
     b = np.union1d([lo, hi], [x for x in on_grid + off_grid if lo <= x <= hi])
     vals = [complex(draw(_values), draw(_values)) for _ in b]
+    # knots ~1e-308 apart can make a slope overflow, which the constructor
+    # refuses (see test_pl_function_rejects_nonfinite_data)
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(np.abs(np.diff(vals)) / np.diff(b)).all())
     return PLFunction(breakpoints=b, values=vals)
 
 

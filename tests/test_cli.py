@@ -244,8 +244,10 @@ def test_cfun_disconnect_usage_failures_exit_2(capsys, tmp_path):
              tmp_path / "fn.json")
     (tmp_path / "nan.json").write_text('{"breakpoints":[-0.5,1.5],"im":[0.0,0.0],'
                                        '"re":[0.0,NaN]}\n')
+    (tmp_path / "steep.json").write_text('{"breakpoints":[-0.5,1.5],"im":[0.0,0.0],'
+                                         '"re":[-1e308,1e308]}\n')
     for fn, resolution in (("fn.json", "inf"), ("fn.json", "nan"), ("fn.json", "0"),
-                           ("nan.json", "1e-3")):
+                           ("nan.json", "1e-3"), ("steep.json", "1e-3")):
         code, payload, err = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
                                  "--fn", tmp_path / fn, "--eps", "0.1",
                                  "--resolution", resolution, "--output-dir", tmp_path)

@@ -51,3 +51,17 @@ def test_random_projection_and_subprojection(rng):
     assert (P.base @ Q.base - Q.base).is_zero(tol=1e-9)
     # requested ranks are capped by P's
     assert random_subprojection(P, (4, 0), rng).ranks == (2, 0)
+
+
+def test_random_projection_needs_one_rank_per_summand(rng):
+    alg = AlgebraSpec(dims=(3, 4), tail="none")
+    for ranks in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="ranks for 2 summands"):
+            random_projection(alg, ranks, rng)
+
+
+def test_random_subprojection_needs_one_rank_per_summand(rng):
+    P = random_projection(AlgebraSpec(dims=(3, 4), tail="none"), (2, 3), rng)
+    for ranks in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="ranks for 2 summands"):
+            random_subprojection(P, ranks, rng)

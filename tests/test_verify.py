@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from specgap import algebra, norms, sampling, verify
 from specgap.verify import (SUITES, CheckResult, fphi_oracle, norm_axioms,
                             normspec_battery, projection_bound, run_suites)
 
@@ -35,3 +38,23 @@ def test_oracles_are_checkresults():
                 projection_bound(n=5, seed=0)):
         assert isinstance(res, CheckResult) and res.passed
         json.dumps(res.to_dict())
+
+
+def test_fphi_oracle_runs_no_eigensolver_and_no_dense_validation(monkeypatch):
+    # projections are drawn, mixed and cut down as factors, so no step
+    # recovers a basis by eigh or re-checks a dense block
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    validate = counted("validate_projection", algebra.validate_projection)
+    for mod in (algebra, norms, sampling, verify):
+        monkeypatch.setattr(mod, "validate_projection", validate, raising=False)
+    assert fphi_oracle(n_projections=5, n_subs=5).passed
+    assert calls == Counter()
