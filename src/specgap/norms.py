@@ -85,6 +85,8 @@ class BaseNorm:
         return float(np.sum(s[: self.k]))
 
     def of_matrix(self, block: np.ndarray) -> float:
+        if not block.any():     # all three kinds give exactly 0.0; NaN is "any"
+            return 0.0
         s = np.linalg.svd(block, compute_uv=False)
         return self.of_singular_values(s)
 

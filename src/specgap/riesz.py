@@ -14,10 +14,13 @@ U11 R - R U22 = U12 (Bartels-Stewart, on the triangular blocks) give
     P = Z [[I, R], [0, 0]] Z* = Z_k (Z_k* + R Z_2*),
 
 which is kept in this factored form (`FactoredIdempotent`).  The rank of
-each block is k exactly.  `riesz_quadrature` evaluates the integral itself
-and is the independent cross-check: circles use the periodic trapezoid
-rule (spectrally accurate for analytic integrands); rectangles are split
-into four analytic segments integrated with Gauss-Legendre nodes.
+each block is k exactly.  Given an explicit exclusion distance d, a block
+b with sigma_min(b - cI) > rho + d plus a rounding margin (c, rho: center
+and reach of the contour) is zero in P and needs no Schur form.
+`riesz_quadrature` evaluates the integral itself and is the independent
+cross-check: circles use the periodic trapezoid rule (spectrally accurate
+for analytic integrands); rectangles are split into four analytic segments
+integrated with Gauss-Legendre nodes.
 Nonzero idempotents P with P != I certify weak reducibility: two
 complementary invariant subspaces, stable under perturbations small next
 to the contour's clearance from the spectrum.
@@ -128,15 +131,15 @@ def _quadrature(contour: Contour):
 
 
 def _check_separation(ev: np.ndarray, contour: Contour,
-                      exclusion_dist: float | None) -> np.ndarray:
-    """Which of the eigenvalues ``ev`` the contour encloses; raises unless it
-    encloses some but not all and stays ``exclusion_dist`` away from each."""
+                      exclusion_dist: float | None, total: int = None) -> np.ndarray:
+    """Which of ``ev`` the contour encloses; raises unless it encloses some but not all
+    of ``total`` eigenvalues (the rest clear it outside), ``exclusion_dist`` from each."""
     inside = np.array([contour.encloses(z) for z in ev])
-    if inside.all() or not inside.any():
-        raise EnclosesAllOrNone(
-            f"contour encloses {int(inside.sum())} of {len(ev)} eigenvalues")
-    gap = float(np.abs(ev[inside][:, None] - ev[~inside][None, :]).min())
+    k, total = int(inside.sum()), total or len(ev)
+    if k in (0, total):
+        raise EnclosesAllOrNone(f"contour encloses {k} of {total} eigenvalues")
     if exclusion_dist is None:
+        gap = float(np.abs(ev[inside][:, None] - ev[~inside][None, :]).min())
         exclusion_dist = max(1e-6, 0.05 * gap)
     clearance = min(contour.distance_to(z) for z in ev)
     if clearance < exclusion_dist:
@@ -180,10 +183,9 @@ def _dense_block(n, k, L, W) -> np.ndarray:
     return block
 
 
-def _schur_factors(sid: int, U: np.ndarray, Z: np.ndarray, k: int):
+def _schur_factors(sid: int, n: int, U: np.ndarray, Z: np.ndarray, k: int):
     """``(id, n, k, L, W)`` with ``L W = Z [[I, R], [0, 0]] Z*`` for the
     Schur form ``Z U Z*`` whose ``k`` leading eigenvalues are enclosed."""
-    n = U.shape[0]
     if k in (0, n):
         return sid, n, k, None, None
     R, scale, info = scipy.linalg.lapack.ztrsyl(U[:k, :k], U[k:, k:], U[:k, k:],
@@ -195,6 +197,20 @@ def _schur_factors(sid: int, U: np.ndarray, Z: np.ndarray, k: int):
     return sid, n, k, L, L.conj().T + (R / scale) @ Z[:, k:].conj().T
 
 
+def _clears(b: np.ndarray, center: complex, reach: float) -> bool:
+    """Whether ``sigma_min(b - cI) > reach + 10 n eps (||b||_F + |c| sqrt(n))``
+    for c = ``center``, eps = 2^-52.  Each eigenvalue z of b has |z - c| >=
+    sigma_min, and the margin, the screen's one assumption, covers the backward
+    errors of this SVD and of b's Schur form: no eigenvalue, exact or computed,
+    then lies within ``reach`` of c."""
+    n = b.shape[0]
+    try:
+        s = np.linalg.svd(b - center * np.eye(n), compute_uv=False)[-1]
+    except np.linalg.LinAlgError:       # non-finite: the Schur form reports it
+        return False
+    return s > reach + 10 * n * 2.0 ** -52 * (np.linalg.norm(b) + abs(center) * n ** 0.5)
+
+
 def riesz_idempotent(T: BlockOperator, contour: Contour,
                      exclusion_dist: float = None) -> FactoredIdempotent:
     """The Riesz idempotent for ``contour``, from one ordered Schur form per
@@ -204,26 +220,34 @@ def riesz_idempotent(T: BlockOperator, contour: Contour,
     and exclude at least one, and stay ``exclusion_dist`` away from all of
     them.  The default exclusion distance is ``max(1e-6, 0.05 * gap)`` with
     ``gap`` the smallest enclosed-to-excluded eigenvalue distance.
+    An explicit ``exclusion_dist`` first screens each block (`_clears`): one
+    whose eigenvalues all clear the contour's disc by it is zero in P with no
+    Schur form.  The default needs every eigenvalue, so every block is factored.
     """
+    lo, hi = contour.corner_lo, contour.corner_hi    # a disc holding the contour
+    center, reach = ((contour.center, contour.radius) if contour.kind == "circle"
+                     else ((lo + hi) / 2.0, abs(hi - lo) / 2.0))
     forms = []
     for sid, b in T.summands:
+        if exclusion_dist is not None and _clears(b, center, reach + exclusion_dist):
+            forms.append((sid, b.shape[0], np.empty((0, 0)), None, 0))   # no U: P_b = 0
+            continue
         try:
             U, Z, sdim = scipy.linalg.schur(b, output="complex",
                                             sort=contour.encloses)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceFailure(f"ordered Schur form failed on summand "
                                      f"{sid}: {exc}")
-        forms.append((sid, U, Z, sdim))
-    inside = _check_separation(np.concatenate([np.diag(U) for _, U, _, _ in forms]),
-                               contour, exclusion_dist)
-    per_block = np.split(inside, np.cumsum(T.dims)[:-1])
-    for (sid, _, _, sdim), ins in zip(forms, per_block):
+        forms.append((sid, b.shape[0], U, Z, sdim))
+    evs = [np.diag(U) for _, _, U, _, _ in forms]
+    inside = _check_separation(np.concatenate(evs), contour, exclusion_dist, T.total_dim)
+    per_block = np.split(inside, np.cumsum([len(ev) for ev in evs])[:-1])
+    for (sid, _, _, _, sdim), ins in zip(forms, per_block):
         if not np.array_equal(ins, np.arange(len(ins)) < sdim):
             raise ConvergenceFailure(
                 f"summand {sid}: the ordered Schur form leads with {sdim} "
                 f"eigenvalues, but {int(ins.sum())} lie inside the contour")
-    return FactoredIdempotent(tuple(_schur_factors(sid, U, Z, sdim)
-                                    for sid, U, Z, sdim in forms))
+    return FactoredIdempotent(tuple(_schur_factors(*form) for form in forms))
 
 
 def riesz_quadrature(T: BlockOperator, contour: Contour,
@@ -256,11 +280,17 @@ def verify_idempotent(P: BlockOperator, T: BlockOperator) -> IdempotentReport:
 
     Weak reducibility holds when the first two residuals are at tolerance
     and ``min(rank, corank) >= 1``.  The rank of an idempotent equals its
-    trace, so it is read off as the rounded real trace.
+    trace, so it is read off as the rounded real trace.  One pass over the
+    blocks; an exactly zero block of P next to a finite block of T has both
+    residuals exactly 0 and costs no product and no SVD.
     """
-    idem = (P @ P - P).norm()
-    comm = (P @ T - T @ P).norm()
-    tr = sum(np.trace(b) for _, b in P.summands)
+    P._require_same_structure(T)
+    idem, comm, tr = [], [], 0
+    for (_, p), (_, t) in zip(P.summands, T.summands):
+        zero = not p.any() and np.isfinite(t).all()
+        idem.append(0.0 if zero else np.linalg.norm(p @ p - p, 2))
+        comm.append(0.0 if zero else np.linalg.norm(p @ t - t @ p, 2))
+        tr += np.trace(p)
     rank = int(round(tr.real))
-    return IdempotentReport(idem_residual=float(idem), commutator=float(comm),
+    return IdempotentReport(idem_residual=float(max(idem)), commutator=float(max(comm)),
                             rank=rank, corank=P.total_dim - rank)

@@ -96,6 +96,8 @@ def random_subprojection(P: Projection, ranks, rng, tol: float = 1e-9) -> Projec
         raise ValueError(f"{len(ranks)} ranks for {len(P.factors)} summands")
     factors = []
     for (sid, w), r in zip(P.factors, ranks):
+        if int(r) < 0:
+            raise ValueError(f"negative rank {r} for summand {sid}")
         r = min(int(r), w.shape[1])
         factors.append((sid, w @ haar_unitary(w.shape[1], rng)[:, :r] if r else w[:, :0]))
     return Projection(tuple(factors), tol=tol)

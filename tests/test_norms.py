@@ -34,6 +34,24 @@ def test_base_norm_values(base, expect):
     assert base.of_matrix(DIAG34) == pytest.approx(expect, rel=1e-12)
 
 
+def test_base_norm_of_zero_block_needs_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    bases = (OPERATOR, BaseNorm(kind="schatten", p=1), BaseNorm(kind="schatten", p=3),
+             BaseNorm(kind="kyfan", k=2))
+    for block in (np.zeros((5, 5)), np.full((5, 5), -0.0, dtype=complex)):
+        for base in bases:
+            v = base.of_matrix(block)
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0, base
+    assert not calls
+    nan_block = np.zeros((5, 5))
+    nan_block[2, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):     # a NaN block still reaches the SVD
+        OPERATOR.of_matrix(nan_block)
+    assert calls == [1]
+
+
 def test_base_norm_validation():
     with pytest.raises(ShapeMismatch):
         BaseNorm(kind="nuclear")

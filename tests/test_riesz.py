@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
+import numpy.linalg._linalg as np_linalg_impl
 import pytest
 import scipy.linalg
 
+from specgap import riesz
 from specgap.algebra import AlgebraSpec, block_operator, identity_like
-from specgap.errors import ContourThroughSpectrum, EnclosesAllOrNone
+from specgap.errors import ContourThroughSpectrum, ConvergenceFailure, EnclosesAllOrNone
 from specgap.perturb import disconnect_rr0
 from specgap.riesz import (Contour, circle, rectangle, riesz_idempotent,
                            riesz_quadrature, verify_idempotent)
@@ -70,6 +74,10 @@ def test_contour_through_spectrum():
     T = block_operator([(0, np.diag([0.0, 1.0]))])
     with pytest.raises(ContourThroughSpectrum):
         riesz_idempotent(T, circle(0.0, 1.0), exclusion_dist=0.1)
+    # a screened-out second block does not hide the first block's crossing
+    T2 = block_operator([(0, np.diag([0.0, 1.0])), (1, np.diag([20.0, 30.0]))])
+    with pytest.raises(ContourThroughSpectrum):
+        riesz_idempotent(T2, circle(0.0, 1.0), exclusion_dist=0.1)
 
 
 def test_contour_validation_and_geometry():
@@ -96,21 +104,131 @@ def test_multiblock_projection(rng):
     np.testing.assert_allclose(P.block(1), np.diag([1.0, 0.0]), atol=1e-10)
 
 
-def test_schur_matches_quadrature_on_rr0_corpus():
-    # the first 40 operators of the criterion-4 generator, with the contour
-    # of criterion 5 around the split-off point mu
+def _rr0_corpus(count=40):
+    """The first ``count`` operators of the criterion-4 generator as T + X,
+    each with the contour of criterion 5 around the split-off point mu."""
     rng = rng_from_seed((20260814, 4))
     eps_cycle = (1e-1, 1e-2, 1e-3)
-    for i in range(40):
+    for i in range(count):
         dims = tuple(int(d) for d in rng.integers(2, 65, int(rng.integers(2, 5))))
         T = random_block_operator(AlgebraSpec(dims=dims, tail="none"), rng)
         cert = disconnect_rr0(T, eps_cycle[i % 3])
-        Tp = T + cert.X
         radius = cert.gap_achieved / 2.0
-        contour = circle(cert.lam + cert.eps0, radius, nodes=256)
+        yield T + cert.X, cert.lam + cert.eps0, radius
+
+
+def test_schur_matches_quadrature_on_rr0_corpus():
+    for i, (Tp, mu, radius) in enumerate(_rr0_corpus()):
+        contour = circle(mu, radius, nodes=256)
         P = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
         P_quad = riesz_quadrature(Tp, contour, exclusion_dist=radius / 2.0)
         assert (P - P_quad).norm() <= 1e-12 * max(1.0, P_quad.norm()), i
+
+
+def _same_factors(P, Q) -> bool:
+    def raw(F):
+        return [(sid, n, k, None if L is None else (L.tobytes(), W.tobytes()))
+                for sid, n, k, L, W in F.factors]
+    return raw(P) == raw(Q)
+
+
+def test_screen_keeps_factors_bitwise_on_rr0_corpus(monkeypatch):
+    cleared = []
+    clears = riesz._clears
+
+    def recording(b, center, reach):
+        hit = clears(b, center, reach)
+        if hit:
+            cleared.append((b, center, reach))
+        return hit
+
+    for i, (Tp, mu, radius) in enumerate(_rr0_corpus()):
+        contour = circle(mu, radius, nodes=256)
+        # the reference factors every block, as exclusion_dist=None does; the
+        # default exclusion itself is refused on some of these operators
+        monkeypatch.setattr(riesz, "_clears", lambda b, center, reach: False)
+        unscreened = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
+        monkeypatch.setattr(riesz, "_clears", recording)
+        screened = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
+        assert _same_factors(screened, unscreened), i
+        square = rectangle(mu - radius / np.sqrt(2) * (1 + 1j),
+                           mu + radius / np.sqrt(2) * (1 + 1j), nodes=256)
+        P = riesz_idempotent(Tp, square, exclusion_dist=radius / 2.0)
+        P_quad = riesz_quadrature(Tp, square, exclusion_dist=radius / 2.0)
+        assert (P - P_quad).norm() <= 1e-9, i
+    assert len(cleared) > 40        # most blocks miss the contour
+    for b, center, reach in cleared:
+        assert np.abs(scipy.linalg.eigvals(b) - center).min() >= reach
+
+
+def test_screen_refers_nonnormal_blocks_to_schur(monkeypatch):
+    # a 20 x 20 nilpotent Jordan block, unitarily rotated: its eigenvalues
+    # sit at 0, 5 from the contour's center (computed ones within 2 of 0),
+    # but sigma_min(J - 5) is tiny
+    rng = rng_from_seed(11)
+    u = haar_unitary(20, rng)
+    jordan = u @ (10.0 * np.eye(20, k=1)) @ u.conj().T
+    assert np.linalg.svd(jordan - 5.0 * np.eye(20), compute_uv=False)[-1] < 1e-3
+    T = block_operator([(0, jordan), (1, np.diag([5.0, 9.0]))])
+    schur_calls = Counter()
+    schur = scipy.linalg.schur
+
+    def counted(b, *args, **kwargs):
+        schur_calls[b.shape[0]] += 1
+        return schur(b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    P = riesz_idempotent(T, circle(5.0, 1.0), exclusion_dist=0.5)
+    assert schur_calls == {20: 1, 2: 1}
+    assert [k for _, _, k, _, _ in P.factors] == [0, 1]
+    assert not np.any(P.block(0))
+
+
+def test_screen_edge_failures():
+    T = block_operator([(0, np.diag([0.0, 0.1, 3.0])), (1, np.diag([2.0, 4.0, 6.0, 8.0]))])
+    # a contour that every block misses: all screened, none factored
+    with pytest.raises(EnclosesAllOrNone, match="encloses 0 of 7 eigenvalues"):
+        riesz_idempotent(T, circle(40.0, 1.0), exclusion_dist=0.5)
+    with pytest.raises(EnclosesAllOrNone, match="encloses 0 of 7 eigenvalues"):
+        riesz_idempotent(T, rectangle(30 + 30j, 31 + 31j), exclusion_dist=0.5)
+    bad = np.diag([2.0, 4.0, 6.0, 8.0]).astype(complex)
+    bad[1, 2] = np.nan
+    T_nan = block_operator([(0, np.diag([0.0, 0.1, 3.0])), (3, bad)])
+    for exclusion in (0.5, None):
+        with pytest.raises(ConvergenceFailure, match="summand 3"):
+            riesz_idempotent(T_nan, circle(0.0, 1.0), exclusion_dist=exclusion)
+
+
+def test_screen_and_verify_work_counts(monkeypatch):
+    # mu lies in block 1; sigma_min(b - mu) of blocks 0 and 2 exceeds the
+    # screen radius 1.5 * radius more than tenfold
+    T = random_block_operator(AlgebraSpec(dims=(5, 7, 4), tail="none"), rng_from_seed(5))
+    cert = disconnect_rr0(T, 1e-2)
+    Tp = T + cert.X
+    radius = cert.gap_achieved / 2.0
+    contour = circle(cert.lam + cert.eps0, radius, nodes=256)
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    svd = counted("svd", np.linalg.svd)
+    for owner in (np.linalg, np_linalg_impl):    # np.linalg.norm(., 2) uses the latter
+        monkeypatch.setattr(owner, "svd", svd)
+    P = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
+    assert calls["schur"] == 1 and calls["svd"] == 3      # one screen SVD per block
+    calls.clear()
+    assert _same_factors(P, riesz_idempotent(Tp, contour))
+    assert calls["schur"] == 3 and calls["svd"] == 0
+    calls.clear()
+    rep = verify_idempotent(P, Tp)
+    nonzero = sum(1 for *_, k, _, _ in P.factors if k > 0)
+    assert nonzero == 1 and calls["svd"] == 2 * nonzero and calls["schur"] == 0
+    assert rep.rank == 1 and rep.idem_residual < 1e-10
 
 
 def test_factored_form_is_small_and_exact(rng):

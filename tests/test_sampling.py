@@ -51,6 +51,11 @@ def test_random_projection_and_subprojection(rng):
     assert (P.base @ Q.base - Q.base).is_zero(tol=1e-9)
     # requested ranks are capped by P's
     assert random_subprojection(P, (4, 0), rng).ranks == (2, 0)
+    # negative ranks are refused rather than sliced from the end
+    P32 = random_projection(AlgebraSpec(dims=(4, 3), tail="none"), (3, 2), rng)
+    for ranks in ((-1, -2), (1, -1)):
+        with pytest.raises(ValueError, match="negative rank"):
+            random_subprojection(P32, ranks, rng)
 
 
 def test_random_projection_needs_one_rank_per_summand(rng):
