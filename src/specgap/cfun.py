@@ -32,6 +32,7 @@ function once, at the knots of all pieces.
 from __future__ import annotations
 
 import bisect
+import cmath
 import heapq
 import json
 import math
@@ -84,6 +85,11 @@ def _frac(x) -> Fraction:
     raise ShapeMismatch(f"cannot read {x!r} as a rational number")
 
 
+def _is_count(n) -> bool:
+    """An integer that is not a bool (numbers.Integral admits NumPy ints)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def _frac_out(fr: Fraction):
     # floats only when the decimal repr reads back exactly; else "p/q"
     f = float(fr)
@@ -101,6 +107,7 @@ class CantorGenerator:
     ratio: Fraction
     lo: Fraction = Fraction(0)
     hi: Fraction = Fraction(1)
+    _stage: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ratio", _frac(self.ratio))
@@ -108,21 +115,24 @@ class CantorGenerator:
         object.__setattr__(self, "hi", _frac(self.hi))
         if not (0 < self.ratio < Fraction(1, 2)):
             raise ShapeMismatch("cantor ratio must be in (0, 1/2)")
-        if self.depth < 1:
-            raise ShapeMismatch("cantor depth must be >= 1")
+        if not _is_count(self.depth) or self.depth < 1:
+            raise ShapeMismatch(f"cantor depth must be an integer >= 1, got {self.depth!r}")
+        object.__setattr__(self, "depth", int(self.depth))
         if self.lo >= self.hi:
             raise ShapeMismatch("cantor base interval is degenerate")
 
     def stage_intervals(self):
-        segs = [(self.lo, self.hi)]
-        for _ in range(self.depth):
-            nxt = []
-            for a, b in segs:
-                length = b - a
-                nxt.append((a, a + self.ratio * length))
-                nxt.append((b - self.ratio * length, b))
-            segs = nxt
-        return tuple(segs)
+        if self._stage is None:             # built once, on first use
+            segs = [(self.lo, self.hi)]
+            for _ in range(self.depth):
+                nxt = []
+                for a, b in segs:
+                    length = b - a
+                    nxt.append((a, a + self.ratio * length))
+                    nxt.append((b - self.ratio * length, b))
+                segs = nxt
+            object.__setattr__(self, "_stage", tuple(segs))
+        return self._stage
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,9 @@ class CompactRealSet:
 
     Degenerate intervals given as [a, a] are normalized into points.  All
     pieces must be pairwise separated by positive gaps.  A generator tags
-    the set as the depth-``d`` stage of a self-similar limit object; such
-    sets answer ``False`` to :func:`is_finite_interval_union` because the
-    limit has infinitely many gaps.
+    the set as the depth-``d`` stage of a self-similar limit object (the
+    pieces must be exactly that stage); such sets answer ``False`` to
+    :func:`is_finite_interval_union` because the limit has infinitely many gaps.
     """
 
     intervals: tuple = ()
@@ -163,6 +173,12 @@ class CompactRealSet:
             if a2 <= b1:
                 raise ShapeMismatch(
                     f"pieces [{a1},{b1}] and [{a2},{b2}] touch or overlap")
+        if self.generator is not None:      # clopen pieces take diameters from it
+            stage = self.generator.stage_intervals()
+            if pieces != stage:
+                raise ShapeMismatch("a generator-backed set must be its generator's stage")
+            for name in ("intervals", "_pieces"):   # shared, not copied
+                object.__setattr__(self, name, stage)
 
     @classmethod
     def cantor(cls, depth: int, ratio, lo=0, hi=1) -> "CompactRealSet":
@@ -252,8 +268,8 @@ def clopen_small_pieces(X: CompactRealSet, n: int):
     union of intervals, and ValueError when the stage depth cannot supply
     ``n`` distinct pieces.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 pieces")
+    if not _is_count(n) or n < 1:
+        raise ValueError(f"need an integer n >= 1 of pieces, got {n!r}")
     if is_finite_interval_union(X):
         raise FiniteUnion("a finite union of closed intervals has no small "
                           "clopen pieces to cut")
@@ -264,35 +280,35 @@ def clopen_small_pieces(X: CompactRealSet, n: int):
     if n > gen.depth:
         raise ValueError(f"stage depth {gen.depth} supplies at most "
                          f"{gen.depth} pieces; asked for {n}")
-    return [ClopenPiece(subset=X.restrict(lo, hi), cut_lo=lo, cut_hi=hi)
-            for lo, hi in _gap_cuts(X)[:n]]
+    return [_gap_piece(X, j) for j in range(n)]
 
 
-def _gap_cuts(X: CompactRealSet):
-    """The (cut_lo, cut_hi) pairs of :func:`clopen_small_pieces` on a
-    generator-backed X, all ``depth`` of them."""
+def _gap_piece(X: CompactRealSet, j: int) -> ClopenPiece:
+    """Piece j of :func:`clopen_small_pieces` on a generator-backed X: the
+    right branch of the leftmost level-j interval, of diameter L r^(j+1)."""
     gen = X.generator
     L = gen.hi - gen.lo
-    # m_j = lo + L r^{j-1} / 2 is the midpoint of the gap splitting the
-    # leftmost level-(j-1) interval; the m_j decrease toward inf X.
-    mids = [gen.lo + L * gen.ratio ** (j - 1) / 2 for j in range(1, gen.depth + 1)]
-    return [(mids[j], mids[j - 1] if j >= 1 else X.sup + 1) for j in range(gen.depth)]
+    # m_k = lo + L r^k / 2 is the midpoint of the gap splitting the leftmost
+    # level-k interval; the m_k decrease toward inf X.
+    lo = gen.lo + L * gen.ratio ** j / 2
+    hi = gen.lo + L * gen.ratio ** (j - 1) / 2 if j else X.sup + 1
+    return ClopenPiece(subset=X.restrict(lo, hi), cut_lo=lo, cut_hi=hi)
 
 
 def _first_small_piece(X: CompactRealSet, lip: float, budget: float):
     """The first of ``clopen_small_pieces(X, depth)`` (one piece when X has
-    an isolated point) with ``lip * diam < budget``, or None.  Each piece's
-    diameter is read off ``X.pieces()`` by bisecting at its cuts, so only
-    the chosen piece is built."""
+    an isolated point) with ``lip * diam < budget``, or None.  The diameters
+    L r^(j+1) come from the generator, exact, so only the chosen piece is
+    built."""
     if X.points:
         piece = _isolated_point_piece(X)
         return piece if lip * float(piece.diam) < budget else None
-    pieces = X.pieces()
-    for lo, hi in _gap_cuts(X):
-        first = pieces[bisect.bisect_left(pieces, lo, key=itemgetter(1))][0]
-        last = pieces[bisect.bisect_right(pieces, hi, key=itemgetter(0)) - 1][1]
-        if lip * float(last - first) < budget:
-            return ClopenPiece(subset=X.restrict(lo, hi), cut_lo=lo, cut_hi=hi)
+    gen = X.generator
+    diam = gen.hi - gen.lo
+    for j in range(gen.depth):
+        diam *= gen.ratio
+        if lip * float(diam) < budget:
+            return _gap_piece(X, j)
     return None
 
 
@@ -305,6 +321,9 @@ class PLFunction:
 
     breakpoints: tuple
     values: tuple
+    # the same data as read-only float and complex arrays, for evaluation
+    _b: np.ndarray = field(init=False, repr=False, compare=False)
+    _v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray([float(x) for x in self.breakpoints], dtype=float)
@@ -317,6 +336,9 @@ class PLFunction:
             raise ShapeMismatch("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))
         object.__setattr__(self, "values", tuple(complex(z) for z in v))
+        b.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_v", v)
         with np.errstate(over="ignore"):    # finite data whose slopes overflow
             if not math.isfinite(self.lipschitz()):
                 raise ValueError("slopes between breakpoints must be finite")
@@ -325,12 +347,11 @@ class PLFunction:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.size == 0:
             return np.empty(t_arr.shape, dtype=complex)
-        b = np.asarray(self.breakpoints)
+        b, v = self._b, self._v
         lo, hi = t_arr.min(), t_arr.max()
         if not (lo >= b[0] - 1e-12 and hi <= b[-1] + 1e-12):    # NaN fails too
             raise ShapeMismatch(f"evaluation on [{lo}, {hi}] outside "
                                 f"domain [{b[0]}, {b[-1]}]")
-        v = np.asarray(self.values)
         out = np.interp(t_arr, b, v.real) + 1j * np.interp(t_arr, b, v.imag)
         return out if np.ndim(t) else complex(out[0])
 
@@ -339,9 +360,7 @@ class PLFunction:
         return self.breakpoints[0], self.breakpoints[-1]
 
     def lipschitz(self) -> float:
-        b = np.asarray(self.breakpoints)
-        v = np.asarray(self.values)
-        return float(np.max(np.abs(np.diff(v)) / np.diff(b)))
+        return float(np.max(np.abs(np.diff(self._v)) / np.diff(self._b)))
 
     def sup_norm_on(self, X: CompactRealSet) -> float:
         """Exact sup of |f| over X: |f| is convex on each linear segment, so
@@ -351,7 +370,7 @@ class PLFunction:
         ends = _float_ends(X)
         if ends[0, 0] < lo - 1e-12 or ends[-1, 1] > hi + 1e-12:
             raise ShapeMismatch("X is not contained in the function's domain")
-        z, _, point = _knot_values(ends, self, self.breakpoints)
+        z, _, point = _knot_values(ends, self, self._b)
         return _max_modulus(z, point)
 
 
@@ -397,6 +416,8 @@ def pl_approximate(f, tol: float, lo=None, hi=None, max_refine: int = 18):
         return f
     if lo is None or hi is None:
         raise ShapeMismatch("sampling a callable needs lo and hi")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n = 17
     for _ in range(max_refine):
         t = np.linspace(float(lo), float(hi), n)
@@ -423,27 +444,40 @@ def _seg_dists(z, a, b):
                     np.imag(z) - (a.imag + s * ab.imag))
 
 
+# Entries (ring points x segments) per _seg_dists call of offrange_lambda,
+# whole rings at a time and at least one: 16 * 3**5 is the point count of a
+# ring in its last pass, so no call holds more entries than one such ring.
+_RING_ENTRIES = 16 * 3 ** 5
+
+
 def offrange_lambda(G: PLFunction, target: complex, tol: float):
     """A value lambda with ``|lambda - target| < tol`` strictly off the range
     of G, chosen deterministically to maximize clearance.
 
     The range of a PL function is a finite union of segments (measure zero),
     so candidates on rings around the target almost all work; the search
-    refines the rings a few times before giving up.
+    refines the rings a few times before giving up.  Each pass scores its
+    rings together, ``_RING_ENTRIES`` entries (or one ring) per distance call.
     Returns ``(lambda, clearance)``.
     """
     target = complex(target)
-    v = np.asarray(G.values)
+    if not (0.0 < tol < math.inf and cmath.isfinite(target)):
+        raise ValueError(f"need 0 < tol < inf and a finite target, got "
+                         f"tol={tol!r}, target={target!r}")
+    v = G._v
     best = (None, 0.0)
     n_ang, radii = 16, (0.9, 0.7, 0.5, 0.3)
     for _ in range(6):
-        for r in radii:
-            ang = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
-            z = target + tol * r * np.exp(1j * ang)
-            clear = _seg_dists(z[:, None], v[:-1], v[1:]).min(axis=1)
-            k = int(np.argmax(clear))   # first strict maximum of the ring
-            if clear[k] > best[1]:
-                best = (complex(z[k]), float(clear[k]))
+        ang = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
+        ring = np.exp(1j * ang)
+        step = max(1, _RING_ENTRIES // (n_ang * (len(v) - 1)))
+        for i in range(0, len(radii), step):
+            z = target + (tol * np.asarray(radii[i:i + step]))[:, None] * ring
+            clear = _seg_dists(z[:, :, None], v[:-1], v[1:]).min(axis=2)
+            for zr, cr in zip(z, clear):
+                k = int(np.argmax(cr))   # first strict maximum of the ring
+                if cr[k] > best[1]:
+                    best = (complex(zr[k]), float(cr[k]))
         if best[0] is not None and best[1] > 0.0:
             return best
         n_ang *= 3
@@ -484,7 +518,7 @@ def _nearest_in_piece(piece: ClopenPiece) -> Fraction:
 def _range_gap_outside(g: PLFunction, ends, piece: ClopenPiece,
                        lam: complex) -> float:
     """Exact distance from lam to g(X \\ piece), X given by its float ends."""
-    z, same, _ = _knot_values(ends, g, g.breakpoints,
+    z, same, _ = _knot_values(ends, g, g._b,
                               drop=(float(piece.cut_lo), float(piece.cut_hi)))
     return float(np.min(_seg_dists(lam, z[:-1][same], z[1:][same]), initial=math.inf))
 
@@ -521,8 +555,7 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
 
     f_lo, f_hi = map(float, piece.hull)
     cl, ch = float(piece.cut_lo), float(piece.cut_hi)
-    b = np.asarray(G.breakpoints)
-    v = np.asarray(G.values)
+    b, v = G._b, G._v
     left = b < cl
     right = b > ch
     nb, nv = [], []
@@ -549,7 +582,7 @@ def _sup_dist(g: PLFunction, f: PLFunction, ends) -> float:
     """Exact sup over X of |g - f| for PL g, f, given the float ends of X's
     pieces: the difference is linear between adjacent knots of either
     function, so its modulus peaks at a knot or an X-interval endpoint."""
-    knots = np.union1d(g.breakpoints, f.breakpoints)
+    knots = np.union1d(g._b, f._b)
     z, _, point = _knot_values(ends, lambda t: g(t) - f(t), knots)
     return _max_modulus(z, point)
 
@@ -564,8 +597,8 @@ def nondensity_witness(n: int):
     near the origin, and those crossings intersect: the range stays
     connected, so no nearby function has disconnected spectrum.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 intervals")
+    if not _is_count(n) or n < 1:
+        raise ValueError(f"need an integer n >= 1 of intervals, got {n!r}")
     X = CompactRealSet(intervals=tuple((2 * k, 2 * k + 1) for k in range(1, n + 1)))
     bps, vals = [], []
     for k in range(1, n + 1):
@@ -608,13 +641,14 @@ def range_components(g: PLFunction, X: CompactRealSet,
     lip = g.lipschitz()
     threshold = 3.0 * lip * resolution
     params = []
-    b = np.asarray(g.breakpoints)
+    b = g._b
     for fa, fc in _float_ends(X).tolist():
         if fa == fc:
             params.append(np.asarray([fa]))
             continue
         m = max(2, int(math.ceil((fc - fa) / resolution)) + 1)
-        params.append(np.union1d(np.linspace(fa, fc, m), b[(b > fa) & (b < fc)]))
+        grid, inner = np.linspace(fa, fc, m), b[(b > fa) & (b < fc)]
+        params.append(np.union1d(grid, inner) if len(inner) else grid)
 
     # One evaluation and one pooled tree instead of chain-pair queries: a
     # deep Cantor set yields thousands of two-sample chains.
@@ -673,7 +707,7 @@ def set_from_dict(data: dict) -> CompactRealSet:
     gen = data.get("generator")
     if gen is not None:
         c = gen["cantor"]
-        return CompactRealSet.cantor(depth=int(c["depth"]), ratio=_frac(c["ratio"]),
+        return CompactRealSet.cantor(depth=c["depth"], ratio=_frac(c["ratio"]),
                                      lo=_frac(c.get("lo", 0)), hi=_frac(c.get("hi", 1)))
     return CompactRealSet(
         intervals=tuple((_frac(a), _frac(b)) for a, b in data.get("intervals", [])),

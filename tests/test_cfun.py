@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specgap.cfun import (ClopenPiece, CompactRealSet, PLFunction, _float_ends,
-                          _nearest_in_piece, _range_gap_outside, _sup_dist,
-                          cfun_disconnect, clopen_small_pieces,
+from specgap.cfun import (_RING_ENTRIES, CantorGenerator, ClopenPiece,
+                          CompactRealSet, PLFunction, _first_small_piece,
+                          _float_ends, _nearest_in_piece, _range_gap_outside,
+                          _seg_dists, _sup_dist, cfun_disconnect, clopen_small_pieces,
                           is_finite_interval_union, nondensity_witness,
                           offrange_lambda, pl_approximate, pl_from_dict,
                           pl_to_dict, range_components, read_pl, read_set,
@@ -123,6 +124,11 @@ def test_cantor_stage_structure():
     assert all(b - a == Fraction(1, 27) for a, b in X.intervals)
     assert not is_finite_interval_union(X)
     assert is_finite_interval_union(CompactRealSet(intervals=((0, 1),)))
+    gen = CantorGenerator(depth=2, ratio="1/3")
+    for ivals, pts in ((((0, 1),), ()), (gen.stage_intervals()[1:], ()),
+                       (gen.stage_intervals(), (2,))):
+        with pytest.raises(ShapeMismatch, match="generator's stage"):
+            CompactRealSet(intervals=ivals, points=pts, generator=gen)
 
 
 def test_clopen_pieces_shrink_geometrically():
@@ -145,6 +151,23 @@ def test_isolated_point_pieces():
     pieces = clopen_small_pieces(X, 3)
     assert all(p.diam == 0 for p in pieces)
     assert all(p.subset.points == (Fraction(0),) for p in pieces)
+
+
+def test_depths_and_piece_counts_must_be_integers():
+    for bad in (2.5, True, 3.0, "3"):
+        with pytest.raises(ShapeMismatch, match="integer"):
+            CantorGenerator(depth=bad, ratio="1/3")
+        with pytest.raises(ShapeMismatch, match="integer"):
+            set_from_dict({"generator": {"cantor": {"depth": bad, "ratio": "1/3"}}})
+    gen = CantorGenerator(depth=np.int64(3), ratio="1/3")
+    assert type(gen.depth) is int and len(gen.stage_intervals()) == 8
+    X = CompactRealSet.cantor(depth=4, ratio="1/3")
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            clopen_small_pieces(X, bad)
+        with pytest.raises(ValueError, match="integer"):
+            nondensity_witness(bad)
+    assert len(clopen_small_pieces(X, np.int64(2))) == 2
 
 
 # -- PL functions ---------------------------------------------------------------
@@ -230,12 +253,64 @@ def test_pl_approximate_callable_and_passthrough():
     assert pl_approximate(f, tol=1e-6) is f
 
 
+def test_pl_approximate_refuses_bad_tol_before_sampling():
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return t * t
+
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            pl_approximate(fn, tol=bad, lo=0.0, hi=1.0)
+    assert calls == []
+
+
 def test_offrange_lambda_clears_the_range():
     G = PLFunction(breakpoints=(0.0, 1.0, 2.0), values=(-1.0, 0.0, 1.0))
     lam, clear = offrange_lambda(G, target=0.0, tol=0.1)
     assert abs(lam) < 0.1 and clear > 0.0
     assert abs(lam.imag) == pytest.approx(abs(lam.imag))  # off the real axis
     assert min(abs(lam - v) for v in (-1.0, 0.0, 1.0)) >= clear
+
+
+def test_offrange_lambda_guards():
+    G = PLFunction(breakpoints=(0.0, 1.0, 2.0), values=(-1.0, 0.0, 1.0))
+    for target, tol in ((0.0, 0.0), (0.0, -0.1), (0.0, math.nan), (0.0, math.inf),
+                        (complex(math.nan, 0.0), 0.1), (complex(0.0, math.inf), 0.1)):
+        with pytest.raises(ValueError, match="0 < tol < inf"):
+            offrange_lambda(G, target=target, tol=tol)
+
+
+def test_offrange_lambda_scores_a_pass_per_distance_call(monkeypatch):
+    """One distance call per refinement pass while the pass fits the entry
+    budget; a larger pass is split into whole rings, never more entries per
+    call than the budget or one ring."""
+    shapes = []
+
+    def counted(z, a, b):
+        shapes.append((z.shape[0], z.shape[1], len(a)))
+        return _seg_dists(z, a, b)
+
+    monkeypatch.setattr("specgap.cfun._seg_dists", counted)
+    G = PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0), values=(-1.0, 1j, 1.0, 2j))
+    offrange_lambda(G, target=G(0.5), tol=0.1)
+    assert shapes == [(4, 16, 3)]
+
+    # z rounds back to this target, which lies on the range: every pass runs
+    shapes.clear()
+    G = PLFunction(breakpoints=(0.0, 1.0), values=(1e20j, 2e20 + 1e20j))
+    with pytest.raises(ExhaustedSamples):
+        offrange_lambda(G, target=1e20 + 1e20j, tol=1e-6)
+    for p in range(6):
+        n_ang, n_rings = 16 * 3 ** p, 4 * 2 ** p
+        calls = [(k, n) for k, a, n in shapes if a == n_ang]
+        assert sum(k for k, _ in calls) == n_rings
+        if n_rings * n_ang <= _RING_ENTRIES:
+            assert len(calls) == 1
+        assert all(k * n_ang * n <= max(_RING_ENTRIES, n_ang * n) for k, n in calls)
+        assert all(k * n_ang * n <= 16 * 3 ** 5 * n for k, n in calls)   # one last-pass ring
+    assert len(shapes) == 1 + 1 + 1 + 4 + 22 + 128
 
 
 # -- the disconnection ----------------------------------------------------------
@@ -404,6 +479,11 @@ def _range_reference_cases():
     plateaus = PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0), values=(0.0, 0.0, 3.0, 3.0))
     yield "two-plateaus", plateaus, CompactRealSet(intervals=((0, Fraction(1, 2)),
                                                               (Fraction(5, 2), 3))), 1e-3
+    two = CompactRealSet(intervals=((0, Fraction(1, 2)), (Fraction(3, 4), 1)))
+    kinked = PLFunction(breakpoints=(0.0, 0.31234, 1.0), values=(0.0, 1j, 0.5))
+    yield "breakpoint-inside", kinked, two, 1e-2
+    ends = PLFunction(breakpoints=(0.0, 0.5, 0.75, 1.0), values=(0.0, 1j, 0.5, 0.5 + 1j))
+    yield "breakpoints-at-ends", ends, two, 1e-2
 
 
 @pytest.mark.parametrize("case", list(_range_reference_cases()), ids=lambda c: c[0])
@@ -469,6 +549,25 @@ def test_cantor_piece_partition_property(depth, ratio, seed):
     diams = [p.diam for p in pieces]
     assert diams == sorted(diams, reverse=True)
     assert diams[-1] <= X.diam * ratio ** (n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=9),
+       st.fractions(min_value=0, max_value="1/2", max_denominator=60),
+       st.fractions(min_value=-5, max_value=5, max_denominator=12),
+       st.fractions(min_value="1/7", max_value=9, max_denominator=12),
+       st.floats(min_value=0.0, max_value=50.0),
+       st.data())
+def test_first_small_piece_is_the_first_small_enough(depth, ratio, lo, length, lip, data):
+    """The closed-form diameters pick the same piece as building every
+    piece, with budgets at, just below and just above each piece's lip * diam."""
+    assume(0 < ratio < Fraction(1, 2))
+    X = CompactRealSet.cantor(depth=depth, ratio=ratio, lo=lo, hi=lo + length)
+    pieces = clopen_small_pieces(X, depth)
+    at = lip * float(data.draw(st.sampled_from(pieces)).diam)
+    for budget in (at, math.nextafter(at, -math.inf), math.nextafter(at, math.inf)):
+        want = next((p for p in pieces if lip * float(p.diam) < budget), None)
+        assert _first_small_piece(X, lip, budget) == want
 
 
 # -- bulk evaluation against per-piece references ---------------------------------

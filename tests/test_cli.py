@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from specgap.algebra import block_operator, write_operator
+from specgap.algebra import AlgebraSpec, block_operator, write_operator
 from specgap.cfun import CompactRealSet, PLFunction, write_pl, write_set
 from specgap.cli import main
 from specgap.norms import operator_norm_spec, write_norm_spec
+from specgap.perturb import certificate_from_dict
+from specgap.sampling import random_block_operator, rng_from_seed
 
 from conftest import make_spec
 
@@ -110,6 +112,31 @@ def test_riesz_command(capsys, tmp_path, op_file):
     assert payload["idem_residual"] < 1e-10
     assert payload["quadrature_deviation"] < 1e-10
     assert (tmp_path / "proj.json").exists()
+
+
+def test_riesz_on_the_circle_of_an_rr0_certificate(capsys, tmp_path):
+    """The circle (lambda + eps0, gap_achieved / 2) of a certificate can be
+    closer to the spectrum than the default exclusion, 0.05 * gap: riesz
+    refuses it unless --exclusion-dist is given (radius / 2, as the benchmark)."""
+    T = random_block_operator(AlgebraSpec(dims=(3, 4), tail="none"), rng_from_seed(5))
+    write_operator(T, tmp_path / "op.json")
+    code, payload, _ = run(capsys, "disconnect-rr0", "--operator", tmp_path / "op.json",
+                           "--eps", "0.1", "--output-dir", tmp_path, "--out", "cert.json")
+    assert code == 0
+    cert = certificate_from_dict(json.loads((tmp_path / "cert.json").read_text()))
+    write_operator(T + cert["X"], tmp_path / "split.json")
+    mu, radius = cert["lambda"] + cert["eps0"], payload["gap_achieved"] / 2.0
+    contour = ("riesz", "--operator", tmp_path / "split.json", "--center",
+               f"{mu.real!r},{mu.imag!r}", "--radius", repr(radius),
+               "--output-dir", tmp_path)
+    code, payload, err = run(capsys, *contour)
+    assert code == 1 and payload is None
+    assert err.startswith("ContourThroughSpectrum")
+    code, payload, _ = run(capsys, *contour, "--exclusion-dist", repr(radius / 2.0))
+    assert code == 0
+    assert payload["rank"] == 1
+    assert payload["idem_residual"] < 1e-10
+    assert payload["quadrature_deviation"] < 1e-10
 
 
 def test_domain_failure_exits_1(capsys, tmp_path, op_file):
@@ -236,6 +263,19 @@ def test_cfun_disconnect_too_shallow_stage_exits_1(capsys, tmp_path):
                              "--output-dir", tmp_path)
     assert code == 1 and payload is None
     assert err.startswith("StageTooShallow: no clopen piece is small enough")
+
+
+def test_cfun_disconnect_non_integer_depth_exits_1(capsys, tmp_path):
+    write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
+             tmp_path / "fn.json")
+    for depth in ("2.5", "true"):
+        (tmp_path / "set.json").write_text(
+            '{"generator":{"cantor":{"depth":%s,"ratio":"1/3"}}}\n' % depth)
+        code, payload, err = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
+                                 "--fn", tmp_path / "fn.json", "--eps", "0.1",
+                                 "--output-dir", tmp_path)
+        assert code == 1 and payload is None, depth
+        assert err.startswith("ShapeMismatch: cantor depth must be an integer"), err
 
 
 def test_cfun_disconnect_usage_failures_exit_2(capsys, tmp_path):
