@@ -24,8 +24,9 @@ range — the perturbed curves must still cross near the origin.
 Interval endpoints and isolated points are exact rationals
 (:class:`fractions.Fraction`), so gap midpoints, clopen cuts and piece
 diameters are computed without rounding; PL data is floating point.  Pieces
-stay sorted, so clopen cuts are exact ``Fraction`` bisections, and a
-certificate rounds the piece ends to floats once and evaluates each
+stay sorted, so clopen cuts are exact ``Fraction`` bisections; a Cantor
+stage is built from integers and its small pieces are runs of its indices.
+A certificate rounds the piece ends to floats once and evaluates each
 function once, at the knots of all pieces.
 """
 
@@ -44,7 +45,8 @@ from operator import itemgetter
 import numpy as np
 import scipy.spatial
 
-from .errors import ExhaustedSamples, FiniteUnion, ShapeMismatch, StageTooShallow
+from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, ShapeMismatch,
+                     StageTooShallow)
 from .spectral import link_components
 
 __all__ = [
@@ -122,16 +124,29 @@ class CantorGenerator:
             raise ShapeMismatch("cantor base interval is degenerate")
 
     def stage_intervals(self):
-        if self._stage is None:             # built once, on first use
-            segs = [(self.lo, self.hi)]
-            for _ in range(self.depth):
-                nxt = []
-                for a, b in segs:
-                    length = b - a
-                    nxt.append((a, a + self.ratio * length))
-                    nxt.append((b - self.ratio * length, b))
-                segs = nxt
-            object.__setattr__(self, "_stage", tuple(segs))
+        """The depth-d stage, built and validated once, on first use.
+
+        With ratio p/q and L = hi - lo, the ends are lo + L m / q^d for
+        integers m: a left end sums (q - p) p^i q^(d-1-i) over the levels i
+        that branch right, and every width is p^d.  The order checks run on
+        those integers; each end then becomes one ``Fraction``."""
+        if self._stage is None:
+            p, q, d = self.ratio.numerator, self.ratio.denominator, self.depth
+            lefts = [0]
+            for i in range(d):
+                step = (q - p) * p ** i * q ** (d - 1 - i)
+                lefts = [m + s for m in lefts for s in (0, step)]
+            width = p ** d
+            ends = [e for m in lefts for e in (m, m + width)]
+            if not all(a < b for a, b in zip(ends, ends[1:])):
+                raise ShapeMismatch("cantor stage pieces touch or overlap")
+            # lo = A / D and L = B / D over one denominator D
+            D = math.lcm(self.lo.denominator, self.hi.denominator)
+            A = self.lo.numerator * (D // self.lo.denominator)
+            B = self.hi.numerator * (D // self.hi.denominator) - A
+            base, den = A * q ** d, D * q ** d
+            ends = [Fraction(base + B * e, den) for e in ends]
+            object.__setattr__(self, "_stage", tuple(zip(ends[::2], ends[1::2])))
         return self._stage
 
 
@@ -149,6 +164,8 @@ class CompactRealSet:
     intervals: tuple = ()
     points: tuple = ()
     generator: CantorGenerator = None
+    # sorted; a point piece is (p, p) holding one object twice, an interval's
+    # ends are distinct objects, so ``a is b`` tells them apart
     _pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,12 +180,7 @@ class CompactRealSet:
                 ivals.append((a, b))
         pts.extend(_frac(p) for p in self.points)
         ivals.sort()
-        object.__setattr__(self, "intervals", tuple(ivals))
-        object.__setattr__(self, "points", tuple(sorted(set(pts))))
-        pieces = tuple(heapq.merge(self.intervals, ((p, p) for p in self.points)))
-        object.__setattr__(self, "_pieces", pieces)
-        if not pieces:
-            raise ShapeMismatch("the empty set is not a compact subset here")
+        pieces = tuple(heapq.merge(ivals, ((p, p) for p in sorted(set(pts)))))
         for (a1, b1), (a2, b2) in zip(pieces, pieces[1:]):
             if a2 <= b1:
                 raise ShapeMismatch(
@@ -177,14 +189,31 @@ class CompactRealSet:
             stage = self.generator.stage_intervals()
             if pieces != stage:
                 raise ShapeMismatch("a generator-backed set must be its generator's stage")
-            for name in ("intervals", "_pieces"):   # shared, not copied
-                object.__setattr__(self, name, stage)
+            pieces = stage                  # shared, not copied
+        self._assign(pieces, self.generator)
+
+    @classmethod
+    def _of_pieces(cls, pieces: tuple, generator=None) -> "CompactRealSet":
+        """The set made of ``pieces``, which are already exact, sorted and
+        separated (a generator's stage, or a run of another set's pieces):
+        nothing is checked again, and the pieces are shared, not copied."""
+        X = object.__new__(cls)
+        X._assign(pieces, generator)
+        return X
+
+    def _assign(self, pieces: tuple, generator) -> None:
+        if not pieces:
+            raise ShapeMismatch("the empty set is not a compact subset here")
+        points = tuple(a for a, b in pieces if a is b)
+        intervals = tuple(ab for ab in pieces if ab[0] is not ab[1]) if points else pieces
+        for name, value in (("intervals", intervals), ("points", points),
+                            ("generator", generator), ("_pieces", pieces)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def cantor(cls, depth: int, ratio, lo=0, hi=1) -> "CompactRealSet":
-        gen = CantorGenerator(depth=depth, ratio=_frac(ratio),
-                              lo=_frac(lo), hi=_frac(hi))
-        return cls(intervals=gen.stage_intervals(), generator=gen)
+        gen = CantorGenerator(depth=depth, ratio=ratio, lo=lo, hi=hi)
+        return cls._of_pieces(gen.stage_intervals(), gen)
 
     @property
     def inf(self) -> Fraction:
@@ -221,7 +250,7 @@ class CompactRealSet:
         for a, b in kept[:1] + kept[-1:]:
             if a < lo or b > hi:
                 raise ShapeMismatch(f"cut [{lo},{hi}] slices piece [{a},{b}]")
-        return CompactRealSet(intervals=kept)
+        return CompactRealSet._of_pieces(kept)
 
 
 def is_finite_interval_union(X: CompactRealSet) -> bool:
@@ -285,14 +314,17 @@ def clopen_small_pieces(X: CompactRealSet, n: int):
 
 def _gap_piece(X: CompactRealSet, j: int) -> ClopenPiece:
     """Piece j of :func:`clopen_small_pieces` on a generator-backed X: the
-    right branch of the leftmost level-j interval, of diameter L r^(j+1)."""
+    right branch of the leftmost level-j interval, of diameter L r^(j+1).
+    That branch is the run of stage indices [2^(d-j-1), 2^(d-j))."""
     gen = X.generator
     L = gen.hi - gen.lo
     # m_k = lo + L r^k / 2 is the midpoint of the gap splitting the leftmost
     # level-k interval; the m_k decrease toward inf X.
     lo = gen.lo + L * gen.ratio ** j / 2
     hi = gen.lo + L * gen.ratio ** (j - 1) / 2 if j else X.sup + 1
-    return ClopenPiece(subset=X.restrict(lo, hi), cut_lo=lo, cut_hi=hi)
+    half = 1 << (gen.depth - j - 1)
+    return ClopenPiece(subset=CompactRealSet._of_pieces(X.pieces()[half:2 * half]),
+                       cut_lo=lo, cut_hi=hi)
 
 
 def _first_small_piece(X: CompactRealSet, lip: float, budget: float):
@@ -363,9 +395,10 @@ class PLFunction:
         return float(np.max(np.abs(np.diff(self._v)) / np.diff(self._b)))
 
     def sup_norm_on(self, X: CompactRealSet) -> float:
-        """Exact sup of |f| over X: |f| is convex on each linear segment, so
-        the max over an interval is attained at a breakpoint or an interval
-        endpoint — all of which are evaluated (in one call), none sampled."""
+        """Sup of |f| over X: |f| is convex on each linear segment, so the
+        max over an interval is attained at a breakpoint or an interval
+        endpoint — all of which are evaluated (in one float call), none
+        sampled."""
         lo, hi = self.domain
         ends = _float_ends(X)
         if ends[0, 0] < lo - 1e-12 or ends[-1, 1] > hi + 1e-12:
@@ -491,8 +524,8 @@ def offrange_lambda(G: PLFunction, target: complex, tol: float):
 @dataclass(frozen=True)
 class CfunDisconnectResult:
     """g plus its audit trail: the clopen piece, the isolated value, the
-    exact sup distance to f over X, and the gap isolating {lambda} from the
-    rest of the range of g."""
+    sup distance to f over X (taken at every knot, in floats), and the gap
+    isolating {lambda} from the rest of the range of g."""
 
     g: PLFunction
     lam: complex
@@ -517,7 +550,8 @@ def _nearest_in_piece(piece: ClopenPiece) -> Fraction:
 
 def _range_gap_outside(g: PLFunction, ends, piece: ClopenPiece,
                        lam: complex) -> float:
-    """Exact distance from lam to g(X \\ piece), X given by its float ends."""
+    """Distance from lam to g(X \\ piece), X given by its float ends: the
+    segments between knots are exact, the float arithmetic on them is not."""
     z, same, _ = _knot_values(ends, g, g._b,
                               drop=(float(piece.cut_lo), float(piece.cut_hi)))
     return float(np.min(_seg_dists(lam, z[:-1][same], z[1:][same]), initial=math.inf))
@@ -529,9 +563,10 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
     Requires X not a finite union of intervals (and more than one point).
     The output g equals an off-range value lambda on one small clopen piece
     of X and equals f elsewhere on X, with the crossover interpolated
-    through the gaps around the piece; ``||g - f||_inf`` over X is computed
-    exactly from the PL data and certified < eps, and {lambda} sits at the
-    returned positive distance from the rest of the range.
+    through the gaps around the piece; ``||g - f||_inf`` over X is taken at
+    every knot of the PL data, in floats, and checked < eps, and {lambda}
+    sits at the returned positive distance from the rest of the range; a
+    failed check raises :class:`ConvergenceFailure`.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -572,16 +607,20 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
 
     sup_dist = _sup_dist(g, f, ends)
     range_gap = _range_gap_outside(g, ends, piece, lam)
-    assert sup_dist < eps and range_gap > 0.0
+    if not sup_dist < eps:
+        raise ConvergenceFailure(f"sup|g - f| = {sup_dist} failed the < eps={eps} bound")
+    if not range_gap > 0.0:
+        raise ConvergenceFailure(f"lambda = {lam} touches g(X \\ piece): gap {range_gap}")
     return CfunDisconnectResult(g=g, lam=lam, t0=t0, piece=piece,
                                 sup_dist=sup_dist, range_gap=range_gap,
                                 lam_clearance=clearance)
 
 
 def _sup_dist(g: PLFunction, f: PLFunction, ends) -> float:
-    """Exact sup over X of |g - f| for PL g, f, given the float ends of X's
+    """Sup over X of |g - f| for PL g, f, given the float ends of X's
     pieces: the difference is linear between adjacent knots of either
-    function, so its modulus peaks at a knot or an X-interval endpoint."""
+    function, so its modulus peaks at a knot or an X-interval endpoint.  The
+    knots are exact; the values there are rounded float arithmetic."""
     knots = np.union1d(g._b, f._b)
     z, _, point = _knot_values(ends, lambda t: g(t) - f(t), knots)
     return _max_modulus(z, point)
@@ -704,14 +743,18 @@ def set_to_dict(X: CompactRealSet) -> dict:
 
 
 def set_from_dict(data: dict) -> CompactRealSet:
+    """Read a set; with a generator and neither "intervals" nor "points", the
+    generator's stage.  Pieces written beside a generator must be its stage."""
     gen = data.get("generator")
     if gen is not None:
         c = gen["cantor"]
-        return CompactRealSet.cantor(depth=c["depth"], ratio=_frac(c["ratio"]),
-                                     lo=_frac(c.get("lo", 0)), hi=_frac(c.get("hi", 1)))
+        gen = CantorGenerator(depth=c["depth"], ratio=c["ratio"],
+                              lo=c.get("lo", 0), hi=c.get("hi", 1))
+        if "intervals" not in data and "points" not in data:
+            return CompactRealSet._of_pieces(gen.stage_intervals(), gen)
     return CompactRealSet(
         intervals=tuple((_frac(a), _frac(b)) for a, b in data.get("intervals", [])),
-        points=tuple(_frac(p) for p in data.get("points", [])))
+        points=tuple(_frac(p) for p in data.get("points", [])), generator=gen)
 
 
 def write_set(X: CompactRealSet, path):

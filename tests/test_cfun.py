@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from specgap.cfun import (_RING_ENTRIES, CantorGenerator, ClopenPiece,
                           CompactRealSet, PLFunction, _first_small_piece,
-                          _float_ends, _nearest_in_piece, _range_gap_outside,
+                          _float_ends, _gap_piece, _nearest_in_piece, _range_gap_outside,
                           _seg_dists, _sup_dist, cfun_disconnect, clopen_small_pieces,
                           is_finite_interval_union, nondensity_witness,
                           offrange_lambda, pl_approximate, pl_from_dict,
                           pl_to_dict, range_components, read_pl, read_set,
                           set_from_dict, set_to_dict, write_pl, write_set)
-from specgap.errors import ExhaustedSamples, FiniteUnion, ShapeMismatch
+from specgap.errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion,
+                            ShapeMismatch, SpecgapError)
 from specgap.sampling import rng_from_seed
 from specgap.spectral import link_components
 
@@ -168,6 +169,88 @@ def test_depths_and_piece_counts_must_be_integers():
         with pytest.raises(ValueError, match="integer"):
             nondensity_witness(bad)
     assert len(clopen_small_pieces(X, np.int64(2))) == 2
+
+
+def _stages_by_recursion(ratio, lo, hi, depth):
+    """Reference: stages 1..depth by splitting every interval in Fractions."""
+    segs, stages = [(lo, hi)], []
+    for _ in range(depth):
+        segs = [ab for a, b in segs
+                for ab in ((a, a + ratio * (b - a)), (b - ratio * (b - a), b))]
+        stages.append(tuple(segs))
+    return stages
+
+
+STAGE_RATIOS = (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7))
+STAGE_BASES = ((Fraction(0), Fraction(1)), (Fraction(-3, 2), Fraction(2, 7)),
+               (Fraction(-5), Fraction(-1, 3)), (Fraction(1, 10), Fraction(7, 3)))
+
+
+@pytest.mark.parametrize("ratio", STAGE_RATIOS)
+@pytest.mark.parametrize("lo, hi", STAGE_BASES)
+def test_integer_stage_matches_fraction_recursion(ratio, lo, hi):
+    for depth, want in enumerate(_stages_by_recursion(ratio, lo, hi, 12), start=1):
+        stage = CantorGenerator(depth=depth, ratio=ratio, lo=lo, hi=hi).stage_intervals()
+        assert stage == want, depth
+        assert all(type(x.numerator) is int for ab in stage for x in ab)
+
+
+@pytest.mark.parametrize("ratio", STAGE_RATIOS)
+@pytest.mark.parametrize("lo, hi", STAGE_BASES[:2])
+def test_derived_sets_equal_validated_ones(ratio, lo, hi):
+    """Sets built without re-validation equal the validating constructor's:
+    the stage, every gap piece (also the restriction at its cuts) and
+    restrictions of a set with points."""
+    def same(Y, Z):
+        assert Y == Z and Y.pieces() == Z.pieces()
+
+    for depth in (1, 2, 5, 9):
+        X = CompactRealSet.cantor(depth=depth, ratio=ratio, lo=lo, hi=hi)
+        same(X, CompactRealSet(intervals=X.intervals, generator=X.generator))
+        for j, piece in enumerate(clopen_small_pieces(X, depth)):
+            assert piece == _gap_piece(X, j)
+            same(piece.subset, X.restrict(piece.cut_lo, piece.cut_hi))
+            same(piece.subset, CompactRealSet(intervals=piece.subset.intervals))
+        W = CompactRealSet(intervals=X.intervals[1:], points=(lo - 1, hi + 1))
+        for cut_lo, cut_hi in ((lo - 2, hi + 2), (lo - 1, W.intervals[0][1]),
+                               (piece.cut_lo, hi + 1), (hi + 1, hi + 1)):
+            Y = W.restrict(cut_lo, cut_hi)
+            same(Y, CompactRealSet(intervals=Y.intervals, points=Y.points))
+    # a set tagged with another generator's stage is still refused
+    other = CantorGenerator(depth=3, ratio=Fraction(1, 4), lo=lo, hi=hi)
+    with pytest.raises(ShapeMismatch, match="generator's stage"):
+        CompactRealSet(intervals=other.stage_intervals(), generator=X.generator)
+
+
+def test_stage_and_pieces_make_no_fraction_comparison_per_piece(monkeypatch):
+    """Building a stage and cutting its small pieces compares Fractions a
+    fixed number of times (the generator's range checks), whatever the depth."""
+    calls = []
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        def counted(a, b, _cmp=getattr(Fraction, name)):
+            calls.append(1)
+            return _cmp(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+
+    def comparisons(depth):
+        calls.clear()
+        clopen_small_pieces(CompactRealSet.cantor(depth, Fraction(1, 3)), depth)
+        return len(calls)
+
+    assert comparisons(4) == comparisons(10)
+
+
+def test_set_from_dict_refuses_pieces_off_the_stage():
+    cantor = {"depth": 3, "ratio": "1/3", "lo": 0, "hi": 1}
+    X = CompactRealSet.cantor(depth=3, ratio="1/3")
+    for data in ({"intervals": [[0, 0.1], [0.9, 1]], "points": [5]},
+                 {"intervals": set_to_dict(X)["intervals"][1:]},
+                 {"intervals": set_to_dict(X)["intervals"], "points": [5]},
+                 {"intervals": [], "points": []}):
+        with pytest.raises(ShapeMismatch, match="generator's stage"):
+            set_from_dict({**data, "generator": {"cantor": cantor}})
+    assert set_from_dict({"generator": {"cantor": cantor}}) == X
+    assert set_from_dict({**set_to_dict(X), "points": []}) == X
 
 
 # -- PL functions ---------------------------------------------------------------
@@ -391,6 +474,20 @@ def test_cfun_disconnect_guards():
     off_domain = CompactRealSet.cantor(depth=4, ratio="1/3", lo=5, hi=6)
     with pytest.raises(ShapeMismatch):
         cfun_disconnect(off_domain, f, eps=0.1)
+
+
+@pytest.mark.parametrize("name, value", [("_sup_dist", lambda eps: eps),
+                                         ("_range_gap_outside", lambda eps: 0.0)])
+def test_cfun_disconnect_raises_when_its_own_check_fails(monkeypatch, name, value):
+    """The certificate's bounds are checked by a raise, not an assert that
+    ``python -O`` strips."""
+    eps = 0.05
+    monkeypatch.setattr(f"specgap.cfun.{name}", lambda *args: value(eps))
+    X = CompactRealSet.cantor(depth=8, ratio="1/3")
+    f = PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0))
+    with pytest.raises(ConvergenceFailure) as info:
+        cfun_disconnect(X, f, eps=eps)
+    assert isinstance(info.value, SpecgapError)
 
 
 # -- the nondensity witness ------------------------------------------------------

@@ -278,6 +278,26 @@ def test_cfun_disconnect_non_integer_depth_exits_1(capsys, tmp_path):
         assert err.startswith("ShapeMismatch: cantor depth must be an integer"), err
 
 
+def test_cfun_disconnect_set_off_its_stage_exits_1(capsys, tmp_path):
+    write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
+             tmp_path / "fn.json")
+    (tmp_path / "set.json").write_text(
+        '{"intervals":[[0,0.1],[0.9,1]],"points":[5],'
+        '"generator":{"cantor":{"depth":3,"ratio":"1/3","lo":0,"hi":1}}}\n')
+    code, payload, err = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
+                             "--fn", tmp_path / "fn.json", "--eps", "0.1",
+                             "--output-dir", tmp_path)
+    assert code == 1 and payload is None
+    assert err.startswith("ShapeMismatch: a generator-backed set must be its "
+                          "generator's stage"), err
+    # the file the writer makes for that stage reads back
+    write_set(CompactRealSet.cantor(depth=3, ratio="1/3"), tmp_path / "set.json")
+    code, payload, _ = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
+                           "--fn", tmp_path / "fn.json", "--eps", "0.5",
+                           "--output-dir", tmp_path)
+    assert code == 0 and payload["sup_dist"] < 0.5
+
+
 def test_cfun_disconnect_usage_failures_exit_2(capsys, tmp_path):
     write_set(CompactRealSet.cantor(depth=6, ratio="1/3"), tmp_path / "set.json")
     write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
