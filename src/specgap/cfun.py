@@ -43,7 +43,6 @@ from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
-import scipy.spatial
 
 from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, ShapeMismatch,
                      StageTooShallow)
@@ -695,6 +694,7 @@ def range_components(g: PLFunction, X: CompactRealSet,
     n_chains = len(params)
     if n_chains == 1:
         return RangeReport(1, math.inf, threshold, resolution, len(pooled))
+    import scipy.spatial    # here, after the one-chain return: only trees need it
     owner = np.repeat(np.arange(n_chains), [len(t) for t in params])
     xy = np.column_stack([pooled.real, pooled.imag])
     # sliding-midpoint splits (Maneewongvatana & Mount, 1999) build faster

@@ -292,5 +292,8 @@ def verify_idempotent(P: BlockOperator, T: BlockOperator) -> IdempotentReport:
         comm.append(0.0 if zero else np.linalg.norm(p @ t - t @ p, 2))
         tr += np.trace(p)
     rank = int(round(tr.real))
+    # the structure, not P.total_dim: a FactoredIdempotent would build its
+    # dense blocks again for the dimensions
+    dim = sum(n for _, n in P.structure())
     return IdempotentReport(idem_residual=float(max(idem)), commutator=float(max(comm)),
-                            rank=rank, corank=P.total_dim - rank)
+                            rank=rank, corank=dim - rank)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.spatial
 
 from .algebra import BlockOperator
 from .errors import ConvergenceFailure, EmptySpectralWindow
@@ -100,8 +99,15 @@ def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:
     """Single-linkage cluster labels: points within ``threshold`` link up.
 
     The KD-tree's squared distances round differently from ``|z - w|``, so it
-    is queried slightly wider and ``|z - w| <= threshold`` decides each pair."""
+    is queried slightly wider and ``|z - w| <= threshold`` decides each pair.
+    Points must be finite and ``threshold`` a number >= 0 (0 links equal
+    points only); anything else raises ``ValueError``."""
     pts = np.asarray(points, dtype=complex)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite (no NaN or inf)")
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be a number >= 0, got {threshold!r}")
+    import scipy.spatial    # not at module top: pseudospectra never cluster
     tree = scipy.spatial.cKDTree(np.column_stack([pts.real, pts.imag]))
     pairs = tree.query_pairs(threshold * (1.0 + 1e-9), output_type="ndarray")
     pairs = pairs[np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]]) <= threshold]
@@ -367,10 +373,15 @@ def _lanczos(blk: _SchurBlock, z: np.ndarray, reorth: bool):
     beta = np.zeros(m)
     theta = np.zeros(m)
     weight = np.ones(m)
-    alphas = np.empty((n, m))
-    betas = np.empty((n, m))
+    # most points settle in 10-20 steps: grow the step rows by doubling
+    alphas = np.empty((min(n, 16), m))
+    betas = np.empty_like(alphas)
     basis = np.empty((m, n, n), dtype=complex) if reorth else None   # conj(q_j[i])
     for k in range(n):
+        if k == len(alphas):
+            rows = min(n, 2 * k)
+            alphas = np.concatenate([alphas, np.empty((rows - k, len(idx)))])
+            betas = np.concatenate([betas, np.empty((rows - k, len(idx)))])
         # y = (R - z)^{-*} q solves the conjugate system (R - z)^T conj(y) =
         # conj(q), and (R - z)^T with rows and columns reversed is G - z
         w = _substitute(blk.G, inv[::-1], q[::-1].conj())   # conj(y) reversed

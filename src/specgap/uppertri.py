@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .algebra import BlockOperator
 from .errors import ShapeMismatch
@@ -107,6 +106,7 @@ def ut_inclusion_check(b: UTBlock, tol: float = 1e-7) -> UTInclusionReport:
     dist = np.abs(sig_T[:, None] - sig_union[None, :])
     forward = float(dist.min(axis=1).max())
     reverse = float(dist.min(axis=0).max())
+    import scipy.optimize   # here, not at module top: nothing else needs it
     rows, cols = scipy.optimize.linear_sum_assignment(dist)
     matched = float(dist[rows, cols].max())
     return UTInclusionReport(forward=forward, reverse=reverse, matched=matched,

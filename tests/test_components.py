@@ -69,3 +69,17 @@ def test_bench_trace_targets_exist():
     for key, targets in tracing.TARGETS.items():
         for owner, name in targets:
             assert hasattr(owner, name), f"{key}: {owner!r} has no {name!r}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_cluster_points_rejects_non_finite_points(bad):
+    for cluster in (cluster_points, spectrum_components):
+        with pytest.raises(ValueError, match="points must be finite"):
+            cluster([0.0, bad, 1.0], 0.5)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, -1e-300, -1.0])
+def test_cluster_points_rejects_nan_or_negative_threshold(threshold):
+    for cluster in (cluster_points, spectrum_components):
+        with pytest.raises(ValueError, match="threshold must be"):
+            cluster([0.0, 1.0], threshold)

@@ -1,0 +1,72 @@
+"""scipy.optimize and scipy.spatial load only in the functions that call them.
+
+Each check runs in a fresh interpreter, since the test process may have
+loaded both already."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import specgap
+from specgap.cfun import CompactRealSet, PLFunction, range_components
+from specgap.spectral import spectrum_components
+from specgap.uppertri import shift_example, ut_inclusion_check
+
+SRC = str(pathlib.Path(specgap.__file__).resolve().parent.parent)
+
+SCRIPT = r"""
+import json, sys
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules)
+
+out = {}
+import specgap, specgap.cli
+out["import"] = loaded()
+from specgap.algebra import block_operator
+from specgap.spectral import GridSpec, pseudospectrum_grid
+T = block_operator([(0, [[0.0, 1.0], [0.0, 0.0]]), (1, [[2.0]])])
+pseudospectrum_grid(T, 0.1, GridSpec(-1.0, 3.0, -1.0, 1.0, 9, 5))
+out["pseudospectrum"] = loaded()
+from specgap.spectral import spectrum_components
+out["components"] = repr(spectrum_components([0.0, 0.05, 3.0], 0.1))
+out["after_components"] = loaded()
+from specgap.cfun import CompactRealSet, PLFunction, range_components
+X = CompactRealSet(intervals=((0, 1), (2, 3)))
+g = PLFunction(breakpoints=(0.0, 3.0), values=(0.0, 3.0))
+out["range"] = repr(range_components(g, X))
+from specgap.uppertri import shift_example, ut_inclusion_check
+out["ut"] = repr(ut_inclusion_check(shift_example(8)[1]))
+out["after_all"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def run_fresh():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(proc.stdout)
+
+
+def test_scipy_optimize_and_spatial_load_only_where_called():
+    out = run_fresh()
+    assert out["import"] == []
+    assert out["pseudospectrum"] == []
+    assert out["after_components"] == ["scipy.spatial"]
+    assert out["after_all"] == ["scipy.optimize", "scipy.spatial"]
+
+    # and the lazily importing functions return what they return here
+    rep = spectrum_components([0.0, 0.05, 3.0], 0.1)
+    assert rep.labels == (0, 0, 1)
+    assert out["components"] == repr(rep)
+    X = CompactRealSet(intervals=((0, 1), (2, 3)))
+    g = PLFunction(breakpoints=(0.0, 3.0), values=(0.0, 3.0))
+    ranges = range_components(g, X)
+    assert ranges.n_components == 2
+    assert out["range"] == repr(ranges)
+    assert out["ut"] == repr(ut_inclusion_check(shift_example(8)[1]))

@@ -247,3 +247,18 @@ def test_factored_form_is_small_and_exact(rng):
     sdim = scipy.linalg.schur(T.block(0), output="complex", sort=contour.encloses)[2]
     assert k == sdim
     assert verify_idempotent(P, T).rank == sdim
+
+
+def test_verify_idempotent_builds_factored_blocks_once(rng, monkeypatch):
+    T = clustered_operator(rng)
+    T = block_operator(list(T.summands) + [(1, np.diag([0.0, 5.0]))])
+    P = riesz_idempotent(T, circle(0.0, 1.0))
+    dense = block_operator(list(P.summands))
+    built = []
+    dense_block = riesz._dense_block
+    monkeypatch.setattr(riesz, "_dense_block",
+                        lambda *a: built.append(a[:2]) or dense_block(*a))
+    rep = verify_idempotent(P, T)
+    assert built == [(5, 3), (2, 1)]
+    assert rep == verify_idempotent(dense, T)
+    assert (rep.rank, rep.corank) == (4, 3)
