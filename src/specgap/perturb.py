@@ -33,9 +33,14 @@ as stored.  A budget below the round-off in ``sigma_min(T - lambda)`` raises
 The split is certified by ``s = min(sigma_min(C - mu), sigma_min(T_j - mu)
 for j != k)``, a lower bound on the distance from ``mu`` to the rest of
 ``sigma(T + X)``.  A certificate is issued only when ``s`` exceeds its
-rounding bound ``10 n u (||T|| + |mu|)`` (``n`` the total dimension, ``u``
-the unit round-off).  The single-linkage component reports of ``sigma(T)``
-and of ``sigma(T + X)`` ride along for inspection.
+rounding bound ``10 n u (max_j ||T_j||_F + |mu|)`` (``n`` the total
+dimension, ``u`` the unit round-off).  The Frobenius norm bounds each
+``||T_j||_2`` from above at no factorization, so the bound is never below
+the one with ``||T||``.  The single-linkage component reports of
+``sigma(T)`` and of ``sigma(T + X)`` ride along for inspection; they cluster
+at ``min(eps0 / 4, d / 2)``, with ``d`` the distance from ``mu`` to the
+spectrum of ``T`` without one copy of ``lambda``, so ``mu`` is its own
+component even beside a twin of ``lambda``.
 
 `counterexample_operator` builds the opposite phenomenon: with weights
 doubling per summand (so the sup-inf constant is infinite), no small
@@ -103,9 +108,8 @@ __all__ = [
     "write_certificate",
 ]
 
-LAMBDA_TOL = 1e-8          # distances to mu below this count as mu itself
 DELTA_FACTOR = 1e-3        # the budget for phi((T - lambda) E) is eps0 * this
-SEPARATION_FACTOR = 10.0   # s must exceed this * n * u * (||T|| + |mu|)
+SEPARATION_FACTOR = 10.0   # s must exceed this * n * u * (max ||T_j||_F + |mu|)
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
@@ -129,7 +133,9 @@ class PerturbationCertificate:
     up to round-off.  ``X`` is rebuilt on access and ``E`` is the projection
     with factor ``v``, so a certificate holds two vectors, not two operators.
     ``components_after`` clusters ``sigma(T + X)``: ``mu``, the block's
-    other eigenvalues and the other blocks' spectra.
+    other eigenvalues and the other blocks' spectra.  ``separation_bound``
+    is ``10 n u (max_j ||T_j||_F + |mu|)``, the rounding error that
+    ``separation`` must exceed.
     """
 
     summand: int
@@ -203,20 +209,23 @@ def _build_certificate(T, spec, eps, eps0, route):
     separation = min(float(np.linalg.svd(c - mu * np.eye(c.shape[0]),
                                          compute_uv=False)[-1])
                      for c in C if c.size)
-    t_norm = float(T.norm())
-    bound = SEPARATION_FACTOR * T.total_dim * _UNIT_ROUNDOFF * (t_norm + abs(mu))
+    # ||T_j||_F >= ||T_j||_2 without an SVD; BLAS nrm2 scales its sum of
+    # squares, so a block of entries near 1e200 does not overflow to inf
+    t_fro = max(float(scipy.linalg.norm(b.ravel(), check_finite=False))
+                for _, b in T.summands)
+    bound = SEPARATION_FACTOR * T.total_dim * _UNIT_ROUNDOFF * (t_fro + abs(mu))
     if not separation > bound:
         raise ConvergenceFailure(
             f"sigma_min(C - mu) = {separation:.3e} does not exceed its rounding "
             f"bound {bound:.3e}; the split at mu = lambda + eps0 is not certified")
 
-    e = spectra[k]
-    spectra[k] = np.concatenate(([mu], np.delete(e, np.flatnonzero(e == lam)[0])))
+    # d is mu's distance to sigma(T) without one lambda, so a twin of lambda
+    # counts; the total dimension is >= 2, so that set is not empty
+    spectra[k] = np.delete(spectra[k], np.flatnonzero(spectra[k] == lam)[0])
+    d = float(np.abs(np.concatenate(spectra) - mu).min())
+    threshold = min(eps0 / 4.0, d / 2.0)
+    spectra[k] = np.concatenate(([mu], spectra[k]))
     after = pool_spectra(spectra)
-    others = np.abs(after - mu)
-    others = others[others > max(LAMBDA_TOL, 1e-12 * max(t_norm, 1.0))]
-    d = float(others.min()) if others.size else math.inf
-    threshold = max(1e-8, min(eps0 / 4.0, d / 2.0))
     comp_after = spectrum_components(after, threshold)
     comp_before = spectrum_components(ev, threshold)
     return PerturbationCertificate(

@@ -6,7 +6,9 @@ union over blocks.  Spectra of finite matrices are finite sets, so
 threshold, and the boundary of the spectrum is the spectrum itself (the
 finite-dimensional surrogate used throughout this package).
 Clustering is one union-find, :func:`link_components`, over the point pairs
-a KD-tree finds within the threshold; ``cfun.range_components`` shares it.
+within the threshold; ``cfun.range_components`` shares it.  Spectra are
+small, so those pairs come from the full matrix of distances, which also
+gives a spectrum report its gap.
 
 A pseudospectrum grid factors each block once, to its complex Schur form R,
 and finds sigma_min(R - z) for many grid points at a time by inverse
@@ -95,11 +97,9 @@ def link_components(n: int, pairs) -> list:
     return [first.setdefault(find(i), len(first)) for i in range(n)]
 
 
-def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:
-    """Single-linkage cluster labels: points within ``threshold`` link up.
-
-    The KD-tree's squared distances round differently from ``|z - w|``, so it
-    is queried slightly wider and ``|z - w| <= threshold`` decides each pair.
+def _single_linkage(points, threshold: float):
+    """``points`` as a complex array, their ``|z_i - z_j|`` matrix and their
+    single-linkage labels: the pairs with ``|z - w| <= threshold`` link up.
     Points must be finite and ``threshold`` a number >= 0 (0 links equal
     points only); anything else raises ``ValueError``."""
     pts = np.asarray(points, dtype=complex)
@@ -107,11 +107,20 @@ def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:
         raise ValueError("points must be finite (no NaN or inf)")
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be a number >= 0, got {threshold!r}")
-    import scipy.spatial    # not at module top: pseudospectra never cluster
-    tree = scipy.spatial.cKDTree(np.column_stack([pts.real, pts.imag]))
-    pairs = tree.query_pairs(threshold * (1.0 + 1e-9), output_type="ndarray")
-    pairs = pairs[np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]]) <= threshold]
-    return np.array(link_components(len(pts), pairs.tolist()), dtype=int)
+    n = len(pts)
+    dist = np.abs(pts[:, None] - pts[None, :])
+    # flat indices: np.nonzero of a 2-D mask is several times slower
+    i, j = np.divmod(np.flatnonzero(dist <= threshold), n)
+    pairs = zip(i[i < j].tolist(), j[i < j].tolist())
+    labels = np.array(link_components(n, pairs), dtype=int)
+    return pts, dist, labels
+
+
+def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:
+    """Single-linkage cluster labels: points within ``threshold`` link up.
+    Points must be finite and ``threshold`` a number >= 0 (0 links equal
+    points only); anything else raises ``ValueError``."""
+    return _single_linkage(points, threshold)[2]
 
 
 @dataclass(frozen=True)
@@ -137,17 +146,15 @@ class SpectrumReport:
 
 
 def spectrum_components(points, threshold: float) -> SpectrumReport:
-    """Cluster spectrum points at a threshold; >= 2 clusters means disconnected."""
-    pts = np.asarray(points, dtype=complex)
-    if pts.size == 0:
+    """Cluster spectrum points at a threshold; >= 2 clusters means disconnected.
+
+    The labels are those of :func:`cluster_points`, with its guards, and the
+    gap is read off the same matrix of ``|z_i - z_j|``."""
+    if np.size(points) == 0:
         raise EmptySpectralWindow("no spectrum points to cluster")
-    labels = cluster_points(pts, threshold)
-    if labels.max() == 0:
-        gap = np.inf
-    else:
-        dist = np.abs(pts[:, None] - pts[None, :])
-        inter = dist[labels[:, None] != labels[None, :]]
-        gap = float(inter.min())
+    pts, dist, labels = _single_linkage(points, threshold)
+    inter = dist[labels[:, None] != labels[None, :]]
+    gap = float(inter.min()) if inter.size else np.inf
     return SpectrumReport(eigenvalues=tuple(pts),
                           labels=tuple(int(l) for l in labels),
                           threshold=float(threshold), gap=gap)

@@ -218,4 +218,51 @@ def test_one_factorization_per_block(monkeypatch):
     assert cert.disconnected
     assert calls["eigvals"] == 3 and calls["eig"] == 0     # no eig of T + X
     assert calls["schur"] == 0 and calls["qr"] == 1      # one QR of lambda's block
-    assert calls["svd_uv"] == 0 and calls["svd"] > 0
+    # sigma-only: one per block for the separation and one for phi(X); no
+    # norm of T for the rounding bound
+    assert calls["svd_uv"] == 0 and calls["svd"] == 3 + 1
+
+
+def test_separation_bound_uses_the_largest_frobenius_norm():
+    # a non-normal block, whose Frobenius norm exceeds its operator norm
+    t = np.array([[1.0, 3.0], [0.0, 0.5]])
+    T = block_operator([(0, t), (1, np.diag([0.5, -0.25, 0.1]))])
+    cert = disconnect_rr0(T, 0.1)
+    mu = cert.lam + cert.eps0
+    u = np.finfo(float).eps / 2.0
+    assert cert.lam == 1.0 and cert.summand == 0
+    assert cert.separation_bound == 10.0 * 5 * u * (np.sqrt(10.25) + abs(mu))
+    assert cert.separation_bound > 10.0 * 5 * u * (np.linalg.norm(t, 2) + abs(mu))
+    assert cert.disconnected
+
+
+def test_separation_bound_does_not_overflow_on_huge_blocks():
+    # ||-1e200 I||_F = sqrt(3) 1e200, whose unscaled sum of squares overflows
+    T = block_operator([(0, [[0.0]]), (1, -1e200 * np.eye(3))])
+    u = np.finfo(float).eps / 2.0
+    with np.errstate(over="raise"):
+        certs = [disconnect(T, 0.1, make_spec([1.0, 1.0])), disconnect_rr0(T, 0.1)]
+    for cert in certs:
+        assert cert.lam == 0.0 and cert.separation == pytest.approx(1e200)
+        assert cert.separation_bound == pytest.approx(
+            10.0 * 4 * u * (np.sqrt(3.0) * 1e200 + cert.eps0), rel=1e-15)
+        assert cert.disconnected
+
+
+def test_mu_is_its_own_component_beside_a_twin_of_lambda():
+    # lambda = 1 is a double eigenvalue and eps0 = 5e-9: the components of
+    # sigma(T + X) split mu off from lambda's twin, eps0 away
+    G = rng_from_seed(1).standard_normal((6, 6)) / 4
+    cert = disconnect_rr0(block_operator([(0, np.diag([1.0, 1.0, 0.0])), (1, G)]), 1e-8)
+    assert cert.disconnected
+    assert cert.components_before.n_components == 8      # the twins link
+    assert cert.components_after.n_components == 9
+    assert cert.gap_achieved == pytest.approx(cert.eps0, rel=1e-6)
+
+
+def test_zero_block_splits_into_two_components():
+    # sigma(T) = {0, 0}: mu = eps0 and the twin at 0 are two components
+    cert = disconnect_rr0(block_operator([(0, np.zeros((2, 2)))]), 1e-9)
+    assert cert.components_before.n_components == 1
+    assert cert.components_after.n_components == 2
+    assert cert.gap_achieved == cert.eps0 == 5e-10

@@ -6,8 +6,10 @@ import pathlib
 import numpy as np
 import pytest
 
+from specgap.algebra import AlgebraSpec
 from specgap.cfun import CompactRealSet, PLFunction, range_components
 from specgap.perturb import counterexample_operator
+from specgap.sampling import random_block_operator, rng_from_seed
 from specgap.spectral import (cluster_points, eigenvalues, link_components,
                               spectrum_components)
 
@@ -71,15 +73,90 @@ def test_bench_trace_targets_exist():
             assert hasattr(owner, name), f"{key}: {owner!r} has no {name!r}"
 
 
+def _same_value_error(points, threshold):
+    """The one ``ValueError`` both clusterings raise, by its message."""
+    messages = []
+    for cluster in (cluster_points, spectrum_components):
+        with pytest.raises(ValueError) as err:
+            cluster(points, threshold)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_cluster_points_rejects_non_finite_points(bad):
-    for cluster in (cluster_points, spectrum_components):
-        with pytest.raises(ValueError, match="points must be finite"):
-            cluster([0.0, bad, 1.0], 0.5)
+    assert "points must be finite" in _same_value_error([0.0, bad, 1.0], 0.5)
 
 
 @pytest.mark.parametrize("threshold", [np.nan, -1e-300, -1.0])
 def test_cluster_points_rejects_nan_or_negative_threshold(threshold):
-    for cluster in (cluster_points, spectrum_components):
-        with pytest.raises(ValueError, match="threshold must be"):
-            cluster([0.0, 1.0], threshold)
+    assert "threshold must be" in _same_value_error([0.0, 1.0], threshold)
+
+
+def _brute_force_linkage(points, threshold):
+    """Brute-force reference: grow each cluster from its first point by every
+    pair with ``abs(z - w) <= threshold``, then take the smallest distance
+    between points of different clusters.  The distances are NumPy's array
+    ``abs`` of each pair's difference, as in the package: Python's complex
+    ``abs`` can round the other way."""
+    pts = np.asarray(points, dtype=complex)
+    n = len(pts)
+    i, j = np.triu_indices(n, 1)
+    pair_dist = dict(zip(zip(i.tolist(), j.tolist()), np.abs(pts[i] - pts[j]).tolist()))
+
+    def dist(a, b):
+        return pair_dist[min(a, b), max(a, b)]
+
+    labels = [-1] * n
+    for first in range(n):
+        if labels[first] >= 0:
+            continue
+        label = max(labels) + 1
+        labels[first] = label
+        stack = [first]
+        while stack:
+            a = stack.pop()
+            for b in range(n):
+                if labels[b] < 0 and dist(a, b) <= threshold:
+                    labels[b] = label
+                    stack.append(b)
+    gap = min((d for (a, b), d in pair_dist.items() if labels[a] != labels[b]),
+              default=np.inf)
+    return tuple(labels), gap
+
+
+def _reference_cases():
+    rng = rng_from_seed(2718)
+    for n in (1, 2, 3, 17, 64, 256):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        dist = np.abs(z[:, None] - z[None, :])
+        off = dist[np.triu_indices(n, 1)]
+        yield z, 0.0                                   # all singletons
+        if n > 1:
+            yield z, float(off.min()) / 2.0             # all singletons
+            for q in (0.01, 0.1, 0.5):
+                yield z, float(np.quantile(off, q))     # one pair's distance
+            yield z, float(off.max())                   # one cluster
+    T = random_block_operator(AlgebraSpec(dims=(64, 64, 64, 64), tail="none"), rng)
+    ev = np.concatenate([np.linalg.eigvals(b) for _, b in T.summands])
+    yield ev, 0.1
+    yield ev, float(np.sort(np.abs(ev[1:] - ev[0]))[3])  # one pair's distance
+    # repeated points, linked at threshold 0 and only there
+    reps = rng.choice(rng.standard_normal(12) + 1j * rng.standard_normal(12), 200)
+    yield reps, 0.0
+    yield np.concatenate([reps, [0.0, 0.0]]), 0.0
+    # a lattice, whose distances tie exactly at the threshold
+    grid = (np.arange(16)[:, None] + 1j * np.arange(16)[None, :]).ravel()
+    yield grid, 1.0
+    yield grid, 0.999
+    yield grid[rng.permutation(grid.size)[:100]], 1.0
+
+
+def test_spectrum_components_matches_brute_force_single_linkage():
+    for pts, threshold in _reference_cases():
+        rep = spectrum_components(pts, threshold)
+        labels, gap = _brute_force_linkage(pts, threshold)
+        assert rep.labels == labels
+        assert rep.gap == gap
+        assert rep.labels == tuple(cluster_points(pts, threshold).tolist())

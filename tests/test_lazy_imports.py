@@ -1,7 +1,8 @@
 """scipy.optimize and scipy.spatial load only in the functions that call them.
 
-Each check runs in a fresh interpreter, since the test process may have
-loaded both already."""
+Spectrum clustering and certificates need neither: only `range_components`
+over several chains builds a KD-tree.  Each check runs in a fresh
+interpreter, since the test process may have loaded both already."""
 
 import json
 import os
@@ -10,8 +11,11 @@ import subprocess
 import sys
 
 import specgap
+from specgap.algebra import block_operator
 from specgap.cfun import CompactRealSet, PLFunction, range_components
-from specgap.spectral import spectrum_components
+from specgap.norms import operator_norm_spec
+from specgap.perturb import disconnect, disconnect_rr0
+from specgap.spectral import cluster_points, spectrum_components
 from specgap.uppertri import shift_example, ut_inclusion_check
 
 SRC = str(pathlib.Path(specgap.__file__).resolve().parent.parent)
@@ -30,13 +34,21 @@ from specgap.spectral import GridSpec, pseudospectrum_grid
 T = block_operator([(0, [[0.0, 1.0], [0.0, 0.0]]), (1, [[2.0]])])
 pseudospectrum_grid(T, 0.1, GridSpec(-1.0, 3.0, -1.0, 1.0, 9, 5))
 out["pseudospectrum"] = loaded()
-from specgap.spectral import spectrum_components
+from specgap.spectral import cluster_points, spectrum_components
 out["components"] = repr(spectrum_components([0.0, 0.05, 3.0], 0.1))
+out["labels"] = cluster_points([0.0, 0.05, 3.0], 0.1).tolist()
 out["after_components"] = loaded()
+from specgap.perturb import disconnect, disconnect_rr0
+from specgap.norms import operator_norm_spec
+T = block_operator([(0, [[0.0, 1.0], [0.0, 0.5]]), (1, [[2.0]])])
+out["certificates"] = [repr(disconnect(T, 0.1, operator_norm_spec(2)).separation),
+                       repr(disconnect_rr0(T, 0.1).separation)]
+out["after_certificates"] = loaded()
 from specgap.cfun import CompactRealSet, PLFunction, range_components
 X = CompactRealSet(intervals=((0, 1), (2, 3)))
 g = PLFunction(breakpoints=(0.0, 3.0), values=(0.0, 3.0))
 out["range"] = repr(range_components(g, X))
+out["after_range"] = loaded()
 from specgap.uppertri import shift_example, ut_inclusion_check
 out["ut"] = repr(ut_inclusion_check(shift_example(8)[1]))
 out["after_all"] = loaded()
@@ -57,13 +69,20 @@ def test_scipy_optimize_and_spatial_load_only_where_called():
     out = run_fresh()
     assert out["import"] == []
     assert out["pseudospectrum"] == []
-    assert out["after_components"] == ["scipy.spatial"]
+    assert out["after_components"] == []
+    assert out["after_certificates"] == []
+    assert out["after_range"] == ["scipy.spatial"]
     assert out["after_all"] == ["scipy.optimize", "scipy.spatial"]
 
     # and the lazily importing functions return what they return here
     rep = spectrum_components([0.0, 0.05, 3.0], 0.1)
     assert rep.labels == (0, 0, 1)
     assert out["components"] == repr(rep)
+    assert out["labels"] == cluster_points([0.0, 0.05, 3.0], 0.1).tolist() == [0, 0, 1]
+    T = block_operator([(0, [[0.0, 1.0], [0.0, 0.5]]), (1, [[2.0]])])
+    assert out["certificates"] == [
+        repr(disconnect(T, 0.1, operator_norm_spec(2)).separation),
+        repr(disconnect_rr0(T, 0.1).separation)]
     X = CompactRealSet(intervals=((0, 1), (2, 3)))
     g = PLFunction(breakpoints=(0.0, 3.0), values=(0.0, 3.0))
     ranges = range_components(g, X)
