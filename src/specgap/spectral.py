@@ -16,7 +16,8 @@ Lanczos on ((R - z)^* (R - z))^{-1}: each step is one forward and one back
 substitution per point, O(n^2) instead of an O(n^3) SVD (Trefethen,
 "Computation of pseudospectra", Acta Numerica 8, 1999; Wright & Trefethen,
 SIAM J. Sci. Comput. 23, 2001).  A kernel call takes _ENTRIES // n points,
-so the per-step Python cost is shared by as many points as memory allows.
+so the per-step Python cost is shared by as many points as memory allows;
+a point still unsettled after n steps takes one sigma-only SVD of R - z.
 The tests hold the values to within 10 n u (||T_j|| + |z|) of a dense SVD;
 see :func:`pseudospectrum_grid`."""
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -52,12 +54,13 @@ __all__ = [
 
 
 def block_eigenvalues(T: BlockOperator) -> list:
-    """Each block's eigenvalues (with multiplicity), one array per summand in
-    summand order."""
+    """Each block's eigenvalues (with multiplicity), one complex array per
+    summand in summand order.  NumPy's eigvals: SciPy 1.17's misscales
+    blocks with entries above about 1e138."""
     vals = []
     for sid, b in T.summands:
         try:
-            vals.append(scipy.linalg.eigvals(b))
+            vals.append(np.linalg.eigvals(b).astype(complex, copy=False))
         except Exception as exc:  # LinAlgError and friends
             raise ConvergenceFailure(f"eigensolver failed on summand {sid}: {exc}")
     return vals
@@ -178,6 +181,11 @@ def min_singular_value(T: BlockOperator, lam: complex = 0.0) -> float:
     return best
 
 
+def _is_count(v, least: int) -> bool:
+    """Whether v is an integer (NumPy's too, but not a bool) >= least."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangle in the complex plane sampled on an nx-by-ny lattice."""
@@ -195,8 +203,9 @@ class GridSpec:
             raise ValueError("grid bounds must be finite")
         if self.re_min >= self.re_max or self.im_min >= self.im_max:
             raise ValueError("degenerate grid rectangle")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        if not (_is_count(self.nx, 2) and _is_count(self.ny, 2)):
+            raise ValueError("nx and ny must be integers >= 2, "
+                             f"got nx={self.nx!r}, ny={self.ny!r}")
 
     def res(self):
         return np.linspace(self.re_min, self.re_max, self.nx)
@@ -341,20 +350,21 @@ def _block_sigma_min(blk: _SchurBlock, z: np.ndarray) -> np.ndarray:
 
     Lanczos without reorthogonalization settles almost every point.  One
     that runs all n steps still rising may have lost orthogonality on the
-    way, so it runs again with full reorthogonalization, for which n steps
-    exhaust the space; those reruns go _ENTRIES // n^2 points at a time
-    (64 at n = 64: with fewer, per-step Python overhead dominates), which
-    keeps their stored bases at max(_ENTRIES, n^2) entries."""
-    sigma, rerun = _lanczos(blk, z, reorth=False)
-    rerun = np.flatnonzero(rerun)
-    batch = max(1, _ENTRIES // blk.diag.shape[0] ** 2)
-    for lo in range(0, len(rerun), batch):
-        pts = rerun[lo:lo + batch]
-        sigma[pts] = _lanczos(blk, z[pts], reorth=True)[0]
+    way, so it takes one sigma-only SVD of R - z instead, in batches of
+    _ENTRIES // n^2 points (at least one): a batch's stack of shifted
+    copies of R holds max(_ENTRIES, n^2) entries."""
+    sigma, unsettled = _lanczos(blk, z)
+    unsettled = np.flatnonzero(unsettled)
+    eye = np.eye(blk.diag.shape[0])
+    batch = max(1, _ENTRIES // eye.size)
+    for lo in range(0, len(unsettled), batch):
+        pts = unsettled[lo:lo + batch]
+        shifted = blk.R[None] - (z[pts] / blk.scale)[:, None, None] * eye
+        sigma[pts] = blk.scale * np.linalg.svd(shifted, compute_uv=False)[:, -1]
     return sigma
 
 
-def _lanczos(blk: _SchurBlock, z: np.ndarray, reorth: bool):
+def _lanczos(blk: _SchurBlock, z: np.ndarray):
     """sigma_min(R - z) by Lanczos on A = ((R - z)^* (R - z))^{-1}, and the
     mask of points that ran all n steps with their top Ritz value still
     rising.
@@ -365,8 +375,8 @@ def _lanczos(blk: _SchurBlock, z: np.ndarray, reorth: bool):
     theta) passes 1/floor^2 with floor = 10 n u (||R|| + |z|): then
     sigma <= floor, at rounding level.  A solve that overflows can only do
     so there too, and so does a zero pivot (R - z exactly singular): its
-    NaNs and infinities give sigma = 0.  With ``reorth`` every new vector is
-    orthogonalized twice against all earlier ones (classical Gram-Schmidt)."""
+    NaNs and infinities give sigma = 0.  Nothing is reorthogonalized, so a
+    point still rising after n steps may be off."""
     n = blk.diag.shape[0]
     zs = z / blk.scale
     m = len(z)
@@ -383,7 +393,6 @@ def _lanczos(blk: _SchurBlock, z: np.ndarray, reorth: bool):
     # most points settle in 10-20 steps: grow the step rows by doubling
     alphas = np.empty((min(n, 16), m))
     betas = np.empty_like(alphas)
-    basis = np.empty((m, n, n), dtype=complex) if reorth else None   # conj(q_j[i])
     for k in range(n):
         if k == len(alphas):
             rows = min(n, 2 * k)
@@ -397,12 +406,6 @@ def _lanczos(blk: _SchurBlock, z: np.ndarray, reorth: bool):
         w -= alpha * q
         if k:
             w -= beta * q_prev
-        if reorth:
-            np.conjugate(q.T, out=basis[:, k])
-            qc = basis[:, :k + 1]
-            for _ in range(2):      # w -= Q (Q^* w), twice
-                c = qc @ w.T[:, :, None]
-                w -= (c.conj().transpose(0, 2, 1) @ qc).conj()[:, 0].T
         betas[k] = beta_new = np.sqrt(_sumsq(w))
         prev = theta
         theta, weight = _top_ritz(alphas[:k + 1], betas[:k], theta, weight)
@@ -427,8 +430,6 @@ def _lanczos(blk: _SchurBlock, z: np.ndarray, reorth: bool):
             w = np.compress(keep, w, axis=1)
             alphas = np.compress(keep, alphas, axis=1)
             betas = np.compress(keep, betas, axis=1)
-            if reorth:
-                basis = np.compress(keep, basis, axis=0)
         w /= beta_new
         q_prev, q, beta = q, w, beta_new
     return sigma, rising
@@ -446,26 +447,25 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
     start vector with two triangular solves per step; a point ends when its
     top Ritz value rises by at most 1e-14 relatively, on breakdown, or after
     n steps.  A point still rising after n steps (clustered smallest
-    singular values, as far from a normal block's spectrum) runs again with
-    full reorthogonalization, which is exact after n steps; that costs
-    O(n^3) per such point.  The tests check each value to lie within
-    floor = 10 n u (||T_j|| + |z|) of a dense SVD.  Where sigma_min is below
-    that rounding floor the point stops as soon as that is clear, with a
-    value under the floor, and an exactly singular R - z (a zero pivot)
-    gives 0.
+    singular values, as far from a normal block's spectrum) takes one
+    sigma-only SVD of R - z instead, O(n^3) per such point.  The tests
+    check each value to lie within floor = 10 n u (||T_j|| + |z|) of a
+    dense SVD.  Where sigma_min is below that rounding floor the point stops
+    as soon as that is clear, with a value under the floor, and an exactly
+    singular R - z (a zero pivot) gives 0.
 
     A block of dimension n takes _ENTRIES // n grid points per kernel call
     (at least one), so each call's arrays hold O(_ENTRIES) entries for any
-    grid; reruns store their Lanczos bases, max(_ENTRIES, n^2) entries at
-    most.  The (block, slice) tasks depend on the grid and the block
-    dimensions alone; ``threads`` workers (at least 1) map over them, and
-    each block's values are folded in by ``np.minimum``, so the output is
-    bitwise identical for every thread count.
+    grid; no Lanczos basis is stored, and the SVDs of unsettled points go
+    _ENTRIES // n^2 at a time, max(_ENTRIES, n^2) entries.  The (block,
+    slice) tasks depend on the grid and the block dimensions alone; ``threads`` workers (an integer >= 1) map over them, and each
+    block's values are folded in by ``np.minimum``, so the output is bitwise
+    identical for every thread count.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
+    if not _is_count(threads, 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     res = grid.res()
     ims = grid.ims()
     z = np.empty((len(ims), len(res)), dtype=complex)

@@ -200,9 +200,10 @@ def test_one_factorization_per_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eig", "eigvals", "schur", "qr"):
+    for name in ("eig", "schur", "qr"):
         monkeypatch.setattr(scipy.linalg, name,
                             counted(name, getattr(scipy.linalg, name)))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
     svd = np.linalg.svd
 
     def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
@@ -247,6 +248,16 @@ def test_separation_bound_does_not_overflow_on_huge_blocks():
         assert cert.separation_bound == pytest.approx(
             10.0 * 4 * u * (np.sqrt(3.0) * 1e200 + cert.eps0), rel=1e-15)
         assert cert.disconnected
+
+
+def test_huge_block_certifies_at_its_eigenvalue():
+    # SciPy 1.17's eigvals misscales this block's eigenvalues (entries above
+    # about 1.5e138), which put lambda off the spectrum: BelowRoundoff
+    T = block_operator([(0, np.array([[2.0, 1.0], [0.0, -1.0]]) * 1e160),
+                        (1, np.eye(2))])
+    cert = disconnect_rr0(T, 1e157)
+    assert cert.lam == 2e160 and cert.summand == 0
+    assert cert.disconnected
 
 
 def test_mu_is_its_own_component_beside_a_twin_of_lambda():

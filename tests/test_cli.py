@@ -231,6 +231,16 @@ def test_pseudospectrum_nan_entry_exits_1(capsys, tmp_path):
     assert "ConvergenceFailure" in err and "summand 1" in err
 
 
+def test_disconnect_nan_entry_exits_1(capsys, tmp_path):
+    T = block_operator([(0, np.diag([0.0, 1.0])),
+                        (1, np.array([[np.nan, 0.0], [0.0, 1.0]]))])
+    write_operator(T, tmp_path / "nan.json")
+    code, payload, err = run(capsys, "disconnect-rr0", "--operator", tmp_path / "nan.json",
+                             "--eps", "0.1")
+    assert code == 1 and payload is None
+    assert "ConvergenceFailure: eigensolver failed on summand 1" in err
+
+
 def test_shift_demo_command(capsys, tmp_path):
     code, payload, _ = run(capsys, "shift-demo", "--n", "16", "--eps", "1e-3",
                            "--nx", "31", "--output-dir", tmp_path)

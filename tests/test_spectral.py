@@ -20,6 +20,12 @@ from specgap.uppertri import shift_example
 U = np.finfo(float).eps
 
 
+def test_eigenvalues_of_a_huge_block():
+    # SciPy 1.17's eigvals returns 1.49e138 and -7.4e137 here
+    T = block_operator([(0, np.array([[2.0, 1.0], [0.0, -1.0]]) * 1e139)])
+    assert eigenvalues(T).tolist() == [-1e139, 2e139]
+
+
 def test_eigenvalues_union_and_order(rng):
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     B = rng.standard_normal((2, 2))
@@ -88,6 +94,11 @@ def _normal(rng, eigenvalues):
     return Q @ np.diag(eigenvalues) @ Q.T
 
 
+def _symmetric(rng, n):
+    a = rng.standard_normal((n, n))
+    return (a + a.T) / np.sqrt(2 * n)
+
+
 def _edge_cases():
     rng = np.random.default_rng(10)
     unit = GridSpec(-1.2, 1.2, -1.2, 1.2, nx=21, ny=21)     # centre exactly 0.0
@@ -107,6 +118,10 @@ def _edge_cases():
         # cluster, and Lanczos without reorthogonalization is off after n steps
         "normal_far_field": ([_normal(rng, np.linspace(-2.0, 2.0, 24))],
                              GridSpec(-1.0, 1.0, 3.0, 5.0, nx=7, ny=7)),
+        # 190 of the 961 points are still rising after n steps and take the
+        # sigma-only SVD fallback
+        "symmetric_32": ([_symmetric(rng, 32)],
+                         GridSpec(-4.0, 4.0, -2.0, 2.0, nx=31, ny=31)),
     }
 
 
@@ -145,6 +160,8 @@ def test_pseudospectrum_exactly_singular_point_is_zero():
 
 def test_pseudospectrum_one_schur_per_block(monkeypatch):
     calls = Counter()
+    # list.append is atomic across the worker threads, unlike calls[key] += k
+    svd_rows, unsettled = [], []
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -152,16 +169,28 @@ def test_pseudospectrum_one_schur_per_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def svd_counted(fn):
+        def wrapper(a, *args, **kwargs):
+            svd_rows.append(len(a) if np.ndim(a) == 3 else 1)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
     def kernel(blk, z):
         calls[blk.diag.shape[0]] += 1
         return block_sigma_min(blk, z)
 
-    block_sigma_min = spectral._block_sigma_min
+    def lanczos_counted(blk, z):
+        sigma, mask = lanczos(blk, z)
+        unsettled.append(int(np.count_nonzero(mask)))
+        return sigma, mask
+
+    block_sigma_min, lanczos = spectral._block_sigma_min, spectral._lanczos
     monkeypatch.setattr(spectral, "_block_sigma_min", kernel)
+    monkeypatch.setattr(spectral, "_lanczos", lanczos_counted)
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-    monkeypatch.setattr(scipy.linalg, "svd", counted("svd", scipy.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "svd", svd_counted(scipy.linalg.svd))
     for owner in (np.linalg, np_linalg_impl):
-        monkeypatch.setattr(owner, "svd", counted("svd", owner.svd))
+        monkeypatch.setattr(owner, "svd", svd_counted(owner.svd))
     # a small entry budget splits each block's 961 points over several calls
     monkeypatch.setattr(spectral, "_ENTRIES", 2 ** 9)
     rng = np.random.default_rng(4)
@@ -169,7 +198,9 @@ def test_pseudospectrum_one_schur_per_block(monkeypatch):
     T = block_operator([(0, blocks[0]), (2, blocks[1]), (5, blocks[2])])
     grid = GridSpec(-1.5, 1.5, -1.5, 1.5, nx=31, ny=31)
     ps = [pseudospectrum_grid(T, 0.1, grid, threads=threads) for threads in (1, 2)]
-    assert calls["schur"] == 2 * 3 and calls["svd"] == 0
+    assert calls["schur"] == 2 * 3
+    # one sigma-only SVD row for each point that Lanczos leaves unsettled
+    assert sum(svd_rows) == sum(unsettled) > 0
     assert min(calls[6], calls[3], calls[7]) >= 2 * 3
     assert ps[0].sigma_min == ps[1].sigma_min
     monkeypatch.undo()      # the reference SVDs are not counted
@@ -181,8 +212,9 @@ def test_pseudospectrum_memory_is_bounded(monkeypatch, case):
     """The traced peak (NumPy reports its buffers to tracemalloc) stays within
     8 * 16 max(_ENTRIES, n^2) bytes plus the Schur factors R and G, although
     at _ENTRIES = 2^16 n * points is 3.6 times _ENTRIES for the Ginibre
-    block, and the normal block reruns 930 points whose bases would take
-    more than 8 * 16 _ENTRIES bytes if stored at once."""
+    block, and the normal block sends 930 points to the sigma-only SVD,
+    whose shifted copies of R would take more than 8 * 16 _ENTRIES bytes
+    if stacked at once.  No Lanczos basis is stored."""
     monkeypatch.setattr(spectral, "_ENTRIES", 2 ** 16)
     if case == "ginibre_64":
         b = _ginibre(np.random.default_rng(5), 64)
@@ -206,9 +238,12 @@ def test_pseudospectrum_input_guards():
     for eps in (np.nan, -1.0, 0.0, np.inf):
         with pytest.raises(ValueError, match="eps"):
             pseudospectrum_grid(T, eps, grid)
-    for threads in (0, -3):
+    for threads in (0, -3, 1.5, 2.0, np.float64(2.0), True):
         with pytest.raises(ValueError, match="threads"):
             pseudospectrum_grid(T, 0.1, grid, threads=threads)
+    for threads in (np.int64(2), np.int32(1)):
+        assert pseudospectrum_grid(T, 0.1, grid, threads=threads).sigma_min == \
+            pseudospectrum_grid(T, 0.1, grid).sigma_min
     bad = block_operator([(0, np.diag([0.0, 1.0])), (3, np.array([[np.nan, 0.0], [0.0, 1.0]]))])
     with pytest.raises(ConvergenceFailure, match="summand 3"):
         pseudospectrum_grid(bad, 0.1, grid)
@@ -219,6 +254,12 @@ def test_grid_spec_validation():
         GridSpec(re_min=1, re_max=0, im_min=0, im_max=1, nx=4, ny=4)
     with pytest.raises(ValueError):
         GridSpec(re_min=0, re_max=1, im_min=0, im_max=1, nx=1, ny=4)
+    for nx, ny in ((2.5, 4), (np.float64(4.0), 4), (4, 3.0), (True, 4),
+                   (4, np.int64(1)), ("4", 4)):
+        with pytest.raises(ValueError, match="integers >= 2"):
+            GridSpec(re_min=0, re_max=1, im_min=0, im_max=1, nx=nx, ny=ny)
+    grid = GridSpec(re_min=0, re_max=1, im_min=0, im_max=1, nx=np.int64(3), ny=np.int32(2))
+    assert len(grid.res()) == 3 and len(grid.ims()) == 2
     for bounds in ((np.nan, 1, 0, 1), (0, np.inf, 0, 1), (0, 1, -np.inf, 1),
                    (0, 1, 0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
