@@ -16,7 +16,11 @@ U11 R - R U22 = U12 (Bartels-Stewart, on the triangular blocks) give
 which is kept in this factored form (`FactoredIdempotent`).  The rank of
 each block is k exactly.  Given an explicit exclusion distance d, a block
 b with sigma_min(b - cI) > rho + d plus a rounding margin (c, rho: center
-and reach of the contour) is zero in P and needs no Schur form.
+and reach of the contour) is zero in P and needs no Schur form; one
+Cholesky factorization of a shifted Gram matrix proves that inequality.
+`verify_idempotent` checks a factored P = L W from its factors alone:
+P^2 - P = L (W L - I) W and PT - TP = [L, TL] [WT; -W], whose 2-norms
+follow from one thin QR of [L, TL], so no dense block of P is formed.
 `riesz_quadrature` evaluates the integral itself and is the independent
 cross-check: circles use the periodic trapezoid rule (spectrally accurate
 for analytic integrands); rectangles are split into four analytic segments
@@ -28,15 +32,18 @@ to the contour's clearance from the spectrum.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 from .algebra import BlockOperator
 from .errors import ContourThroughSpectrum, ConvergenceFailure, EnclosesAllOrNone
-from .spectral import eigenvalues
+from .spectral import _is_count, eigenvalues
 
 __all__ = [
     "Contour",
@@ -55,7 +62,9 @@ class Contour:
     """Circle (center, radius) or axis-aligned rectangle (two corners).
 
     ``nodes`` is the quadrature budget of :func:`riesz_quadrature`: all of
-    it on the circle, a quarter per side on the rectangle.  Minimum 16.
+    it on the circle, a quarter per side on the rectangle.  It must be an
+    integer >= 16; the center, a radius > 0 and the corners must be finite,
+    else ``ValueError``.
     """
 
     kind: str
@@ -68,11 +77,16 @@ class Contour:
     def __post_init__(self):
         if self.kind not in ("circle", "rectangle"):
             raise ValueError(f"unknown contour kind {self.kind!r}")
-        if self.nodes < 16:
-            raise ValueError("need at least 16 quadrature nodes")
-        if self.kind == "circle" and self.radius <= 0:
-            raise ValueError("circle radius must be positive")
+        if not _is_count(self.nodes, 16):
+            raise ValueError(f"nodes must be an integer >= 16, got {self.nodes!r}")
+        if self.kind == "circle":
+            if not cmath.isfinite(self.center):
+                raise ValueError(f"circle center must be finite, got {self.center!r}")
+            if not 0.0 < self.radius < math.inf:
+                raise ValueError(f"circle radius must be finite and > 0, got {self.radius!r}")
         if self.kind == "rectangle":
+            if not (cmath.isfinite(self.corner_lo) and cmath.isfinite(self.corner_hi)):
+                raise ValueError("rectangle corners must be finite")
             if (self.corner_hi.real <= self.corner_lo.real
                     or self.corner_hi.imag <= self.corner_lo.imag):
                 raise ValueError("rectangle corners must be ordered lo < hi")
@@ -128,6 +142,12 @@ def _quadrature(contour: Contour):
         zs.append(mid + half * x)
         ws.append(gw * half / (2j * np.pi))
     return np.concatenate(zs), np.concatenate(ws)
+
+
+def _check_exclusion(exclusion_dist) -> None:
+    if exclusion_dist is not None and not 0.0 < exclusion_dist < math.inf:
+        raise ValueError("exclusion_dist must be None or finite and > 0, "
+                         f"got {exclusion_dist!r}")
 
 
 def _check_separation(ev: np.ndarray, contour: Contour,
@@ -197,18 +217,39 @@ def _schur_factors(sid: int, n: int, U: np.ndarray, Z: np.ndarray, k: int):
     return sid, n, k, L, L.conj().T + (R / scale) @ Z[:, k:].conj().T
 
 
+_EPS = 2.0 ** -52
+_GRAM_MIN = 2.0 ** -900     # below it, underflow could outgrow the margin m
+
+
 def _clears(b: np.ndarray, center: complex, reach: float) -> bool:
-    """Whether ``sigma_min(b - cI) > reach + 10 n eps (||b||_F + |c| sqrt(n))``
-    for c = ``center``, eps = 2^-52.  Each eigenvalue z of b has |z - c| >=
-    sigma_min, and the margin, the screen's one assumption, covers the backward
-    errors of this SVD and of b's Schur form: no eigenvalue, exact or computed,
-    then lies within ``reach`` of c."""
+    """Whether ``sigma_min(b - cI) > s = reach + 10 n eps (||b||_F + |c| sqrt(n))``
+    is proved, for c = ``center`` and eps = 2^-52.  Each eigenvalue z of b has
+    |z - c| >= sigma_min, and the 10 n eps term covers the backward error of
+    b's Schur form: no eigenvalue, exact or computed, then lies within
+    ``reach`` of c.
+
+    The proof is one Cholesky factorization of the computed M*M - (s^2 + m) I
+    for M = b - cI.  If it completes, the exact M*M - s^2 I is positive
+    definite, because m exceeds the rounding of the Gram product (at most
+    gamma_n ||M||_F^2 in norm) plus the backward error of the factorization
+    (at most n gamma_{n+1} times its input's norm; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Thm 10.3); so
+    sigma_min(M) > s.  The margin ``m = (n + 2)^2 eps (||M||_F^2 + s^2)``,
+    the screen's one assumption, covers both with a factor of about 2 to
+    spare for complex arithmetic.  A failed factorization, non-finite
+    entries, or ||M||_F^2 outside [2^-900, inf) leave the block unscreened:
+    it gets a Schur form.
+    """
     n = b.shape[0]
-    try:
-        s = np.linalg.svd(b - center * np.eye(n), compute_uv=False)[-1]
-    except np.linalg.LinAlgError:       # non-finite: the Schur form reports it
+    s = reach + 10 * n * _EPS * (np.linalg.norm(b) + abs(center) * n ** 0.5)
+    M = b - center * np.eye(n)
+    # M^T conj(M), the conjugate of M*M: the same spectrum, no transposed copy
+    G = scipy.linalg.blas.zherk(1.0, M.T)
+    F = G.trace().real
+    if not _GRAM_MIN <= F < math.inf:
         return False
-    return s > reach + 10 * n * 2.0 ** -52 * (np.linalg.norm(b) + abs(center) * n ** 0.5)
+    G.flat[::n + 1] -= s * s + (n + 2) ** 2 * _EPS * (F + s * s)
+    return scipy.linalg.lapack.zpotrf(G, overwrite_a=1, clean=0)[1] == 0
 
 
 def riesz_idempotent(T: BlockOperator, contour: Contour,
@@ -223,7 +264,9 @@ def riesz_idempotent(T: BlockOperator, contour: Contour,
     An explicit ``exclusion_dist`` first screens each block (`_clears`): one
     whose eigenvalues all clear the contour's disc by it is zero in P with no
     Schur form.  The default needs every eigenvalue, so every block is factored.
+    ``exclusion_dist`` must be None or finite and > 0, else ``ValueError``.
     """
+    _check_exclusion(exclusion_dist)
     lo, hi = contour.corner_lo, contour.corner_hi    # a disc holding the contour
     center, reach = ((contour.center, contour.radius) if contour.kind == "circle"
                      else ((lo + hi) / 2.0, abs(hi - lo) / 2.0))
@@ -255,6 +298,7 @@ def riesz_quadrature(T: BlockOperator, contour: Contour,
     """Quadrature approximation of the Riesz idempotent for ``contour`` over
     ``contour.nodes`` nodes: the reference that :func:`riesz_idempotent` is
     checked against.  The contour must separate as for that function."""
+    _check_exclusion(exclusion_dist)
     _check_separation(eigenvalues(T), contour, exclusion_dist)
     zs, ws = _quadrature(contour)
     blocks = []
@@ -280,20 +324,61 @@ def verify_idempotent(P: BlockOperator, T: BlockOperator) -> IdempotentReport:
 
     Weak reducibility holds when the first two residuals are at tolerance
     and ``min(rank, corank) >= 1``.  The rank of an idempotent equals its
-    trace, so it is read off as the rounded real trace.  One pass over the
-    blocks; an exactly zero block of P next to a finite block of T has both
-    residuals exactly 0 and costs no product and no SVD.
+    trace, so it is read off as the rounded real trace.  A
+    :class:`FactoredIdempotent` is checked from its factors and no dense
+    block of P is built (`_factored_residuals`); any other P by dense
+    products.  A zero or identity block of P next to a finite block of T
+    has both residuals exactly 0 and costs no product.  A block of T with
+    NaN or inf entries raises ``ConvergenceFailure`` naming its summand.
     """
     P._require_same_structure(T)
-    idem, comm, tr = [], [], 0
-    for (_, p), (_, t) in zip(P.summands, T.summands):
-        zero = not p.any() and np.isfinite(t).all()
-        idem.append(0.0 if zero else np.linalg.norm(p @ p - p, 2))
-        comm.append(0.0 if zero else np.linalg.norm(p @ t - t @ p, 2))
-        tr += np.trace(p)
-    rank = int(round(tr.real))
+    if isinstance(P, FactoredIdempotent):
+        parts, residuals = P.factors, _factored_residuals
+    else:
+        parts, residuals = P.summands, _dense_residuals
+    idem, comm, tr = [], [], 0.0
+    for part, (sid, t) in zip(parts, T.summands):
+        if not np.isfinite(t).all():
+            raise ConvergenceFailure(f"summand {sid} of T has non-finite entries: "
+                                     "no residual to verify")
+        i, c, r = residuals(part, t)
+        idem.append(i)
+        comm.append(c)
+        tr += r
+    rank = int(round(tr))
     # the structure, not P.total_dim: a FactoredIdempotent would build its
     # dense blocks again for the dimensions
     dim = sum(n for _, n in P.structure())
     return IdempotentReport(idem_residual=float(max(idem)), commutator=float(max(comm)),
                             rank=rank, corank=dim - rank)
+
+
+def _dense_residuals(summand, t):
+    """(||p^2 - p||_2, ||pt - tp||_2, Re tr p) by dense products."""
+    p = summand[1]
+    if not p.any():
+        return 0.0, 0.0, 0.0
+    return (np.linalg.norm(p @ p - p, 2), np.linalg.norm(p @ t - t @ p, 2),
+            np.trace(p).real)
+
+
+def _factored_residuals(factor, t):
+    """The residuals of `_dense_residuals` for p = L W, from the factors.
+
+    With E = W L - I_k, p^2 - p = L E W and pt - tp = A K for A = [L, tL]
+    and K = [W t; -W].  A thin QR A = Q R has R_L, the triangular factor of
+    L, as its leading k x k block, so the residuals are the 2-norms of
+    R_L E W and of R K, of at most 2k rows each: O(n^2 k) work.  The
+    commutator needs the QR: a Gram matrix of A would square the O(u)
+    cancellation in pt - tp, and its reported size would floor near
+    sqrt(u).  The trace is tr(W L)."""
+    _, n, k, L, W = factor
+    if k in (0, n):         # p = 0 or I: both residuals vanish exactly
+        return 0.0, 0.0, float(k)
+    WL = W @ L
+    R = np.linalg.qr(np.hstack((L, t @ L)), mode="r")
+    both = np.zeros((2, R.shape[0], n), dtype=np.complex128)
+    both[0] = R[:, :k] @ (W @ t) - R[:, k:] @ W
+    both[1, :k] = R[:k, :k] @ (WL - np.eye(k)) @ W
+    comm, idem = np.linalg.svd(both, compute_uv=False)[:, 0]
+    return idem, comm, np.trace(WL).real

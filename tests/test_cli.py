@@ -190,6 +190,12 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
                  ("pseudospectrum", "--operator", op_file, "--eps", "0.1",
                   "--grid=0,1,0,1", "--threads", "0"),
                  ("shift-demo", "--n", "8", "--threads", "-3"),
+                 ("riesz", "--operator", op_file, "--center", "0,0", "--radius", "0.1",
+                  "--exclusion-dist", "nan"),
+                 ("riesz", "--operator", op_file, "--center", "0,0", "--radius", "0.1",
+                  "--exclusion-dist", "-1"),
+                 ("riesz", "--operator", op_file, "--center", "0,0", "--radius", "nan"),
+                 ("riesz", "--operator", op_file, "--center", "inf,0", "--radius", "0.1"),
                  ("disconnect-rr0", "--operator", bad_json, "--eps", "0.1")):
         code, payload, err = run(capsys, *argv, "--output-dir", tmp_path)
         assert code == 2 and payload is None and "usage error" in err, argv

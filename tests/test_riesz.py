@@ -81,18 +81,36 @@ def test_contour_through_spectrum():
 
 
 def test_contour_validation_and_geometry():
-    with pytest.raises(ValueError):
-        circle(0.0, -1.0)
-    with pytest.raises(ValueError):
-        circle(0.0, 1.0, nodes=4)
-    with pytest.raises(ValueError):
-        rectangle(1 + 1j, 0)
+    bad = [lambda: circle(0.0, -1.0), lambda: circle(0.0, 1.0, nodes=4),
+           lambda: rectangle(1 + 1j, 0), lambda: circle(0.0, 1.0, nodes=16.5),
+           lambda: rectangle(0, 1 + 1j, nodes=16.5)]
+    for value in (np.nan, np.inf):
+        bad += [lambda v=value: circle(complex(v, 0.0), 1.0),
+                lambda v=value: circle(complex(0.0, v), 1.0),
+                lambda v=value: circle(0.0, v),
+                lambda v=value: rectangle(complex(-1.0, v), 1 + 1j),
+                lambda v=value: rectangle(-1 - 1j, complex(v, 1.0))]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+    assert circle(0.0, 1.0, nodes=np.int64(16)).nodes == 16
     c = circle(1.0, 2.0)
     assert c.encloses(1.0 + 1j) and not c.encloses(4.0)
     assert c.distance_to(1.0) == pytest.approx(2.0)
     r = rectangle(0, 2 + 2j)
     assert r.encloses(1 + 1j) and not r.encloses(3 + 1j)
     assert r.distance_to(1 + 1j) == pytest.approx(1.0)
+
+
+def test_exclusion_dist_must_be_finite_and_positive():
+    # a circle through the eigenvalue 1: only a real exclusion refuses it
+    T = block_operator([(0, np.diag([0.0, 1.0, 3.0]))])
+    for exclusion in (np.nan, -1.0, 0.0, np.inf, -np.inf):
+        for idempotent in (riesz_idempotent, riesz_quadrature):
+            with pytest.raises(ValueError, match="exclusion_dist"):
+                idempotent(T, circle(0.0, 1.0), exclusion_dist=exclusion)
+    with pytest.raises(ContourThroughSpectrum):
+        riesz_idempotent(T, circle(0.0, 1.0), exclusion_dist=1e-3)
 
 
 def test_multiblock_projection(rng):
@@ -207,28 +225,33 @@ def test_screen_and_verify_work_counts(monkeypatch):
     Tp = T + cert.X
     radius = cert.gap_achieved / 2.0
     contour = circle(cert.lam + cert.eps0, radius, nodes=256)
-    calls = Counter()
+    calls, svd_shapes = Counter(), []
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             calls[key] += 1
+            if key == "svd":
+                svd_shapes.append(np.shape(args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    monkeypatch.setattr(scipy.linalg.lapack, "zpotrf",
+                        counted("cholesky", scipy.linalg.lapack.zpotrf))
     svd = counted("svd", np.linalg.svd)
     for owner in (np.linalg, np_linalg_impl):    # np.linalg.norm(., 2) uses the latter
         monkeypatch.setattr(owner, "svd", svd)
     P = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
-    assert calls["schur"] == 1 and calls["svd"] == 3      # one screen SVD per block
+    # one Cholesky per block screens blocks 0 and 2 out, and no SVD runs
+    assert calls == {"schur": 1, "cholesky": 3}
     calls.clear()
     assert _same_factors(P, riesz_idempotent(Tp, contour))
-    assert calls["schur"] == 3 and calls["svd"] == 0
+    assert calls == {"schur": 3}
     calls.clear()
     rep = verify_idempotent(P, Tp)
-    nonzero = sum(1 for *_, k, _, _ in P.factors if k > 0)
-    assert nonzero == 1 and calls["svd"] == 2 * nonzero and calls["schur"] == 0
-    assert rep.rank == 1 and rep.idem_residual < 1e-10
+    nonzero = [(n, k) for _, n, k, _, _ in P.factors if k > 0]
+    # the nonzero block's two residuals: one batched SVD of two 2k x n matrices
+    assert nonzero == [(7, 1)] and calls == {"svd": 1} and svd_shapes == [(2, 2, 7)]
 
 
 def test_factored_form_is_small_and_exact(rng):
@@ -249,7 +272,16 @@ def test_factored_form_is_small_and_exact(rng):
     assert verify_idempotent(P, T).rank == sdim
 
 
-def test_verify_idempotent_builds_factored_blocks_once(rng, monkeypatch):
+def _factored_bound(P, T, c=2.0):
+    """c n u ||L|| ||W|| (1 + ||T_b||), largest over the blocks with 0 < k < n."""
+    u = 2.0 ** -53
+    return max((c * n * u * np.linalg.norm(L, 2) * np.linalg.norm(W, 2)
+                * (1.0 + np.linalg.norm(t, 2))
+                for (_, n, k, L, W), (_, t) in zip(P.factors, T.summands) if 0 < k < n),
+               default=0.0)
+
+
+def test_verify_idempotent_builds_no_dense_block(rng, monkeypatch):
     T = clustered_operator(rng)
     T = block_operator(list(T.summands) + [(1, np.diag([0.0, 5.0]))])
     P = riesz_idempotent(T, circle(0.0, 1.0))
@@ -259,6 +291,92 @@ def test_verify_idempotent_builds_factored_blocks_once(rng, monkeypatch):
     monkeypatch.setattr(riesz, "_dense_block",
                         lambda *a: built.append(a[:2]) or dense_block(*a))
     rep = verify_idempotent(P, T)
-    assert built == [(5, 3), (2, 1)]
-    assert rep == verify_idempotent(dense, T)
-    assert (rep.rank, rep.corank) == (4, 3)
+    assert built == []
+    ref = verify_idempotent(dense, T)
+    assert (rep.rank, rep.corank) == (ref.rank, ref.corank) == (4, 3)
+    bound = _factored_bound(P, T)
+    assert abs(rep.idem_residual - ref.idem_residual) <= bound
+    assert abs(rep.commutator - ref.commutator) <= bound
+
+
+def test_factored_residuals_match_dense_on_rr0_corpus():
+    """Each residual is an O(u) rounding of the same exact zero, which n-term
+    products bound by n u ||L|| ||W|| (1 + ||T_b||) per block: the factored
+    and the dense route differ by at most twice that."""
+    for i, (Tp, mu, radius) in enumerate(_rr0_corpus()):
+        P = riesz_idempotent(Tp, circle(mu, radius, nodes=256), exclusion_dist=radius / 2.0)
+        rep = verify_idempotent(P, Tp)
+        ref = verify_idempotent(block_operator(list(P.summands)), Tp)
+        bound = _factored_bound(P, Tp)
+        assert (rep.rank, rep.corank) == (ref.rank, ref.corank), i
+        assert abs(rep.idem_residual - ref.idem_residual) <= bound, i
+        assert abs(rep.commutator - ref.commutator) <= bound, i
+
+
+def test_factored_residuals_catch_mutations():
+    Tp, mu, radius = next(_rr0_corpus())
+    P = riesz_idempotent(Tp, circle(mu, radius, nodes=256), exclusion_dist=radius / 2.0)
+    rep = verify_idempotent(P, Tp)
+    assert rep.idem_residual < 1e-12 and rep.commutator < 1e-12
+    sid, n, k, L, W = next(f for f in P.factors if 0 < f[2] < f[1])
+    scaled = riesz.FactoredIdempotent(
+        f if f[0] != sid else (sid, n, k, L, W * (1 + 1e-6)) for f in P.factors)
+    assert verify_idempotent(scaled, Tp).idem_residual > 1e-7
+    blocks = [(s, b.copy()) for s, b in Tp.summands]
+    block = dict(blocks)[sid]
+    block[0, -1] += 1e-6
+    moved = verify_idempotent(P, block_operator(blocks))
+    assert moved.commutator > 1e-8 and moved.idem_residual == rep.idem_residual
+
+
+def test_verify_idempotent_refuses_non_finite_t():
+    T = block_operator([(0, np.diag([0.0, 0.1, 3.0])), (4, np.diag([2.0, 4.0]))])
+    P = riesz_idempotent(T, circle(0.0, 1.0))
+    for bad_value in (np.nan, np.inf):
+        blocks = [(sid, b.astype(complex)) for sid, b in T.summands]
+        blocks[1][1][0, 1] = bad_value            # a zero block of P
+        for Q in (P, block_operator(list(P.summands))):
+            with pytest.raises(ConvergenceFailure, match="summand 4"):
+                verify_idempotent(Q, block_operator(blocks))
+
+
+def _screen_threshold(b, center, reach):
+    """s and the margin m of `riesz._clears`, recomputed here."""
+    n, eps = b.shape[0], 2.0 ** -52
+    s = reach + 10 * n * eps * (np.linalg.norm(b) + abs(center) * n ** 0.5)
+    F = np.linalg.norm(b - center * np.eye(n)) ** 2
+    return s, (n + 2) ** 2 * eps * (F + s * s)
+
+
+def test_cholesky_screen_decides_as_the_svd_on_rr0_corpus():
+    decided, band = 0, []
+    for i, (Tp, mu, radius) in enumerate(_rr0_corpus()):
+        reach = 1.5 * radius         # the circle's radius plus exclusion_dist
+        for sid, b in Tp.summands:
+            s, m = _screen_threshold(b, mu, reach)
+            sigma = np.linalg.svd(b - mu * np.eye(b.shape[0]), compute_uv=False)[-1]
+            if abs(sigma ** 2 - s ** 2) <= m:
+                band.append((i, sid, sigma, s))
+            assert riesz._clears(b, mu, reach) == (sigma > s), (i, sid, sigma, s)
+            decided += 1
+    assert decided == 115 and band == [], f"blocks inside the margin band: {band}"
+
+
+def test_cholesky_screen_at_its_threshold(rng):
+    # b = c + Q diag(d) Q*: sigma(b - c) = |d| up to rounding, with its
+    # smallest entry set 1e-9 (relative) above or below the threshold s
+    center, reach, n = 2.0 + 1.0j, 0.75, 6
+    q = haar_unitary(n, rng)
+    d = np.exp(2j * np.pi * rng.random(n)) * np.linspace(reach, 3.0, n)
+
+    def block(dmin):
+        d[0] = dmin
+        return center * np.eye(n) + (q * d) @ q.conj().T
+
+    s, m = _screen_threshold(block(reach), center, reach)
+    assert m < 1e-9 * s ** 2
+    assert riesz._clears(block(s * (1 + 1e-9)), center, reach)
+    assert not riesz._clears(block(s * (1 - 1e-9)), center, reach)
+    nan_block = block(s * 2.0)
+    nan_block[1, 0] = np.nan
+    assert not riesz._clears(nan_block, center, reach)
