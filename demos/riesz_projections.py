@@ -2,7 +2,8 @@
 
 Once sigma(T + X) has two components, a contour around either piece yields
 the corresponding spectral idempotent, computed from an ordered Schur form
-and checked against resolvent quadrature.  This demo
+once the contour is proved to lie in the resolvent set, and checked against
+resolvent quadrature.  This demo
 disconnects a random operator, encircles the freshly isolated eigenvalue,
 and checks the algebra: P^2 = P, PT' = T'P, and the complement I - P picks
 up the rest of the spectrum.
@@ -23,8 +24,7 @@ Tp = T + cert.X
 center = cert.lam + cert.eps0
 
 radius = cert.gap_achieved / 2
-P = riesz_idempotent(Tp, circle(center, radius, nodes=128),
-                     exclusion_dist=radius / 2)
+P = riesz_idempotent(Tp, circle(center, radius, nodes=128))
 rep = verify_idempotent(P, Tp)
 print(f"contour: circle around {center:.4f}, radius {radius:.2e}")
 print(f"  ||P^2 - P||   = {rep.idem_residual:.2e}")

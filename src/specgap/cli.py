@@ -152,9 +152,9 @@ def _cmd_riesz(args) -> int:
                             nodes=args.nodes)
     else:
         raise UsageError("need --center/--radius or --corners")
-    P = riesz_idempotent(T, contour, exclusion_dist=args.exclusion_dist)
+    P = riesz_idempotent(T, contour)
     rep = verify_idempotent(P, T)
-    P_quad = riesz_quadrature(T, contour, exclusion_dist=args.exclusion_dist)
+    P_quad = riesz_quadrature(T, contour)
     payload = {"idem_residual": rep.idem_residual, "commutator": rep.commutator,
                "rank": rep.rank, "corank": rep.corank,
                "quadrature_deviation": float((P - P_quad).norm())}
@@ -280,8 +280,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float)
     p.add_argument("--corners", help="rectangle as 'relo,imlo:rehi,imhi'")
     p.add_argument("--nodes", type=int, default=128,
-                   help="quadrature nodes of the quadrature_deviation cross-check")
-    p.add_argument("--exclusion-dist", type=float, default=None)
+                   help="quadrature nodes of the quadrature_deviation cross-check, "
+                        "and the most nodes the contour's proof may use")
     p.add_argument("--out", help="write the idempotent as operator JSON")
     p.set_defaults(func=_cmd_riesz)
 

@@ -14,10 +14,19 @@ U11 R - R U22 = U12 (Bartels-Stewart, on the triangular blocks) give
     P = Z [[I, R], [0, 0]] Z* = Z_k (Z_k* + R Z_2*),
 
 which is kept in this factored form (`FactoredIdempotent`).  The rank of
-each block is k exactly.  Given an explicit exclusion distance d, a block
-b with sigma_min(b - cI) > rho + d plus a rounding margin (c, rho: center
-and reach of the contour) is zero in P and needs no Schur form; one
-Cholesky factorization of a shifted Gram matrix proves that inequality.
+each block is k exactly.  Both functions first prove that the contour lies
+in the resolvent set (`_proved_forms`), with one primitive: one Cholesky
+factorization of a shifted Gram matrix proves sigma_min(b - cI) > s for a
+block b (`_clears`).  A block with sigma_min(b - cI) > rho plus a rounding
+margin (c, rho: center and reach of a disc holding the contour) is zero in
+P and needs no Schur form.  Every other block is proved clear of the
+contour itself: sigma_min(b - z) is 1-Lipschitz in z, so sigma_min > h at m
+nodes equally spaced along the contour, h their half-spacing, keeps every
+point of it out of the spectrum (Trefethen & Embree, *Spectra and
+Pseudospectra*, 2005); m doubles from 8 up to ``contour.nodes``.  The
+margin of `_clears` also covers the Schur form's backward error, so the
+Schur-sorted count of enclosed eigenvalues is exact.  A contour that
+neither proof clears raises ``ContourThroughSpectrum``.
 `verify_idempotent` checks a factored P = L W from its factors alone:
 P^2 - P = L (W L - I) W and PT - TP = [L, TL] [WT; -W], whose 2-norms
 follow from one thin QR of [L, TL], so no dense block of P is formed.
@@ -43,7 +52,10 @@ import scipy.linalg.lapack
 
 from .algebra import BlockOperator
 from .errors import ContourThroughSpectrum, ConvergenceFailure, EnclosesAllOrNone
-from .spectral import _is_count, eigenvalues
+from .spectral import (
+    _is_count,
+    eigenvalues,  # unused here; bench/tracing.py rebinds it
+)
 
 __all__ = [
     "Contour",
@@ -61,8 +73,9 @@ __all__ = [
 class Contour:
     """Circle (center, radius) or axis-aligned rectangle (two corners).
 
-    ``nodes`` is the quadrature budget of :func:`riesz_quadrature`: all of
-    it on the circle, a quarter per side on the rectangle.  It must be an
+    ``nodes`` is the quadrature budget of :func:`riesz_quadrature`, all of
+    it on the circle and a quarter per side on the rectangle, and the most
+    nodes the ring proof of a contour may use (`_prove_ring`).  It must be an
     integer >= 16; the center, a radius > 0 and the corners must be finite,
     else ``ValueError``.
     """
@@ -144,29 +157,19 @@ def _quadrature(contour: Contour):
     return np.concatenate(zs), np.concatenate(ws)
 
 
-def _check_exclusion(exclusion_dist) -> None:
-    if exclusion_dist is not None and not 0.0 < exclusion_dist < math.inf:
-        raise ValueError("exclusion_dist must be None or finite and > 0, "
-                         f"got {exclusion_dist!r}")
-
-
-def _check_separation(ev: np.ndarray, contour: Contour,
-                      exclusion_dist: float | None, total: int = None) -> np.ndarray:
-    """Which of ``ev`` the contour encloses; raises unless it encloses some but not all
-    of ``total`` eigenvalues (the rest clear it outside), ``exclusion_dist`` from each."""
-    inside = np.array([contour.encloses(z) for z in ev])
-    k, total = int(inside.sum()), total or len(ev)
-    if k in (0, total):
-        raise EnclosesAllOrNone(f"contour encloses {k} of {total} eigenvalues")
-    if exclusion_dist is None:
-        gap = float(np.abs(ev[inside][:, None] - ev[~inside][None, :]).min())
-        exclusion_dist = max(1e-6, 0.05 * gap)
-    clearance = min(contour.distance_to(z) for z in ev)
-    if clearance < exclusion_dist:
-        raise ContourThroughSpectrum(
-            f"contour passes {clearance:.3e} from the spectrum "
-            f"(required {exclusion_dist:.3e})")
-    return inside
+def _ring(contour: Contour, m: int):
+    """``m`` nodes equally spaced along the contour, and the reach h that
+    puts every point of it within h of a node: pi r / m on a circle of
+    radius r, perimeter / (2 m) on a rectangle."""
+    if contour.kind == "circle":
+        z = contour.center + contour.radius * np.exp(2j * np.pi * np.arange(m) / m)
+        return z, np.pi * contour.radius / m
+    corners = [a for a, _ in contour._sides()]
+    corners.append(corners[0])
+    arc = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(corners)))))
+    s = arc[-1] * np.arange(m) / m
+    z = np.interp(s, arc, np.real(corners)) + 1j * np.interp(s, arc, np.imag(corners))
+    return z, arc[-1] / (2 * m)
 
 
 class FactoredIdempotent(BlockOperator):
@@ -252,27 +255,47 @@ def _clears(b: np.ndarray, center: complex, reach: float) -> bool:
     return scipy.linalg.lapack.zpotrf(G, overwrite_a=1, clean=0)[1] == 0
 
 
-def riesz_idempotent(T: BlockOperator, contour: Contour,
-                     exclusion_dist: float = None) -> FactoredIdempotent:
-    """The Riesz idempotent for ``contour``, from one ordered Schur form per
-    block and a Sylvester solve (see the module docstring).
+def _prove_ring(sid: int, b: np.ndarray, contour: Contour) -> None:
+    """Prove ``sigma_min(b - z) > 0`` on the whole contour, or raise
+    ``ContourThroughSpectrum`` naming the summand, the node, m and h.
 
-    The contour must separate: it has to enclose at least one eigenvalue
-    and exclude at least one, and stay ``exclusion_dist`` away from all of
-    them.  The default exclusion distance is ``max(1e-6, 0.05 * gap)`` with
-    ``gap`` the smallest enclosed-to-excluded eigenvalue distance.
-    An explicit ``exclusion_dist`` first screens each block (`_clears`): one
-    whose eigenvalues all clear the contour's disc by it is zero in P with no
-    Schur form.  The default needs every eigenvalue, so every block is factored.
-    ``exclusion_dist`` must be None or finite and > 0, else ``ValueError``.
+    At m nodes with reach h (`_ring`), `_clears` at every node proves the
+    disc of radius h about it clear, and those discs cover the contour.  m
+    starts at 8 and doubles while it stays within ``contour.nodes``."""
+    m = 8
+    while True:
+        nodes, h = _ring(contour, m)
+        failed = next((z for z in nodes if not _clears(b, z, h)), None)
+        if failed is None:
+            return
+        if 2 * m > contour.nodes:
+            raise ContourThroughSpectrum(
+                f"summand {sid}: sigma_min(T - z) > h not proved at node "
+                f"z = {complex(failed):.6g} of an m = {m} ring, h = {h:.3e}: "
+                "the contour may pass through the spectrum")
+        m *= 2
+
+
+def _proved_forms(T: BlockOperator, contour: Contour, exclusion_dist) -> list:
+    """``(id, n, U, Z, sdim)`` per block, for a contour proved to lie in the
+    resolvent set of ``T`` and to enclose some but not all of its spectrum.
+
+    A block that `_clears` proves farther than the disc's reach plus
+    ``exclusion_dist`` (None adds nothing) from the disc's center is zero
+    in P and gets no Schur form (U empty, sdim 0).  Every other block gets
+    its complex Schur form, ordered so that the enclosed eigenvalues lead,
+    and a ring proof (`_prove_ring`).  An explicit ``exclusion_dist`` also
+    requires the computed eigenvalues to clear the contour by it.
     """
-    _check_exclusion(exclusion_dist)
+    if exclusion_dist is not None and not 0.0 < exclusion_dist < math.inf:
+        raise ValueError("exclusion_dist must be None or finite and > 0, "
+                         f"got {exclusion_dist!r}")
     lo, hi = contour.corner_lo, contour.corner_hi    # a disc holding the contour
     center, reach = ((contour.center, contour.radius) if contour.kind == "circle"
                      else ((lo + hi) / 2.0, abs(hi - lo) / 2.0))
     forms = []
     for sid, b in T.summands:
-        if exclusion_dist is not None and _clears(b, center, reach + exclusion_dist):
+        if _clears(b, center, reach + (exclusion_dist or 0.0)):
             forms.append((sid, b.shape[0], np.empty((0, 0)), None, 0))   # no U: P_b = 0
             continue
         try:
@@ -281,25 +304,51 @@ def riesz_idempotent(T: BlockOperator, contour: Contour,
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceFailure(f"ordered Schur form failed on summand "
                                      f"{sid}: {exc}")
+        _prove_ring(sid, b, contour)
         forms.append((sid, b.shape[0], U, Z, sdim))
-    evs = [np.diag(U) for _, _, U, _, _ in forms]
-    inside = _check_separation(np.concatenate(evs), contour, exclusion_dist, T.total_dim)
-    per_block = np.split(inside, np.cumsum([len(ev) for ev in evs])[:-1])
+    ev = np.concatenate([np.diag(U) for _, _, U, _, _ in forms])
+    inside = np.array([contour.encloses(z) for z in ev], dtype=bool)
+    k = int(inside.sum())
+    if k in (0, T.total_dim):
+        raise EnclosesAllOrNone(f"contour encloses {k} of {T.total_dim} eigenvalues")
+    if exclusion_dist is not None:
+        clearance = min(contour.distance_to(z) for z in ev)
+        if clearance < exclusion_dist:
+            raise ContourThroughSpectrum(
+                f"contour passes {clearance:.3e} from the spectrum "
+                f"(required {exclusion_dist:.3e})")
+    per_block = np.split(inside, np.cumsum([len(U) for _, _, U, _, _ in forms])[:-1])
     for (sid, _, _, _, sdim), ins in zip(forms, per_block):
         if not np.array_equal(ins, np.arange(len(ins)) < sdim):
             raise ConvergenceFailure(
                 f"summand {sid}: the ordered Schur form leads with {sdim} "
                 f"eigenvalues, but {int(ins.sum())} lie inside the contour")
-    return FactoredIdempotent(tuple(_schur_factors(*form) for form in forms))
+    return forms
+
+
+def riesz_idempotent(T: BlockOperator, contour: Contour,
+                     exclusion_dist: float = None) -> FactoredIdempotent:
+    """The Riesz idempotent for ``contour``, from one ordered Schur form per
+    block and a Sylvester solve (see the module docstring).
+
+    The contour must be proved to lie in the resolvent set, by the disc
+    screen or the ring of `_proved_forms`, else ``ContourThroughSpectrum``;
+    it must enclose at least one eigenvalue and exclude at least one, else
+    ``EnclosesAllOrNone``.  ``exclusion_dist``, None or finite and > 0 (else
+    ``ValueError``), is an extra clearance that the screen's disc and the
+    computed eigenvalues must keep from the contour; None adds nothing.
+    """
+    return FactoredIdempotent(tuple(_schur_factors(*form)
+                                    for form in _proved_forms(T, contour, exclusion_dist)))
 
 
 def riesz_quadrature(T: BlockOperator, contour: Contour,
                      exclusion_dist: float = None) -> BlockOperator:
     """Quadrature approximation of the Riesz idempotent for ``contour`` over
     ``contour.nodes`` nodes: the reference that :func:`riesz_idempotent` is
-    checked against.  The contour must separate as for that function."""
-    _check_exclusion(exclusion_dist)
-    _check_separation(eigenvalues(T), contour, exclusion_dist)
+    checked against.  The contour is proved and refused exactly as for that
+    function."""
+    _proved_forms(T, contour, exclusion_dist)
     zs, ws = _quadrature(contour)
     blocks = []
     for sid, b in T.summands:
@@ -328,8 +377,9 @@ def verify_idempotent(P: BlockOperator, T: BlockOperator) -> IdempotentReport:
     :class:`FactoredIdempotent` is checked from its factors and no dense
     block of P is built (`_factored_residuals`); any other P by dense
     products.  A zero or identity block of P next to a finite block of T
-    has both residuals exactly 0 and costs no product.  A block of T with
-    NaN or inf entries raises ``ConvergenceFailure`` naming its summand.
+    has both residuals exactly 0 and costs no product.  A block of T, or a
+    block or factor of P, with NaN or inf entries raises
+    ``ConvergenceFailure`` naming its summand.
     """
     P._require_same_structure(T)
     if isinstance(P, FactoredIdempotent):
@@ -339,8 +389,7 @@ def verify_idempotent(P: BlockOperator, T: BlockOperator) -> IdempotentReport:
     idem, comm, tr = [], [], 0.0
     for part, (sid, t) in zip(parts, T.summands):
         if not np.isfinite(t).all():
-            raise ConvergenceFailure(f"summand {sid} of T has non-finite entries: "
-                                     "no residual to verify")
+            raise _non_finite(sid, "T")
         i, c, r = residuals(part, t)
         idem.append(i)
         comm.append(c)
@@ -353,9 +402,16 @@ def verify_idempotent(P: BlockOperator, T: BlockOperator) -> IdempotentReport:
                             rank=rank, corank=dim - rank)
 
 
+def _non_finite(sid, operand) -> ConvergenceFailure:
+    return ConvergenceFailure(f"summand {sid} of {operand} has non-finite entries: "
+                              "no residual to verify")
+
+
 def _dense_residuals(summand, t):
     """(||p^2 - p||_2, ||pt - tp||_2, Re tr p) by dense products."""
-    p = summand[1]
+    sid, p = summand
+    if not np.isfinite(p).all():
+        raise _non_finite(sid, "P")
     if not p.any():
         return 0.0, 0.0, 0.0
     return (np.linalg.norm(p @ p - p, 2), np.linalg.norm(p @ t - t @ p, 2),
@@ -372,9 +428,11 @@ def _factored_residuals(factor, t):
     commutator needs the QR: a Gram matrix of A would square the O(u)
     cancellation in pt - tp, and its reported size would floor near
     sqrt(u).  The trace is tr(W L)."""
-    _, n, k, L, W = factor
+    sid, n, k, L, W = factor
     if k in (0, n):         # p = 0 or I: both residuals vanish exactly
         return 0.0, 0.0, float(k)
+    if not (np.isfinite(L).all() and np.isfinite(W).all()):
+        raise _non_finite(sid, "P")
     WL = W @ L
     R = np.linalg.qr(np.hstack((L, t @ L)), mode="r")
     both = np.zeros((2, R.shape[0], n), dtype=np.complex128)

@@ -147,8 +147,7 @@ def test_criterion_5_riesz_on_corpus(cert_corpus):
         Tp = T + cert.X
         center = cert.lam + cert.eps0
         radius = cert.gap_achieved / 2.0
-        P = riesz_idempotent(Tp, circle(center, radius, nodes=256),
-                             exclusion_dist=radius / 2.0)
+        P = riesz_idempotent(Tp, circle(center, radius, nodes=256))
         rep = verify_idempotent(P, Tp)
         scale = max(Tp.norm(), 1e-300)
         ok = (rep.idem_residual <= RIESZ_TOL

@@ -115,9 +115,8 @@ def test_riesz_command(capsys, tmp_path, op_file):
 
 
 def test_riesz_on_the_circle_of_an_rr0_certificate(capsys, tmp_path):
-    """The circle (lambda + eps0, gap_achieved / 2) of a certificate can be
-    closer to the spectrum than the default exclusion, 0.05 * gap: riesz
-    refuses it unless --exclusion-dist is given (radius / 2, as the benchmark)."""
+    """The circle (lambda + eps0, gap_achieved / 2) of a certificate is
+    proved clear of the spectrum and accepted as it is."""
     T = random_block_operator(AlgebraSpec(dims=(3, 4), tail="none"), rng_from_seed(5))
     write_operator(T, tmp_path / "op.json")
     code, payload, _ = run(capsys, "disconnect-rr0", "--operator", tmp_path / "op.json",
@@ -129,10 +128,7 @@ def test_riesz_on_the_circle_of_an_rr0_certificate(capsys, tmp_path):
     contour = ("riesz", "--operator", tmp_path / "split.json", "--center",
                f"{mu.real!r},{mu.imag!r}", "--radius", repr(radius),
                "--output-dir", tmp_path)
-    code, payload, err = run(capsys, *contour)
-    assert code == 1 and payload is None
-    assert err.startswith("ContourThroughSpectrum")
-    code, payload, _ = run(capsys, *contour, "--exclusion-dist", repr(radius / 2.0))
+    code, payload, _ = run(capsys, *contour)
     assert code == 0
     assert payload["rank"] == 1
     assert payload["idem_residual"] < 1e-10
@@ -140,10 +136,9 @@ def test_riesz_on_the_circle_of_an_rr0_certificate(capsys, tmp_path):
 
 
 def test_domain_failure_exits_1(capsys, tmp_path, op_file):
-    # a contour through the spectrum is a domain error, not a usage error
+    # a circle through the eigenvalue 0.25 is a domain error, not a usage error
     code, payload, err = run(capsys, "riesz", "--operator", op_file,
                              "--center", "0,0", "--radius", "0.25",
-                             "--exclusion-dist", "0.3",
                              "--output-dir", tmp_path)
     assert code == 1 and payload is None
     assert "ContourThroughSpectrum" in err
@@ -190,10 +185,6 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
                  ("pseudospectrum", "--operator", op_file, "--eps", "0.1",
                   "--grid=0,1,0,1", "--threads", "0"),
                  ("shift-demo", "--n", "8", "--threads", "-3"),
-                 ("riesz", "--operator", op_file, "--center", "0,0", "--radius", "0.1",
-                  "--exclusion-dist", "nan"),
-                 ("riesz", "--operator", op_file, "--center", "0,0", "--radius", "0.1",
-                  "--exclusion-dist", "-1"),
                  ("riesz", "--operator", op_file, "--center", "0,0", "--radius", "nan"),
                  ("riesz", "--operator", op_file, "--center", "inf,0", "--radius", "0.1"),
                  ("disconnect-rr0", "--operator", bad_json, "--eps", "0.1")):

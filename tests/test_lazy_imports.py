@@ -1,6 +1,7 @@
 """scipy.optimize and scipy.spatial load only in the functions that call them.
 
-Spectrum clustering and certificates need neither: only `range_components`
+Spectrum clustering, certificates and Riesz idempotents (screen, ring proof,
+quadrature and verification) need neither: only `range_components`
 over several chains builds a KD-tree.  Each check runs in a fresh
 interpreter, since the test process may have loaded both already."""
 
@@ -44,6 +45,11 @@ T = block_operator([(0, [[0.0, 1.0], [0.0, 0.5]]), (1, [[2.0]])])
 out["certificates"] = [repr(disconnect(T, 0.1, operator_norm_spec(2)).separation),
                        repr(disconnect_rr0(T, 0.1).separation)]
 out["after_certificates"] = loaded()
+from specgap.riesz import circle, riesz_idempotent, riesz_quadrature, verify_idempotent
+contour = circle(0.0, 0.25)
+out["riesz_ranks"] = [verify_idempotent(riesz_idempotent(T, contour), T).rank,
+                      verify_idempotent(riesz_quadrature(T, contour), T).rank]
+out["after_riesz"] = loaded()
 from specgap.cfun import CompactRealSet, PLFunction, range_components
 X = CompactRealSet(intervals=((0, 1), (2, 3)))
 g = PLFunction(breakpoints=(0.0, 3.0), values=(0.0, 3.0))
@@ -71,6 +77,7 @@ def test_scipy_optimize_and_spatial_load_only_where_called():
     assert out["pseudospectrum"] == []
     assert out["after_components"] == []
     assert out["after_certificates"] == []
+    assert out["after_riesz"] == []
     assert out["after_range"] == ["scipy.spatial"]
     assert out["after_all"] == ["scipy.optimize", "scipy.spatial"]
 
@@ -83,6 +90,7 @@ def test_scipy_optimize_and_spatial_load_only_where_called():
     assert out["certificates"] == [
         repr(disconnect(T, 0.1, operator_norm_spec(2)).separation),
         repr(disconnect_rr0(T, 0.1).separation)]
+    assert out["riesz_ranks"] == [1, 1]     # the circle holds T's eigenvalue 0
     X = CompactRealSet(intervals=((0, 1), (2, 3)))
     g = PLFunction(breakpoints=(0.0, 3.0), values=(0.0, 3.0))
     ranges = range_components(g, X)

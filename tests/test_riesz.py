@@ -31,11 +31,14 @@ def test_circle_projection_rank_and_residuals(rng):
 
 
 def test_complementary_contours_sum_to_identity(rng):
-    T = clustered_operator(rng)
-    P = riesz_idempotent(T, circle(0.0, 1.0))
-    Q = riesz_idempotent(T, circle(3.0, 1.0))
-    assert (P + Q - identity_like(T)).norm() < 1e-10
-    assert (P @ Q).norm() < 1e-10
+    # the second operator and its contours are those of demos/riesz_projections.py
+    D = block_operator([(0, np.diag([0.0, 0.1 + 0.05j, 3.0, 2.95, 3.1 - 0.1j]))])
+    for T, around_3 in ((clustered_operator(rng), circle(3.0, 1.0)),
+                        (D, rectangle(2 - 1j, 4 + 1j))):
+        P = riesz_idempotent(T, circle(0.0, 1.0))
+        Q = riesz_idempotent(T, around_3)
+        assert (P + Q - identity_like(T)).norm() < 1e-10
+        assert (P @ Q).norm() < 1e-10
 
 
 def test_rectangle_matches_circle(rng):
@@ -71,13 +74,47 @@ def test_encloses_all_or_none(rng):
 
 
 def test_contour_through_spectrum():
+    # a circle through the eigenvalue 1: no ring proves it, at any m
     T = block_operator([(0, np.diag([0.0, 1.0]))])
-    with pytest.raises(ContourThroughSpectrum):
-        riesz_idempotent(T, circle(0.0, 1.0), exclusion_dist=0.1)
+    for idempotent in (riesz_idempotent, riesz_quadrature):
+        with pytest.raises(ContourThroughSpectrum,
+                           match=r"summand 0: .* at node z = 1\+0j of an m = 128 ring"):
+            idempotent(T, circle(0.0, 1.0))
     # a screened-out second block does not hide the first block's crossing
     T2 = block_operator([(0, np.diag([0.0, 1.0])), (1, np.diag([20.0, 30.0]))])
-    with pytest.raises(ContourThroughSpectrum):
-        riesz_idempotent(T2, circle(0.0, 1.0), exclusion_dist=0.1)
+    with pytest.raises(ContourThroughSpectrum, match="summand 0"):
+        riesz_idempotent(T2, circle(0.0, 1.0))
+    # eigenvalues on the contour between nodes, up to h from the nearest one:
+    # e^{1i} on the unit circle, 1 + 0.3i on the square's right side
+    T4 = block_operator([(1, np.diag([0.0, np.exp(1j), 1 + 0.3j]))])
+    for contour in (circle(0.0, 1.0), rectangle(-1 - 1j, 1 + 1j)):
+        with pytest.raises(ContourThroughSpectrum, match="summand 1: .* m = 128"):
+            riesz_idempotent(T4, contour)
+    # 1e-13 outside the eigenvalue 1 of a block whose Schur backward error
+    # term, 10 n u ||b||_F, is 6.7e-13: the computed eigenvalues clear the
+    # circle by more than exclusion_dist = 1e-14, but no ring proves it clear
+    T3 = block_operator([(2, np.diag([0.0, 1.0, 100.0]))])
+    with pytest.raises(ContourThroughSpectrum, match="summand 2: .* m = 128"):
+        riesz_idempotent(T3, circle(0.0, 1.0 + 1e-13), exclusion_dist=1e-14)
+
+
+def _rotated_jordan():
+    """A 20 x 20 nilpotent Jordan block, superdiagonal 10, unitarily rotated:
+    its spectrum is {0}, but its computed eigenvalues spread to about 2, and
+    sigma_min(J - z) is tiny for every |z| < 2."""
+    u = haar_unitary(20, rng_from_seed(11))
+    return u @ (10.0 * np.eye(20, k=1)) @ u.conj().T
+
+
+def test_ring_refuses_a_rounding_artifact():
+    J = _rotated_jordan()
+    T = block_operator([(0, J), (1, -50.0 * np.eye(2))])
+    ev = np.linalg.eigvals(J)
+    lam = ev[np.argmax(ev.real)]      # what disconnect_rr0 takes as lambda
+    assert abs(lam) > 1.0
+    for exclusion in (None, 0.05):
+        with pytest.raises(ContourThroughSpectrum, match="summand 0: .* m = 512"):
+            riesz_idempotent(T, circle(lam, 0.1, nodes=512), exclusion_dist=exclusion)
 
 
 def test_contour_validation_and_geometry():
@@ -103,7 +140,7 @@ def test_contour_validation_and_geometry():
 
 
 def test_exclusion_dist_must_be_finite_and_positive():
-    # a circle through the eigenvalue 1: only a real exclusion refuses it
+    # a circle through the eigenvalue 1: the ring refuses it whatever the exclusion
     T = block_operator([(0, np.diag([0.0, 1.0, 3.0]))])
     for exclusion in (np.nan, -1.0, 0.0, np.inf, -np.inf):
         for idempotent in (riesz_idempotent, riesz_quadrature):
@@ -122,10 +159,12 @@ def test_multiblock_projection(rng):
     np.testing.assert_allclose(P.block(1), np.diag([1.0, 0.0]), atol=1e-10)
 
 
-def _rr0_corpus(count=40):
+def _rr0_corpus(count=40, seed=20260814):
     """The first ``count`` operators of the criterion-4 generator as T + X,
-    each with the contour of criterion 5 around the split-off point mu."""
-    rng = rng_from_seed((20260814, 4))
+    each with the contour of criterion 5 around the split-off point mu.  At
+    another ``seed`` these are the rr0-riesz benchmark's operators and
+    circles."""
+    rng = rng_from_seed((seed, 4))
     eps_cycle = (1e-1, 1e-2, 1e-3)
     for i in range(count):
         dims = tuple(int(d) for d in rng.integers(2, 65, int(rng.integers(2, 5))))
@@ -150,7 +189,19 @@ def _same_factors(P, Q) -> bool:
     return raw(P) == raw(Q)
 
 
+def _schur_reference(T, contour):
+    """Every block factored from its ordered Schur form, with no screen and
+    no ring: the factors that `riesz_idempotent` returned, wherever it
+    accepted the contour, before the ring proof replaced the exclusion test."""
+    return riesz.FactoredIdempotent(
+        riesz._schur_factors(sid, b.shape[0],
+                             *scipy.linalg.schur(b, output="complex", sort=contour.encloses))
+        for sid, b in T.summands)
+
+
 def test_screen_keeps_factors_bitwise_on_rr0_corpus(monkeypatch):
+    """Every circle and inscribed square is accepted with no exclusion_dist,
+    and neither the screen nor the exclusion changes a bit of the factors."""
     cleared = []
     clears = riesz._clears
 
@@ -162,30 +213,42 @@ def test_screen_keeps_factors_bitwise_on_rr0_corpus(monkeypatch):
 
     for i, (Tp, mu, radius) in enumerate(_rr0_corpus()):
         contour = circle(mu, radius, nodes=256)
-        # the reference factors every block, as exclusion_dist=None does; the
-        # default exclusion itself is refused on some of these operators
-        monkeypatch.setattr(riesz, "_clears", lambda b, center, reach: False)
-        unscreened = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
-        monkeypatch.setattr(riesz, "_clears", recording)
-        screened = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
-        assert _same_factors(screened, unscreened), i
         square = rectangle(mu - radius / np.sqrt(2) * (1 + 1j),
                            mu + radius / np.sqrt(2) * (1 + 1j), nodes=256)
-        P = riesz_idempotent(Tp, square, exclusion_dist=radius / 2.0)
-        P_quad = riesz_quadrature(Tp, square, exclusion_dist=radius / 2.0)
-        assert (P - P_quad).norm() <= 1e-9, i
+        references = {c: _schur_reference(Tp, c) for c in (contour, square)}
+        # the disc screen is the one `_clears` call at the circle's center;
+        # the ring's nodes lie on the circle
+        monkeypatch.setattr(riesz, "_clears", lambda b, center, reach:
+                            center != mu and clears(b, center, reach))
+        unscreened = riesz_idempotent(Tp, contour)
+        assert _same_factors(unscreened, references[contour]), i
+        monkeypatch.setattr(riesz, "_clears", recording)
+        for c, reference in references.items():
+            for exclusion in (radius / 2.0, None):
+                P = riesz_idempotent(Tp, c, exclusion_dist=exclusion)
+                assert _same_factors(P, reference), (i, c.kind, exclusion)
+        P_quad = riesz_quadrature(Tp, square)
+        assert (riesz_idempotent(Tp, square) - P_quad).norm() <= 1e-9, i
     assert len(cleared) > 40        # most blocks miss the contour
     for b, center, reach in cleared:
         assert np.abs(scipy.linalg.eigvals(b) - center).min() >= reach
 
 
+def test_ring_accepts_the_bench_circles():
+    """The rr0-riesz benchmark's circles (mu, gap_achieved / 2) at seed 41:
+    the former default exclusion, max(1e-6, 0.05 gap), refused 19 of these
+    40, though mu is their only enclosed eigenvalue."""
+    for i, (Tp, mu, radius) in enumerate(_rr0_corpus(seed=41)):
+        P = riesz_idempotent(Tp, circle(mu, radius, nodes=256))
+        inside = sum(int(np.count_nonzero(np.abs(scipy.linalg.eigvals(t) - mu) < radius))
+                     for _, t in Tp.summands)
+        assert verify_idempotent(P, Tp).rank == inside == 1, i
+
+
 def test_screen_refers_nonnormal_blocks_to_schur(monkeypatch):
-    # a 20 x 20 nilpotent Jordan block, unitarily rotated: its eigenvalues
-    # sit at 0, 5 from the contour's center (computed ones within 2 of 0),
-    # but sigma_min(J - 5) is tiny
-    rng = rng_from_seed(11)
-    u = haar_unitary(20, rng)
-    jordan = u @ (10.0 * np.eye(20, k=1)) @ u.conj().T
+    # the Jordan block's eigenvalues sit at 0, 5 from the contour's center
+    # (computed ones within 2 of 0), but sigma_min(J - z) is tiny near 5
+    jordan = _rotated_jordan()
     assert np.linalg.svd(jordan - 5.0 * np.eye(20), compute_uv=False)[-1] < 1e-3
     T = block_operator([(0, jordan), (1, np.diag([5.0, 9.0]))])
     schur_calls = Counter()
@@ -196,10 +259,11 @@ def test_screen_refers_nonnormal_blocks_to_schur(monkeypatch):
         return schur(b, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "schur", counted)
-    P = riesz_idempotent(T, circle(5.0, 1.0), exclusion_dist=0.5)
-    assert schur_calls == {20: 1, 2: 1}
-    assert [k for _, _, k, _, _ in P.factors] == [0, 1]
-    assert not np.any(P.block(0))
+    # the screen sends the block to its Schur form, and the ring refuses the
+    # circle before the next block is factored
+    with pytest.raises(ContourThroughSpectrum, match="summand 0: .* m = 128"):
+        riesz_idempotent(T, circle(5.0, 1.0))
+    assert schur_calls == {20: 1}
 
 
 def test_screen_edge_failures():
@@ -242,11 +306,12 @@ def test_screen_and_verify_work_counts(monkeypatch):
     for owner in (np.linalg, np_linalg_impl):    # np.linalg.norm(., 2) uses the latter
         monkeypatch.setattr(owner, "svd", svd)
     P = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
-    # one Cholesky per block screens blocks 0 and 2 out, and no SVD runs
-    assert calls == {"schur": 1, "cholesky": 3}
+    # one Cholesky per block screens blocks 0 and 2 out, an m = 8 ring of
+    # eight more proves the circle clear of block 1, and no SVD runs
+    assert calls == {"schur": 1, "cholesky": 3 + 8}
     calls.clear()
     assert _same_factors(P, riesz_idempotent(Tp, contour))
-    assert calls == {"schur": 3}
+    assert calls == {"schur": 1, "cholesky": 3 + 8}     # the same with no exclusion
     calls.clear()
     rep = verify_idempotent(P, Tp)
     nonzero = [(n, k) for _, n, k, _, _ in P.factors if k > 0]
@@ -338,6 +403,23 @@ def test_verify_idempotent_refuses_non_finite_t():
         for Q in (P, block_operator(list(P.summands))):
             with pytest.raises(ConvergenceFailure, match="summand 4"):
                 verify_idempotent(Q, block_operator(blocks))
+
+
+def test_verify_idempotent_refuses_non_finite_p():
+    T = block_operator([(0, np.diag([1.0, 2.0])), (5, np.diag([3.0, 4.0]))])
+    for bad in (np.nan, np.inf):
+        for sid in (0, 5):
+            p = {0: np.array([[1.0, 0.0], [0.0, 0.0]]), 5: np.zeros((2, 2))}
+            p[sid][0, 1] = bad
+            with pytest.raises(ConvergenceFailure, match=f"summand {sid} of P"):
+                verify_idempotent(block_operator(list(p.items())), T)
+        # P_0 = L W = [[1, 0], [0, 0]] with one bad entry in L or in W
+        for which in (0, 1):
+            L, W = np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]])
+            (L, W)[which][-1, -1] = bad
+            P = riesz.FactoredIdempotent([(0, 2, 1, L, W), (5, 2, 0, None, None)])
+            with pytest.raises(ConvergenceFailure, match="summand 0 of P"):
+                verify_idempotent(P, T)
 
 
 def _screen_threshold(b, center, reach):
