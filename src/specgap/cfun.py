@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, ShapeMismatch,
                      StageTooShallow)
-from .spectral import link_components
 
 __all__ = [
     "CompactRealSet",
@@ -361,12 +360,12 @@ class PLFunction:
         v = np.asarray([complex(z) for z in self.values], dtype=complex)
         if b.ndim != 1 or b.shape != v.shape or len(b) < 2:
             raise ShapeMismatch("need matching breakpoints/values, length >= 2")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(b).all() and np.isfinite(v).all()):
             raise ValueError("breakpoints and values must be finite")
-        if not np.all(np.diff(b) > 0):
+        if not (b[1:] - b[:-1] > 0).all():
             raise ShapeMismatch("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", tuple(float(x) for x in b))
-        object.__setattr__(self, "values", tuple(complex(z) for z in v))
+        object.__setattr__(self, "breakpoints", tuple(b.tolist()))
+        object.__setattr__(self, "values", tuple(v.tolist()))
         b.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "_b", b)
         object.__setattr__(self, "_v", v)
@@ -391,7 +390,8 @@ class PLFunction:
         return self.breakpoints[0], self.breakpoints[-1]
 
     def lipschitz(self) -> float:
-        return float(np.max(np.abs(np.diff(self._v)) / np.diff(self._b)))
+        b, v = self._b, self._v
+        return float((np.abs(v[1:] - v[:-1]) / (b[1:] - b[:-1])).max())
 
     def sup_norm_on(self, X: CompactRealSet) -> float:
         """Sup of |f| over X: |f| is convex on each linear segment, so the
@@ -647,7 +647,7 @@ def nondensity_witness(n: int):
     return X, PLFunction(breakpoints=bps, values=vals)
 
 
-# -- sampled range topology ----------------------------------------------------
+# -- range topology: polyline geometry first, samples only near the threshold --
 
 
 @dataclass(frozen=True)
@@ -663,53 +663,216 @@ class RangeReport:
         return self.n_components == 1
 
 
+_U = 2.0 ** -53     # unit roundoff of a double
+# Samples one range_components call may take.  A disconnected range holds
+# about 100 bytes per sample (parameters, values, coordinates, their
+# per-component copy and its KD-tree), so 2**22 samples are about 0.4 GB.
+_MAX_RANGE_SAMPLES = 2 ** 22
+# Segment pairs per distance evaluation of the sweep in _near_segment_pairs:
+# 2**13 keeps each complex temporary within 128 KB; larger NumPy temporaries
+# took about 4x the time per element on a 2-core x86-64 Linux host.
+_PAIR_ENTRIES = 2 ** 13
+
+
+def _point_segment(w, d):
+    """Distances from the points w to the segments [0, d], elementwise; a
+    zero-length segment is the point 0 (``fmax`` takes 0 over 0 / 0).
+    Unlike ``_seg_dists`` it does not round as scalar code does, which would
+    cost a Python loop per segment pair."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = (w.real * d.real + w.imag * d.imag) / (d.real * d.real + d.imag * d.imag)
+    return np.abs(w - np.fmin(np.fmax(s, 0.0), 1.0) * d)
+
+
+def _orient_sign(d, w):
+    """Sign of ``Im(conj(d) w)`` for float differences d = b - o, w = c - o
+    where the float value proves it, else 0: Shewchuk's orient2d filter
+    ``|det| > (3 + 16u) u (|left| + |right|)`` (*Discrete Comput. Geom.* 18,
+    1997)."""
+    left, right = d.real * w.imag, d.imag * w.real
+    det = left - right
+    return np.sign(det) * (np.abs(det) > (3.0 + 16.0 * _U) * _U * (np.abs(left) + np.abs(right)))
+
+
+def _segment_gaps(p0, p1, q0, q1):
+    """Bounds ``lo <= d <= hi`` on the distance d between the segments
+    [p0, p1] and [q0, q1], elementwise.  hi, the least endpoint-to-segment
+    distance, is d unless the segments cross.  lo is 0 where they provably
+    cross (then hi is 0 too), hi where they provably miss each other (an
+    orientation test or disjoint bounding boxes prove it) or one is a point,
+    and 0 where that is in doubt."""
+    u, v = p1 - p0, q1 - q0                     # along P, along Q
+    a, b, c = q0 - p0, q1 - p0, p1 - q0
+    hi = np.minimum(np.minimum(_point_segment(a, u), _point_segment(b, u)),
+                    np.minimum(_point_segment(-a, v), _point_segment(c, v)))
+    across_p = _orient_sign(u, a) * _orient_sign(u, b)       # q0, q1 about P
+    across_q = _orient_sign(v, -a) * _orient_sign(v, c)      # p0, p1 about Q
+    boxes_apart = ((np.maximum(p0.real, p1.real) < np.minimum(q0.real, q1.real))
+                   | (np.maximum(q0.real, q1.real) < np.minimum(p0.real, p1.real))
+                   | (np.maximum(p0.imag, p1.imag) < np.minimum(q0.imag, q1.imag))
+                   | (np.maximum(q0.imag, q1.imag) < np.minimum(p0.imag, p1.imag)))
+    miss = (across_p > 0) | (across_q > 0) | (u == 0) | (v == 0) | boxes_apart
+    lo = np.where(miss, hi, 0.0)
+    return lo, np.where((across_p < 0) & (across_q < 0), 0.0, hi)
+
+
+def _near_segment_pairs(p0, p1, reach):
+    """Blocks of index pairs (i, j) of the segments [p0, p1] whose bounding
+    boxes come within ``reach`` on both axes, each unordered pair once.  The
+    boxes are sorted along the axis where they spread wider and swept, so the
+    work is near-linear unless many boxes overlap; a block holds about
+    ``_PAIR_ENTRIES`` pairs (at least one box's)."""
+    x = np.stack([np.minimum(p0.real, p1.real), np.maximum(p0.real, p1.real)])
+    y = np.stack([np.minimum(p0.imag, p1.imag), np.maximum(p0.imag, p1.imag)])
+    if np.ptp(y) > np.ptp(x):
+        x, y = y, x
+    order = np.argsort(x[0], kind="stable")
+    lo = x[0, order]
+    count = np.searchsorted(lo, x[1, order] + reach, side="right") - np.arange(len(lo)) - 1
+    done = np.cumsum(count)
+    r0 = 0
+    while r0 < len(lo):
+        r1 = max(r0 + 1, int(np.searchsorted(done, done[r0] - count[r0] + _PAIR_ENTRIES,
+                                             side="right")))
+        c = count[r0:r1]
+        i = np.repeat(np.arange(r0, r1), c)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(c) - c, c)
+        i, j = order[i], order[j]
+        keep = (y[0, i] <= y[1, j] + reach) & (y[0, j] <= y[1, i] + reach)
+        yield i[keep], j[keep]
+        r0 = r1
+
+
+def _label_components(n: int, a, c):
+    """Component of each vertex 0..n-1 of the graph with edges (a[k], c[k]),
+    numbered in order of each component's first vertex as
+    ``spectral.link_components`` numbers them, in array operations: each
+    root hooks to the least root it shares an edge with, then every vertex
+    jumps to its pointer's pointer until all point at roots.  Pointers only
+    go down, so a component's root is its least vertex."""
+    root = np.arange(n)
+    while True:
+        ra, rc = root[a], root[c]
+        differ = ra != rc
+        if not differ.any():
+            return np.unique(root, return_inverse=True)[1]
+        low = np.minimum(ra[differ], rc[differ])
+        np.minimum.at(root, ra[differ], low)
+        np.minimum.at(root, rc[differ], low)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+
+
 def range_components(g: PLFunction, X: CompactRealSet,
                      resolution: float = 1e-3) -> RangeReport:
     """Connected components of g(X), sampled at the given parameter step.
 
-    The image of each X-interval is one continuous curve, so its samples are
-    pre-linked as a chain regardless of image distances; chains (and point
-    images) then merge when they come within ``3 * Lip(g) * resolution`` —
-    adjacent samples along a curve move at most Lip*resolution apart, and
-    the factor 3 absorbs the discretization of the true image.  ``gap`` is
-    the smallest distance between final components (inf when connected).
+    The sampled rule: each X-interval is sampled at ``resolution`` or finer
+    (its ends, an even grid and the breakpoints of g inside it; a point is
+    one sample).  The image of an X-piece is one continuous curve, so its
+    samples form a chain, linked regardless of distances; two chains are
+    linked when some pair of their samples is within
+    ``threshold = 3 * Lip(g) * resolution``.  ``gap`` is the smallest
+    distance between samples of different final components (inf when
+    connected) and ``n_samples`` the number of samples.
+
+    The rule is decided from the image polylines, not the samples.  The
+    polyline of a piece runs through g's values at the piece's ends and the
+    breakpoints inside it; g is linear between consecutive samples, so every
+    sample lies on it and every point of it lies within h/2 of a sample,
+    h = Lip(g) * resolution.  With d the computed distance between two
+    chains' polylines and ``mu = 64 u (max|g| + threshold + Lip(g) max|t|)``
+    (u = 2**-53; it covers the rounding of g's values, of d and of the
+    sample grid), the chains are
+
+    - linked if ``d + h + mu < threshold``: some sample pair is within it;
+    - apart if ``d - mu > threshold``: no sample pair is within it;
+    - ambiguous otherwise.
+
+    Where an orientation test cannot prove whether two segments cross, d is
+    only bracketed (``_segment_gaps``), and each end of the bracket is used
+    where it is safe.  Chains are linked along the linked pairs first; a
+    connected range is reported without evaluating g at a sample.  The
+    ambiguous pairs that still join two components are then settled
+    together, by one KD-tree over the samples of their chains at
+    ``threshold``: each cross-chain pair it finds is a link of the sampled
+    rule.  A disconnected report takes its gap from per-component sample
+    trees.  The outputs are those of the sampled rule, barring overflow of
+    squared distances (which the KD-trees share).
+
+    Raises ``ExhaustedSamples`` when the samples would number more than
+    ``_MAX_RANGE_SAMPLES``, before any is made.
     """
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     lip = g.lipschitz()
     threshold = 3.0 * lip * resolution
-    params = []
-    b = g._b
-    for fa, fc in _float_ends(X).tolist():
-        if fa == fc:
-            params.append(np.asarray([fa]))
-            continue
-        m = max(2, int(math.ceil((fc - fa) / resolution)) + 1)
-        grid, inner = np.linspace(fa, fc, m), b[(b > fa) & (b < fc)]
-        params.append(np.union1d(grid, inner) if len(inner) else grid)
+    ends = _float_ends(X)
+    z, same, _ = _knot_values(ends, g, g._b)      # raises as sampling would
+    n_chains = len(ends)
+    chain = np.concatenate(([0], np.cumsum(~same)))     # of each knot
+    n_inner = np.bincount(chain, minlength=n_chains) - 2
+    length = ends[:, 1] - ends[:, 0]
+    with np.errstate(over="ignore"):
+        grid = np.where(length > 0.0, np.maximum(2.0, np.ceil(length / resolution) + 1.0), 1.0)
+    bound = float(np.sum(grid) + np.sum(n_inner))     # exact below 2**53
+    if not bound <= _MAX_RANGE_SAMPLES:
+        raise ExhaustedSamples(f"resolution {resolution!r} asks for {bound:.4g} samples "
+                               f"of the range; at most {_MAX_RANGE_SAMPLES} are taken")
+    b, params = g._b, {}
 
-    # One evaluation and one pooled tree instead of chain-pair queries: a
-    # deep Cantor set yields thousands of two-sample chains.
-    pooled = g(np.concatenate(params))
-    n_chains = len(params)
+    def chain_params(k):
+        if k not in params:
+            fa, fc = ends[k]
+            if fa == fc:
+                params[k] = np.asarray([fa])
+            else:
+                t, inner = np.linspace(fa, fc, int(grid[k])), b[(b > fa) & (b < fc)]
+                params[k] = np.union1d(t, inner) if len(inner) else t
+        return params[k]
+
+    n_samples = int(np.sum(grid[n_inner == 0])) + sum(
+        len(chain_params(k)) for k in np.flatnonzero(n_inner).tolist())
     if n_chains == 1:
-        return RangeReport(1, math.inf, threshold, resolution, len(pooled))
-    import scipy.spatial    # here, after the one-chain return: only trees need it
-    owner = np.repeat(np.arange(n_chains), [len(t) for t in params])
-    xy = np.column_stack([pooled.real, pooled.imag])
-    # sliding-midpoint splits (Maneewongvatana & Mount, 1999) build faster
-    tree = scipy.spatial.cKDTree(xy, balanced_tree=False, compact_nodes=False)
-    pairs = tree.query_pairs(float(threshold), output_type="ndarray")
-    # i < j and owners never decrease: one (low, high) edge per linked chain pair
-    lo, hi = owner[pairs[:, 0]], owner[pairs[:, 1]]
-    cross = lo != hi
-    lo, hi = np.divmod(np.unique(lo[cross] * n_chains + hi[cross]), n_chains)
-    labels = link_components(n_chains, zip(lo.tolist(), hi.tolist()))
-    n_comps = max(labels) + 1
+        return RangeReport(1, math.inf, threshold, resolution, n_samples)
+
+    h = lip * resolution
+    mu = 64.0 * _U * (float(np.max(np.abs(z))) + threshold
+                      + lip * max(abs(ends[0, 0]), abs(ends[-1, 1])))
+    p0, p1, owner = z[:-1][same], z[1:][same], chain[:-1][same]
+    edges, unsure = [], []      # chain pairs (2, k): linked, ambiguous
+    for i, j in _near_segment_pairs(p0, p1, threshold + 2.0 * mu):
+        other = owner[i] != owner[j]
+        i, j = i[other], j[other]
+        lo, hi = _segment_gaps(p0[i], p1[i], p0[j], p1[j])
+        link = hi + h + mu < threshold
+        edges.append(owner[np.stack([i[link], j[link]])])
+        near = ~link & (lo - mu <= threshold)
+        unsure.append(owner[np.stack([i[near], j[near]])])
+    edges = np.concatenate(edges, axis=1)
+    labels = _label_components(n_chains, *edges)
+    a, c = np.concatenate(unsure, axis=1)
+    settle = np.unique(np.concatenate([a, c])[np.tile(labels[a] != labels[c], 2)])
+    if len(settle):
+        import scipy.spatial    # here: only a sample settle or a gap needs trees
+        parts = [chain_params(k) for k in settle.tolist()]
+        pts = g(np.concatenate(parts))
+        # sliding-midpoint splits (Maneewongvatana & Mount, 1999) build faster
+        tree = scipy.spatial.cKDTree(np.column_stack([pts.real, pts.imag]),
+                                     balanced_tree=False, compact_nodes=False)
+        pairs = tree.query_pairs(float(threshold), output_type="ndarray")
+        found = np.repeat(settle, [len(t) for t in parts])[pairs.T]
+        labels = _label_components(n_chains, *np.concatenate([edges, found], axis=1))
+    n_comps = int(labels.max()) + 1
     gap = math.inf
     if n_comps > 1:
+        import scipy.spatial
+        parts = [chain_params(k) for k in range(n_chains)]
+        pooled = g(np.concatenate(parts))
+        owner = np.repeat(np.arange(n_chains), [len(t) for t in parts])
+        xy = np.column_stack([pooled.real, pooled.imag])
         # samples grouped by component, in chain order within each group
-        point_label = np.asarray(labels)[owner]
+        point_label = labels[owner]
         cuts = np.cumsum(np.bincount(point_label))[:-1]
         pts = np.split(xy[np.argsort(point_label, kind="stable")], cuts)
         trees = [scipy.spatial.cKDTree(p) for p in pts]
@@ -717,7 +880,7 @@ def range_components(g: PLFunction, X: CompactRealSet,
             for j in range(i + 1, n_comps):
                 gap = min(gap, float(np.min(trees[j].query(pts[i])[0])))
     return RangeReport(n_components=n_comps, gap=gap, threshold=threshold,
-                       resolution=resolution, n_samples=len(pooled))
+                       resolution=resolution, n_samples=n_samples)
 
 
 # -- persistence ----------------------------------------------------------------

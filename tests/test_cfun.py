@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from specgap.cfun import (_RING_ENTRIES, CantorGenerator, ClopenPiece,
                           CompactRealSet, PLFunction, _first_small_piece,
-                          _float_ends, _gap_piece, _nearest_in_piece, _range_gap_outside,
+                          _float_ends, _gap_piece, _label_components,
+                          _nearest_in_piece, _range_gap_outside,
                           _seg_dists, _sup_dist, cfun_disconnect, clopen_small_pieces,
                           is_finite_interval_union, nondensity_witness,
                           offrange_lambda, pl_approximate, pl_from_dict,
@@ -581,6 +582,31 @@ def _range_reference_cases():
     yield "breakpoint-inside", kinked, two, 1e-2
     ends = PLFunction(breakpoints=(0.0, 0.5, 0.75, 1.0), values=(0.0, 1j, 0.5, 0.5 + 1j))
     yield "breakpoints-at-ends", ends, two, 1e-2
+    # Lip ~ 1 at resolution 1e-2: parallel images 0.025 apart lie in the
+    # rounding band [2h, 3h] of range_components, so samples settle them;
+    # in phase the samples link, half a step out of phase at 0.03 they miss
+    apart = CompactRealSet(intervals=((0, 1), (2, 3)))
+    yield "band-settles-linked", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
+                                            values=(0.0, 1.0, 0.025j, 1 + 0.025j)), apart, 1e-2
+    yield "band-settles-apart", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
+                                           values=(0.0, 1.0, -0.005 + 0.03j, 0.995 + 0.03j)), apart, 1e-2
+    yield "constant", PLFunction(breakpoints=(0.0, 3.0), values=(1 + 1j, 1 + 1j)), apart, 1e-2
+    cantor8 = CompactRealSet.cantor(depth=8, ratio="1/3")
+    t = np.linspace(-0.2, 1.2, 9)
+    f8 = PLFunction(breakpoints=t, values=rng.standard_normal(9) + 1j * rng.standard_normal(9))
+    split = cfun_disconnect(cantor8, f8, 0.25)
+    yield "cantor-8-split", split.g, cantor8, split.range_gap / (6.0 * split.g.lipschitz())
+    yield "point-on-image", PLFunction(breakpoints=(0.0, 1.0, 2.0), values=(0.0, 1.0, 0.5)), \
+        CompactRealSet(intervals=((0, 1),), points=(2,)), 1e-2
+    # one long image [0, 3] beside 40 short ones at distances around the threshold
+    starts = [2 + Fraction(k, 20) for k in range(40)]
+    bps, vals = [0.0, 1.0], [0.0, 3.0]
+    for k, a in enumerate(starts):
+        y = 0.02j * (1 + k % 5) * (-1) ** k
+        bps += [float(a), float(a + Fraction(1, 100))]
+        vals += [0.07 * k + y, 0.07 * k + 0.01 + y]
+    yield "long-beside-short", PLFunction(breakpoints=bps, values=vals), CompactRealSet(
+        intervals=((0, 1),) + tuple((a, a + Fraction(1, 100)) for a in starts)), 1e-2
 
 
 @pytest.mark.parametrize("case", list(_range_reference_cases()), ids=lambda c: c[0])
@@ -588,6 +614,55 @@ def test_range_components_matches_brute_force_linkage(case):
     _, g, X, resolution = case
     rep = range_components(g, X, resolution=resolution)
     assert (rep.n_components, rep.n_samples, rep.gap) == _ref_range_components(g, X, resolution)
+
+
+@st.composite
+def _small_range_inputs(draw):
+    """1-6 pieces of [0, 1] (points and intervals) with ends on a 1/1000
+    grid, a PL g on [0, 1] whose values sit on a quarter grid (so images
+    coincide, overlap and run collinear), and a resolution in [1e-3, 1e-1]."""
+    n = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, 1000), min_size=2 * n, max_size=2 * n,
+                                unique=True)))
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    X = CompactRealSet(
+        intervals=tuple((Fraction(cuts[2 * k], 1000), Fraction(cuts[2 * k + 1], 1000))
+                        for k in range(n) if kinds[k]),
+        points=tuple(Fraction(cuts[2 * k], 1000) for k in range(n) if not kinds[k]))
+    inner = draw(st.lists(st.integers(1, 999), max_size=6, unique=True))
+    bps = [0.0] + sorted(k / 1000 for k in inner) + [1.0]
+    quarter = st.integers(-8, 8).map(lambda k: k / 4)
+    vals = [complex(draw(quarter), draw(quarter)) for _ in bps]
+    return PLFunction(breakpoints=bps, values=vals), X, draw(st.floats(1e-3, 1e-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_range_inputs())
+def test_range_components_matches_brute_force_on_small_inputs(case):
+    g, X, resolution = case
+    rep = range_components(g, X, resolution=resolution)
+    assert (rep.n_components, rep.n_samples, rep.gap) == _ref_range_components(g, X, resolution)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=60))))
+def test_label_components_numbers_like_link_components(graph):
+    n, pairs = graph
+    a, c = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    assert _label_components(n, a, c).tolist() == link_components(n, pairs)
+
+
+def test_range_components_refuses_tiny_resolutions():
+    # 1e-300 once overflowed NumPy's array size, and 1e-9 asked for 7.5e8
+    # samples (12 GB); now both are counted before any is made
+    g = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, 1j))
+    X = CompactRealSet(intervals=((0, Fraction(1, 2)), (Fraction(3, 4), 1)))
+    for tiny, count in ((1e-300, "7.5e+299"), (1e-9, "7.5e+08"), (5e-324, "inf")):
+        with pytest.raises(ExhaustedSamples, match=re.escape(
+                f"resolution {tiny!r} asks for {count} samples")):
+            range_components(g, X, resolution=tiny)
 
 
 def test_range_components_outside_the_domain_raises():

@@ -1,9 +1,10 @@
 """scipy.optimize and scipy.spatial load only in the functions that call them.
 
 Spectrum clustering, certificates and Riesz idempotents (screen, ring proof,
-quadrature and verification) need neither: only `range_components`
-over several chains builds a KD-tree.  Each check runs in a fresh
-interpreter, since the test process may have loaded both already."""
+quadrature and verification) need neither, and nor does a connected range:
+only `range_components` builds KD-trees, for a disconnected range or for
+chains whose image distance falls in its ambiguous band.  Each check runs in
+a fresh interpreter, since the test process may have loaded both already."""
 
 import json
 import os
@@ -13,7 +14,7 @@ import sys
 
 import specgap
 from specgap.algebra import block_operator
-from specgap.cfun import CompactRealSet, PLFunction, range_components
+from specgap.cfun import CompactRealSet, PLFunction, nondensity_witness, range_components
 from specgap.norms import operator_norm_spec
 from specgap.perturb import disconnect, disconnect_rr0
 from specgap.spectral import cluster_points, spectrum_components
@@ -50,7 +51,10 @@ contour = circle(0.0, 0.25)
 out["riesz_ranks"] = [verify_idempotent(riesz_idempotent(T, contour), T).rank,
                       verify_idempotent(riesz_quadrature(T, contour), T).rank]
 out["after_riesz"] = loaded()
-from specgap.cfun import CompactRealSet, PLFunction, range_components
+from specgap.cfun import CompactRealSet, PLFunction, nondensity_witness, range_components
+W, fw = nondensity_witness(3)
+out["connected_range"] = repr(range_components(fw, W))
+out["after_connected_range"] = loaded()
 X = CompactRealSet(intervals=((0, 1), (2, 3)))
 g = PLFunction(breakpoints=(0.0, 3.0), values=(0.0, 3.0))
 out["range"] = repr(range_components(g, X))
@@ -78,6 +82,7 @@ def test_scipy_optimize_and_spatial_load_only_where_called():
     assert out["after_components"] == []
     assert out["after_certificates"] == []
     assert out["after_riesz"] == []
+    assert out["after_connected_range"] == []
     assert out["after_range"] == ["scipy.spatial"]
     assert out["after_all"] == ["scipy.optimize", "scipy.spatial"]
 
@@ -91,6 +96,9 @@ def test_scipy_optimize_and_spatial_load_only_where_called():
         repr(disconnect(T, 0.1, operator_norm_spec(2)).separation),
         repr(disconnect_rr0(T, 0.1).separation)]
     assert out["riesz_ranks"] == [1, 1]     # the circle holds T's eigenvalue 0
+    W, fw = nondensity_witness(3)
+    connected = range_components(fw, W)
+    assert connected.connected and out["connected_range"] == repr(connected)
     X = CompactRealSet(intervals=((0, 1), (2, 3)))
     g = PLFunction(breakpoints=(0.0, 3.0), values=(0.0, 3.0))
     ranges = range_components(g, X)
