@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, ShapeMismatch,
                      StageTooShallow)
+from .spectral import link_components
 
 __all__ = [
     "CompactRealSet",
@@ -688,10 +689,11 @@ def _orient_sign(d, w):
     """Sign of ``Im(conj(d) w)`` for float differences d = b - o, w = c - o
     where the float value proves it, else 0: Shewchuk's orient2d filter
     ``|det| > (3 + 16u) u (|left| + |right|)`` (*Discrete Comput. Geom.* 18,
-    1997)."""
+    1997), plus 2**-1072 for the absolute error of products that underflow."""
     left, right = d.real * w.imag, d.imag * w.real
     det = left - right
-    return np.sign(det) * (np.abs(det) > (3.0 + 16.0 * _U) * _U * (np.abs(left) + np.abs(right)))
+    bound = (3.0 + 16.0 * _U) * _U * (np.abs(left) + np.abs(right)) + 2.0 ** -1072
+    return np.sign(det) * (np.abs(det) > bound)
 
 
 def _segment_gaps(p0, p1, q0, q1):
@@ -743,24 +745,12 @@ def _near_segment_pairs(p0, p1, reach):
         r0 = r1
 
 
-def _label_components(n: int, a, c):
-    """Component of each vertex 0..n-1 of the graph with edges (a[k], c[k]),
-    numbered in order of each component's first vertex as
-    ``spectral.link_components`` numbers them, in array operations: each
-    root hooks to the least root it shares an edge with, then every vertex
-    jumps to its pointer's pointer until all point at roots.  Pointers only
-    go down, so a component's root is its least vertex."""
-    root = np.arange(n)
-    while True:
-        ra, rc = root[a], root[c]
-        differ = ra != rc
-        if not differ.any():
-            return np.unique(root, return_inverse=True)[1]
-        low = np.minimum(ra[differ], rc[differ])
-        np.minimum.at(root, ra[differ], low)
-        np.minimum.at(root, rc[differ], low)
-        while not np.array_equal(root[root], root):
-            root = root[root]
+def _chain_labels(n: int, a, c) -> np.ndarray:
+    """``link_components`` labels of the n vertices joined by the edges
+    (a[k], c[k]), each pair of distinct vertices passed once."""
+    lo, hi = np.minimum(a, c), np.maximum(a, c)
+    lo, hi = np.divmod(np.unique(lo[lo != hi] * n + hi[lo != hi]), n)
+    return np.asarray(link_components(n, zip(lo.tolist(), hi.tolist())))
 
 
 def range_components(g: PLFunction, X: CompactRealSet,
@@ -791,14 +781,16 @@ def range_components(g: PLFunction, X: CompactRealSet,
 
     Where an orientation test cannot prove whether two segments cross, d is
     only bracketed (``_segment_gaps``), and each end of the bracket is used
-    where it is safe.  Chains are linked along the linked pairs first; a
-    connected range is reported without evaluating g at a sample.  The
-    ambiguous pairs that still join two components are then settled
-    together, by one KD-tree over the samples of their chains at
-    ``threshold``: each cross-chain pair it finds is a link of the sampled
-    rule.  A disconnected report takes its gap from per-component sample
-    trees.  The outputs are those of the sampled rule, barring overflow of
-    squared distances (which the KD-trees share).
+    where it is safe.  The geometry runs on g's values times the power of
+    two that brings max(|g|, threshold) to [1/2, 1), an exact scaling under
+    which no squared distance overflows or underflows beyond mu.  Chains
+    are linked along the linked pairs first; a connected range is reported
+    without evaluating g at a sample.  The ambiguous pairs that still join
+    two components are then settled together, by one KD-tree over the
+    samples of their chains at ``threshold``: each cross-chain pair it finds
+    is a link of the sampled rule.  A disconnected report takes its gap from
+    per-component sample trees, reusing the settled samples.  The outputs
+    are those of the sampled rule.
 
     Raises ``ExhaustedSamples`` when the samples would number more than
     ``_MAX_RANGE_SAMPLES``, before any is made.
@@ -836,49 +828,62 @@ def range_components(g: PLFunction, X: CompactRealSet,
     if n_chains == 1:
         return RangeReport(1, math.inf, threshold, resolution, n_samples)
 
-    h = lip * resolution
-    mu = 64.0 * _U * (float(np.max(np.abs(z))) + threshold
-                      + lip * max(abs(ends[0, 0]), abs(ends[-1, 1])))
+    # One power of two brings max(|g|, threshold) to [1/2, 1) (to at least
+    # 2**-54 on a range below 2**-1020): the geometry scales exactly, and no
+    # squared distance or orientation product overflows, nor underflows by
+    # more than mu covers.
+    scale = 2.0 ** -max(math.frexp(max(float(np.max(np.abs(z))), threshold))[1], -1020)
+    z = z * scale
+    reach, h = threshold * scale, lip * scale * resolution
+    mu = 64.0 * _U * (float(np.max(np.abs(z))) + reach
+                      + lip * scale * max(abs(ends[0, 0]), abs(ends[-1, 1])))
     p0, p1, owner = z[:-1][same], z[1:][same], chain[:-1][same]
     edges, unsure = [], []      # chain pairs (2, k): linked, ambiguous
-    for i, j in _near_segment_pairs(p0, p1, threshold + 2.0 * mu):
+    for i, j in _near_segment_pairs(p0, p1, reach + 2.0 * mu):
         other = owner[i] != owner[j]
         i, j = i[other], j[other]
         lo, hi = _segment_gaps(p0[i], p1[i], p0[j], p1[j])
-        link = hi + h + mu < threshold
+        link = hi + h + mu < reach
         edges.append(owner[np.stack([i[link], j[link]])])
-        near = ~link & (lo - mu <= threshold)
+        near = ~link & (lo - mu <= reach)
         unsure.append(owner[np.stack([i[near], j[near]])])
     edges = np.concatenate(edges, axis=1)
-    labels = _label_components(n_chains, *edges)
+    labels = _chain_labels(n_chains, *edges)
     a, c = np.concatenate(unsure, axis=1)
     settle = np.unique(np.concatenate([a, c])[np.tile(labels[a] != labels[c], 2)])
+    settled = np.empty(0, dtype=complex)    # g at the settle chains' samples
     if len(settle):
         import scipy.spatial    # here: only a sample settle or a gap needs trees
         parts = [chain_params(k) for k in settle.tolist()]
-        pts = g(np.concatenate(parts))
+        settled = g(np.concatenate(parts))
         # sliding-midpoint splits (Maneewongvatana & Mount, 1999) build faster
-        tree = scipy.spatial.cKDTree(np.column_stack([pts.real, pts.imag]),
+        tree = scipy.spatial.cKDTree(np.column_stack([settled.real, settled.imag]),
                                      balanced_tree=False, compact_nodes=False)
         pairs = tree.query_pairs(float(threshold), output_type="ndarray")
         found = np.repeat(settle, [len(t) for t in parts])[pairs.T]
-        labels = _label_components(n_chains, *np.concatenate([edges, found], axis=1))
+        # join the linked components themselves: few vertices, few edges
+        labels = _chain_labels(int(labels.max()) + 1, *labels[found])[labels]
     n_comps = int(labels.max()) + 1
     gap = math.inf
     if n_comps > 1:
         import scipy.spatial
         parts = [chain_params(k) for k in range(n_chains)]
-        pooled = g(np.concatenate(parts))
-        owner = np.repeat(np.arange(n_chains), [len(t) for t in parts])
+        t = np.concatenate(parts)
+        owner = np.repeat(np.arange(n_chains), [len(p) for p in parts])
+        # the settled chains' values are reused: g is elementwise, and those
+        # chains' samples come in the same order here
+        pooled = np.empty(len(t), dtype=complex)
+        known = np.isin(owner, settle)
+        pooled[known] = settled
+        pooled[~known] = g(t[~known])
         xy = np.column_stack([pooled.real, pooled.imag])
-        # samples grouped by component, in chain order within each group
+        # samples grouped by component, in chain order within each group;
+        # each component's tree is queried once, by all earlier components
         point_label = labels[owner]
+        grouped = xy[np.argsort(point_label, kind="stable")]
         cuts = np.cumsum(np.bincount(point_label))[:-1]
-        pts = np.split(xy[np.argsort(point_label, kind="stable")], cuts)
-        trees = [scipy.spatial.cKDTree(p) for p in pts]
-        for i in range(n_comps):
-            for j in range(i + 1, n_comps):
-                gap = min(gap, float(np.min(trees[j].query(pts[i])[0])))
+        gap = min(float(np.min(scipy.spatial.cKDTree(p).query(grouped[:cut])[0]))
+                  for p, cut in zip(np.split(grouped, cuts)[1:], cuts.tolist()))
     return RangeReport(n_components=n_comps, gap=gap, threshold=threshold,
                        resolution=resolution, n_samples=n_samples)
 
