@@ -4,17 +4,22 @@ For X a compact subset of R and f in C(X) (complex valued), the spectrum of
 f is its range.  Functions with disconnected range are dense in C(X) exactly
 when X is *not* a finite union of disjoint (nondegenerate) closed intervals.
 The constructive side implemented here: given such an X and a piecewise
-linear f, produce g with ``||g - f||_inf < eps`` whose range splits off an
-isolated value:
+linear f (a :class:`PLFunction`; continuous functions are first brought to
+PL form, e.g. by :func:`pl_approximate`), produce g with
+``||g - f||_inf < eps`` whose range splits off an isolated value:
 
-1. approximate f within eps/3 by a piecewise linear G (exact when f is
-   already PL);
-2. cut a clopen piece X0 of X small enough that G oscillates less than
+1. cut a clopen piece X0 of X small enough that f oscillates less than
    eps/3 on it — gap midpoints give such pieces with diameters shrinking
    geometrically (an isolated point gives diameter zero outright);
-3. pick lambda off the (measure-zero) range of G with
-   ``|lambda - G(t0)| < eps/3`` for a point t0 of X0, and set g = lambda on
-   X0, g = G elsewhere, interpolating through the gaps around X0.
+2. pick lambda off the (measure-zero) range of f with
+   ``|lambda - f(t0)| < eps/3`` for a point t0 of X0, and set g = lambda on
+   X0, g = f elsewhere, interpolating through the gaps around X0;
+3. check the certificate in one pass over one knot array, X's piece ends
+   and f's breakpoints inside the pieces: f and g are evaluated there once
+   each, and both sup|g - f| over X and the distance from lambda to
+   g(X \\ X0) are read off those values.  That array holds every knot of
+   g on X, because g keeps f's breakpoints beyond the cuts and the cuts
+   lie in gaps of X.
 
 The negative side: X = a disjoint union of n >= 2 unit intervals carries a
 witness f (real segment through 0 on the first interval, imaginary segments
@@ -26,8 +31,7 @@ Interval endpoints and isolated points are exact rationals
 diameters are computed without rounding; PL data is floating point.  Pieces
 stay sorted, so clopen cuts are exact ``Fraction`` bisections; a Cantor
 stage is built from integers and its small pieces are runs of its indices.
-A certificate rounds the piece ends to floats once and evaluates each
-function once, at the knots of all pieces.
+A certificate rounds the piece ends to floats once.
 """
 
 from __future__ import annotations
@@ -84,6 +88,12 @@ def _frac(x) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     raise ShapeMismatch(f"cannot read {x!r} as a rational number")
+
+
+def _mid(x: Fraction, y: Fraction) -> Fraction:
+    """(x + y) / 2, normalized once rather than once per operation."""
+    return Fraction(x.numerator * y.denominator + y.numerator * x.denominator,
+                    2 * x.denominator * y.denominator)
 
 
 def _is_count(n) -> bool:
@@ -280,9 +290,9 @@ def _isolated_point_piece(X: CompactRealSet) -> ClopenPiece:
     x0 = X.points[0]
     pieces = X.pieces()
     k = bisect.bisect_left(pieces, x0, key=itemgetter(0))
-    cut_lo = (pieces[k - 1][1] + x0) / 2 if k else x0 - 1
-    cut_hi = (pieces[k + 1][0] + x0) / 2 if k + 1 < len(pieces) else x0 + 1
-    return ClopenPiece(subset=CompactRealSet(points=(x0,)),
+    cut_lo = _mid(pieces[k - 1][1], x0) if k else x0 - 1
+    cut_hi = _mid(x0, pieces[k + 1][0]) if k + 1 < len(pieces) else x0 + 1
+    return ClopenPiece(subset=CompactRealSet._of_pieces(pieces[k:k + 1]),
                        cut_lo=cut_lo, cut_hi=cut_hi)
 
 
@@ -315,30 +325,31 @@ def _gap_piece(X: CompactRealSet, j: int) -> ClopenPiece:
     """Piece j of :func:`clopen_small_pieces` on a generator-backed X: the
     right branch of the leftmost level-j interval, of diameter L r^(j+1).
     That branch is the run of stage indices [2^(d-j-1), 2^(d-j))."""
-    gen = X.generator
-    L = gen.hi - gen.lo
-    # m_k = lo + L r^k / 2 is the midpoint of the gap splitting the leftmost
-    # level-k interval; the m_k decrease toward inf X.
-    lo = gen.lo + L * gen.ratio ** j / 2
-    hi = gen.lo + L * gen.ratio ** (j - 1) / 2 if j else X.sup + 1
-    half = 1 << (gen.depth - j - 1)
-    return ClopenPiece(subset=CompactRealSet._of_pieces(X.pieces()[half:2 * half]),
+    pieces, half = X.pieces(), 1 << (X.generator.depth - j - 1)
+    # the leftmost level-k interval [inf X, inf X + L r^k] ends with stage
+    # piece 2^(d-k) - 1, and its midpoint m_k lies in the gap splitting it;
+    # the m_k decrease toward inf X
+    lo = _mid(X.inf, pieces[2 * half - 1][1])
+    hi = _mid(X.inf, pieces[4 * half - 1][1]) if j else X.sup + 1
+    return ClopenPiece(subset=CompactRealSet._of_pieces(pieces[half:2 * half]),
                        cut_lo=lo, cut_hi=hi)
 
 
 def _first_small_piece(X: CompactRealSet, lip: float, budget: float):
     """The first of ``clopen_small_pieces(X, depth)`` (one piece when X has
     an isolated point) with ``lip * diam < budget``, or None.  The diameters
-    L r^(j+1) come from the generator, exact, so only the chosen piece is
-    built."""
-    if X.points:
-        piece = _isolated_point_piece(X)
-        return piece if lip * float(piece.diam) < budget else None
+    L r^(j+1) come from the generator, as integer numerators over integer
+    denominators whose quotient is ``float`` of the diameter, so only the
+    chosen piece is built."""
+    if X.points:                        # a point piece: diameter zero
+        return _isolated_point_piece(X) if lip * 0.0 < budget else None
     gen = X.generator
-    diam = gen.hi - gen.lo
+    L = gen.hi - gen.lo
+    num, den = L.numerator, L.denominator
+    p, q = gen.ratio.numerator, gen.ratio.denominator
     for j in range(gen.depth):
-        diam *= gen.ratio
-        if lip * float(diam) < budget:
+        num, den = num * p, den * q
+        if lip * (num / den) < budget:
             return _gap_piece(X, j)
     return None
 
@@ -403,31 +414,31 @@ class PLFunction:
         ends = _float_ends(X)
         if ends[0, 0] < lo - 1e-12 or ends[-1, 1] > hi + 1e-12:
             raise ShapeMismatch("X is not contained in the function's domain")
-        z, _, point = _knot_values(ends, self, self._b)
-        return _max_modulus(z, point)
+        t, _, n_knots = _knots(ends, self._b)
+        return _max_modulus(self(t), np.repeat(ends[:, 0] == ends[:, 1], n_knots))
 
 
 def _float_ends(X: CompactRealSet) -> np.ndarray:
-    """X's piece ends as a (pieces, 2) array; int / int is ``float(Fraction)``."""
-    return np.array([(a.numerator / a.denominator, b.numerator / b.denominator)
-                     for a, b in X.pieces()])
+    """X's piece ends as a (pieces, 2) array; int / int is ``float(Fraction)``,
+    correctly rounded at any size.  One flat list converts faster than
+    pairs."""
+    return np.array([x.numerator / x.denominator
+                     for ab in X.pieces() for x in ab]).reshape(-1, 2)
 
 
-def _knot_values(ends, fn, breakpoints, drop=None):
-    """``fn`` in one call at the knots of the pieces with float ``ends``: each
-    piece's ends and the breakpoints strictly inside it ([p, p] for a point),
-    sorted.  Pieces inside the open interval ``drop`` are left out.  Returns
-    the values, the masks of knot pairs within one piece and of point knots."""
-    if drop is not None:
-        ends = ends[~((drop[0] < ends[:, 0]) & (ends[:, 1] < drop[1]))]
-    b, flat = np.asarray(breakpoints, dtype=float), ends.ravel()
+def _knots(ends, b):
+    """The knots of the pieces with float ``ends``: each piece's ends and the
+    breakpoints ``b`` strictly inside it ([p, p] for a point), sorted.
+    Returns them, the mask of knot pairs within one piece and the number of
+    knots of each piece."""
+    flat = ends.ravel()
     below = np.searchsorted(flat, b, side="left")      # ends below b: odd inside
     inside = (below % 2 == 1) & (below == np.searchsorted(flat, b, side="right"))
     n_knots = np.bincount(below[inside] // 2, minlength=len(ends)) + 2
     t = np.sort(np.concatenate([flat, b[inside]]))
-    same = np.ones(max(len(t) - 1, 0), dtype=bool)
+    same = np.ones(len(t) - 1, dtype=bool)
     same[np.cumsum(n_knots)[:-1] - 1] = False
-    return fn(t), same, np.repeat(ends[:, 0] == ends[:, 1], n_knots)
+    return t, same, n_knots
 
 
 def _max_modulus(z, point) -> float:
@@ -463,18 +474,21 @@ def pl_approximate(f, tol: float, lo=None, hi=None, max_refine: int = 18):
     raise ExhaustedSamples(f"could not reach tol={tol} with {n} samples")
 
 
-def _seg_dists(z, a, b):
-    """Distances from z to the segments [a, b], broadcast; a zero-length
-    segment projects onto a.  Moduli round as CPython's scalar ``abs`` (C
-    hypot), and ``|b - a|**2`` takes C ``pow``, not always ``x * x``."""
-    ab = b - a
-    denom = np.array([abs(w) ** 2 for w in ab.tolist()])
+def _sq_moduli(w):
+    """|w|**2 elementwise, rounded as CPython's scalar ``abs(w) ** 2``: C
+    hypot (NumPy's ``hypot`` calls it), then C ``pow``, not always
+    ``x * x``; a modulus whose square overflows raises ``OverflowError``."""
+    return np.array([h ** 2 for h in np.hypot(w.real, w.imag).tolist()])
+
+
+def _seg_dists(z, a, ab, denom):
+    """Distances from z to the segments [a, a + ab], broadcast, with
+    ``denom = _sq_moduli(ab)``; a zero-length segment projects onto a."""
     za = z - a
     s = np.divide(za.real * ab.real + za.imag * ab.imag, denom,
                   out=np.zeros(za.shape), where=denom != 0.0)
-    s = np.clip(s, 0.0, 1.0)
-    return np.hypot(np.real(z) - (a.real + s * ab.real),
-                    np.imag(z) - (a.imag + s * ab.imag))
+    s = np.minimum(np.maximum(s, 0.0), 1.0)     # np.clip, without its wrapper
+    return np.hypot(z.real - (a.real + s * ab.real), z.imag - (a.imag + s * ab.imag))
 
 
 # Entries (ring points x segments) per _seg_dists call of offrange_lambda,
@@ -490,29 +504,30 @@ def offrange_lambda(G: PLFunction, target: complex, tol: float):
     The range of a PL function is a finite union of segments (measure zero),
     so candidates on rings around the target almost all work; the search
     refines the rings a few times before giving up.  Each pass scores its
-    rings together, ``_RING_ENTRIES`` entries (or one ring) per distance call.
+    rings together, ``_RING_ENTRIES`` entries (or one ring) per distance call,
+    and takes the first best candidate, rings in order of the radii.
     Returns ``(lambda, clearance)``.
     """
     target = complex(target)
     if not (0.0 < tol < math.inf and cmath.isfinite(target)):
         raise ValueError(f"need 0 < tol < inf and a finite target, got "
                          f"tol={tol!r}, target={target!r}")
-    v = G._v
-    best = (None, 0.0)
+    a = G._v[:-1]
+    ab = G._v[1:] - a
+    denom = _sq_moduli(ab)
     n_ang, radii = 16, (0.9, 0.7, 0.5, 0.3)
     for _ in range(6):
         ang = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
-        ring = np.exp(1j * ang)
-        step = max(1, _RING_ENTRIES // (n_ang * (len(v) - 1)))
-        for i in range(0, len(radii), step):
-            z = target + (tol * np.asarray(radii[i:i + step]))[:, None] * ring
-            clear = _seg_dists(z[:, :, None], v[:-1], v[1:]).min(axis=2)
-            for zr, cr in zip(z, clear):
-                k = int(np.argmax(cr))   # first strict maximum of the ring
-                if cr[k] > best[1]:
-                    best = (complex(zr[k]), float(cr[k]))
-        if best[0] is not None and best[1] > 0.0:
-            return best
+        z = target + (tol * np.asarray(radii))[:, None] * np.exp(1j * ang)
+        step = max(1, _RING_ENTRIES // (n_ang * len(a)))
+        clear = np.concatenate([_seg_dists(z[i:i + step, :, None], a, ab, denom).min(axis=2)
+                                for i in range(0, len(radii), step)])
+        k = int(np.argmax(clear))
+        if math.isnan(clear.flat[k]):       # a ring holding a NaN is passed over
+            clear[np.isnan(clear).any(axis=1)] = 0.0
+            k = int(np.argmax(clear))
+        if clear.flat[k] > 0.0:
+            return complex(z.flat[k]), float(clear.flat[k])
         n_ang *= 3
         radii = tuple(r * 0.6 for r in radii) + radii
     raise ExhaustedSamples(f"no value within {tol} of {target} clears the range")
@@ -539,35 +554,30 @@ class CfunDisconnectResult:
 def _nearest_in_piece(piece: ClopenPiece) -> Fraction:
     sub = piece.subset
     pieces = sub.pieces()
-    center = (sub.inf + sub.sup) / 2
+    center = _mid(sub.inf, sub.sup)
     k = bisect.bisect_right(pieces, center, key=itemgetter(0))
     b = pieces[k - 1][1]
     if center <= b:
         return center
     a = pieces[k][0]                      # center sits in the gap (b, a)
-    return b if center - b <= a - center else a
-
-
-def _range_gap_outside(g: PLFunction, ends, piece: ClopenPiece,
-                       lam: complex) -> float:
-    """Distance from lam to g(X \\ piece), X given by its float ends: the
-    segments between knots are exact, the float arithmetic on them is not."""
-    z, same, _ = _knot_values(ends, g, g._b,
-                              drop=(float(piece.cut_lo), float(piece.cut_hi)))
-    return float(np.min(_seg_dists(lam, z[:-1][same], z[1:][same]), initial=math.inf))
+    return b if center <= _mid(b, a) else a
 
 
 def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconnectResult:
     """Perturb f by less than ``eps`` in sup norm so its range disconnects.
 
-    Requires X not a finite union of intervals (and more than one point).
-    The output g equals an off-range value lambda on one small clopen piece
-    of X and equals f elsewhere on X, with the crossover interpolated
-    through the gaps around the piece; ``||g - f||_inf`` over X is taken at
-    every knot of the PL data, in floats, and checked < eps, and {lambda}
-    sits at the returned positive distance from the rest of the range; a
-    failed check raises :class:`ConvergenceFailure`.
+    Requires X not a finite union of intervals (and more than one point),
+    and f a :class:`PLFunction` whose domain covers X.  The output g equals
+    an off-range value lambda on one small clopen piece of X and equals f
+    elsewhere on X, with the crossover interpolated through the gaps around
+    the piece; ``||g - f||_inf`` over X is taken at every knot of the PL
+    data, in floats, and checked < eps, and {lambda} sits at the returned
+    positive distance from the rest of the range; a failed check raises
+    :class:`ConvergenceFailure`.  f is evaluated once at t0 and the cuts,
+    and f and g once each at the knots of X.
     """
+    if not isinstance(f, PLFunction):
+        raise ShapeMismatch(f"f must be a PLFunction, got {type(f).__name__}")
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if is_finite_interval_union(X):
@@ -575,38 +585,34 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
                           "approximated by connected-range functions only")
     if not X.more_than_one:
         raise ValueError("need |X| > 1 to disconnect a range")
-    G = pl_approximate(f, eps / 3.0)
     ends = _float_ends(X)
-    if ends[0, 0] < G.domain[0] - 1e-12 or ends[-1, 1] > G.domain[1] + 1e-12:
+    b, v = f._b, f._v
+    if ends[0, 0] < b[0] - 1e-12 or ends[-1, 1] > b[-1] + 1e-12:
         raise ShapeMismatch("f's domain must cover X")
 
-    piece = _first_small_piece(X, G.lipschitz(), eps / 3.0)
+    piece = _first_small_piece(X, f.lipschitz(), eps / 3.0)
     if piece is None:
         raise StageTooShallow("no clopen piece is small enough; deepen the "
                               "generator stage or loosen eps")
 
     t0 = _nearest_in_piece(piece)
-    lam, clearance = offrange_lambda(G, G(float(t0)), eps / 3.0)
+    cuts = float(piece.cut_lo), float(piece.cut_hi)
+    left, right = b < cuts[0], b > cuts[1]
+    # g runs through f at each cut that has breakpoints of f beyond it; one
+    # call evaluates f there and at t0
+    through = [c for c, beyond in zip(cuts, (left[0], right[-1])) if beyond]
+    at = f(np.array([float(t0)] + through))
+    lam, clearance = offrange_lambda(f, at[0], eps / 3.0)
 
-    f_lo, f_hi = map(float, piece.hull)
-    cl, ch = float(piece.cut_lo), float(piece.cut_hi)
-    b, v = G._b, G._v
-    left = b < cl
-    right = b > ch
-    nb, nv = [], []
-    if np.any(left):
-        nb.extend(b[left]); nv.extend(v[left])
-        nb.append(cl); nv.append(G(cl))
-    nb.append(f_lo); nv.append(lam)
-    if f_hi > f_lo:
-        nb.append(f_hi); nv.append(lam)
-    if np.any(right):
-        nb.append(ch); nv.append(G(ch))
-        nb.extend(b[right]); nv.extend(v[right])
-    g = PLFunction(breakpoints=nb, values=nv)
+    f_lo, f_hi = float(piece.subset.inf), float(piece.subset.sup)
+    hull = [f_lo, f_hi] if f_hi > f_lo else [f_lo]
+    n_lo = int(left[0])         # 1 when g runs through the lower cut
+    g = PLFunction(breakpoints=np.concatenate([b[left], through[:n_lo], hull,
+                                               through[n_lo:], b[right]]),
+                   values=np.concatenate([v[left], at[1:1 + n_lo], [lam] * len(hull),
+                                          at[1 + n_lo:], v[right]]))
 
-    sup_dist = _sup_dist(g, f, ends)
-    range_gap = _range_gap_outside(g, ends, piece, lam)
+    sup_dist, range_gap = _certificate_bounds(g, f, ends, cuts, lam)
     if not sup_dist < eps:
         raise ConvergenceFailure(f"sup|g - f| = {sup_dist} failed the < eps={eps} bound")
     if not range_gap > 0.0:
@@ -616,14 +622,27 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
                                 lam_clearance=clearance)
 
 
-def _sup_dist(g: PLFunction, f: PLFunction, ends) -> float:
-    """Sup over X of |g - f| for PL g, f, given the float ends of X's
-    pieces: the difference is linear between adjacent knots of either
-    function, so its modulus peaks at a knot or an X-interval endpoint.  The
-    knots are exact; the values there are rounded float arithmetic."""
-    knots = np.union1d(g._b, f._b)
-    z, _, point = _knot_values(ends, lambda t: g(t) - f(t), knots)
-    return _max_modulus(z, point)
+def _certificate_bounds(g: PLFunction, f: PLFunction, ends, cuts, lam: complex):
+    """Sup over X of |g - f| and the distance from lam to g(X \\ piece), X
+    given by its float ``ends`` and the piece by its float ``cuts``, both
+    read off f and g evaluated once each at one knot array: X's piece ends
+    and f's breakpoints inside its pieces.
+
+    That array holds every knot of either function on X, and exactly g's
+    on the pieces outside the cuts, when g's breakpoints inside X's pieces
+    are f's and f has no other there outside the cuts -- as g is built, equal
+    to f beyond the cuts, which lie in gaps of X.  |g - f| is linear between
+    adjacent knots, so its modulus peaks at a knot; the segments of g
+    between knots are exact, the float arithmetic on them is not."""
+    t, same, n_knots = _knots(ends, f._b)
+    zf = f(t)
+    zg = g(t)
+    sup_dist = _max_modulus(zg - zf, np.repeat(ends[:, 0] == ends[:, 1], n_knots))
+    outside = ~((cuts[0] < ends[:, 0]) & (ends[:, 1] < cuts[1]))
+    keep = same & np.repeat(outside, n_knots)[:-1]
+    a = zg[:-1][keep]
+    ab = zg[1:][keep] - a
+    return sup_dist, float(np.min(_seg_dists(lam, a, ab, _sq_moduli(ab)), initial=math.inf))
 
 
 def nondensity_witness(n: int):
@@ -745,6 +764,24 @@ def _near_segment_pairs(p0, p1, reach):
         r0 = r1
 
 
+def _linspaces(lo, hi, num):
+    """``np.linspace(lo[k], hi[k], num[k])`` for every k, concatenated, and
+    the k of each sample, in one pass with linspace's arithmetic: lo + i *
+    step for step = (hi - lo) / (num - 1), or lo + i / (num - 1) * (hi - lo)
+    where that step is 0, and the last sample set to hi.  ``num[k]`` is 1
+    only where ``lo[k] == hi[k]``.  Each run is sorted: i * step + lo never
+    passes hi for fewer than 2**50 samples."""
+    owner = np.repeat(np.arange(len(num)), num)
+    first = np.cumsum(num) - num
+    i = (np.arange(len(owner)) - first[owner]).astype(float)
+    delta, div = hi - lo, np.maximum(num - 1, 1)
+    step = delta / div
+    t = np.where((step == 0.0)[owner], i / div[owner] * delta[owner], i * step[owner])
+    t += lo[owner]
+    t[first + num - 1] = hi
+    return t, owner
+
+
 def _chain_labels(n: int, a, c) -> np.ndarray:
     """``link_components`` labels of the n vertices joined by the edges
     (a[k], c[k]), each pair of distinct vertices passed once."""
@@ -800,7 +837,8 @@ def range_components(g: PLFunction, X: CompactRealSet,
     lip = g.lipschitz()
     threshold = 3.0 * lip * resolution
     ends = _float_ends(X)
-    z, same, _ = _knot_values(ends, g, g._b)      # raises as sampling would
+    t, same, _ = _knots(ends, g._b)
+    z = g(t)                                     # raises as sampling would
     n_chains = len(ends)
     chain = np.concatenate(([0], np.cumsum(~same)))     # of each knot
     n_inner = np.bincount(chain, minlength=n_chains) - 2
@@ -811,20 +849,34 @@ def range_components(g: PLFunction, X: CompactRealSet,
     if not bound <= _MAX_RANGE_SAMPLES:
         raise ExhaustedSamples(f"resolution {resolution!r} asks for {bound:.4g} samples "
                                f"of the range; at most {_MAX_RANGE_SAMPLES} are taken")
-    b, params = g._b, {}
+    inner = np.zeros(len(t), dtype=bool)     # g's breakpoints inside the pieces
+    inner[1:-1] = same[:-1] & same[1:]
 
-    def chain_params(k):
-        if k not in params:
-            fa, fc = ends[k]
-            if fa == fc:
-                params[k] = np.asarray([fa])
-            else:
-                t, inner = np.linspace(fa, fc, int(grid[k])), b[(b > fa) & (b < fc)]
-                params[k] = np.union1d(t, inner) if len(inner) else t
-        return params[k]
+    def chain_params(take):
+        """The sample parameters of the chains where ``take`` is set and the
+        chain of each, in chain order: ``np.linspace(*ends[k], grid[k])``,
+        merged with g's breakpoints inside the piece as ``np.union1d`` merges
+        them where there are any."""
+        ks = np.flatnonzero(take)
+        params, owner = _linspaces(ends[ks, 0], ends[ks, 1], grid[ks].astype(np.int64))
+        owner = ks[owner]
+        bp = inner & take[chain]
+        if bp.any():
+            params = np.concatenate([params, t[bp]])
+            owner = np.concatenate([owner, chain[bp]])
+            order = np.lexsort((params, owner))
+            params, owner = params[order], owner[order]
+            # drop repeated values as np.union1d does; a chain without
+            # breakpoints keeps its linspace whole, repeats included
+            keep = np.ones(len(params), dtype=bool)
+            keep[1:] = ~((owner[1:] == owner[:-1]) & (params[1:] == params[:-1])
+                         & (n_inner[owner[1:]] > 0))
+            params, owner = params[keep], owner[keep]
+        return params, owner
 
-    n_samples = int(np.sum(grid[n_inner == 0])) + sum(
-        len(chain_params(k)) for k in np.flatnonzero(n_inner).tolist())
+    n_samples = int(np.sum(grid[n_inner == 0]))
+    if np.any(n_inner):
+        n_samples += len(chain_params(n_inner > 0)[0])
     if n_chains == 1:
         return RangeReport(1, math.inf, threshold, resolution, n_samples)
 
@@ -850,32 +902,31 @@ def range_components(g: PLFunction, X: CompactRealSet,
     edges = np.concatenate(edges, axis=1)
     labels = _chain_labels(n_chains, *edges)
     a, c = np.concatenate(unsure, axis=1)
-    settle = np.unique(np.concatenate([a, c])[np.tile(labels[a] != labels[c], 2)])
+    settle = np.zeros(n_chains, dtype=bool)
+    settle[np.concatenate([a, c])[np.tile(labels[a] != labels[c], 2)]] = True
     settled = np.empty(0, dtype=complex)    # g at the settle chains' samples
-    if len(settle):
+    if settle.any():
         import scipy.spatial    # here: only a sample settle or a gap needs trees
-        parts = [chain_params(k) for k in settle.tolist()]
-        settled = g(np.concatenate(parts))
+        params, found = chain_params(settle)
+        settled = g(params)
         # sliding-midpoint splits (Maneewongvatana & Mount, 1999) build faster
         tree = scipy.spatial.cKDTree(np.column_stack([settled.real, settled.imag]),
                                      balanced_tree=False, compact_nodes=False)
         pairs = tree.query_pairs(float(threshold), output_type="ndarray")
-        found = np.repeat(settle, [len(t) for t in parts])[pairs.T]
+        found = found[pairs.T]
         # join the linked components themselves: few vertices, few edges
         labels = _chain_labels(int(labels.max()) + 1, *labels[found])[labels]
     n_comps = int(labels.max()) + 1
     gap = math.inf
     if n_comps > 1:
         import scipy.spatial
-        parts = [chain_params(k) for k in range(n_chains)]
-        t = np.concatenate(parts)
-        owner = np.repeat(np.arange(n_chains), [len(p) for p in parts])
+        params, owner = chain_params(np.ones(n_chains, dtype=bool))
         # the settled chains' values are reused: g is elementwise, and those
-        # chains' samples come in the same order here
-        pooled = np.empty(len(t), dtype=complex)
-        known = np.isin(owner, settle)
+        # chains' samples come in the same (sorted) order here
+        pooled = np.empty(len(params), dtype=complex)
+        known = settle[owner]
         pooled[known] = settled
-        pooled[~known] = g(t[~known])
+        pooled[~known] = g(params[~known])
         xy = np.column_stack([pooled.real, pooled.imag])
         # samples grouped by component, in chain order within each group;
         # each component's tree is queried once, by all earlier components

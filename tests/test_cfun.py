@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specgap.cfun import (_RING_ENTRIES, CantorGenerator, ClopenPiece,
-                          CompactRealSet, PLFunction, _first_small_piece,
-                          _float_ends, _gap_piece,
-                          _nearest_in_piece, _range_gap_outside,
-                          _seg_dists, _sup_dist, cfun_disconnect, clopen_small_pieces,
+                          CompactRealSet, PLFunction, _certificate_bounds,
+                          _first_small_piece, _float_ends, _gap_piece, _linspaces,
+                          _nearest_in_piece, _seg_dists, _sq_moduli, cfun_disconnect,
+                          clopen_small_pieces,
                           is_finite_interval_union, nondensity_witness,
                           offrange_lambda, pl_approximate, pl_from_dict,
                           pl_to_dict, range_components, read_pl, read_set,
@@ -366,15 +366,38 @@ def test_offrange_lambda_guards():
             offrange_lambda(G, target=target, tol=tol)
 
 
+def test_offrange_lambda_passes_over_rings_holding_nan():
+    """Steps of 1.27e154 and a tolerance of 2e154: at some ring points a
+    projection's products overflow to inf - inf = NaN.  A ring holding a
+    NaN is passed over, as a ring-by-ring scan passes it (its argmax is the
+    NaN), and the clean rings still supply lambda."""
+    vals = np.concatenate([[0j], np.cumsum([9e153 - 9e153j] + [9e153 + 9e153j] * 12)])
+    G = PLFunction(breakpoints=np.arange(len(vals), dtype=float), values=vals)
+    target, tol = complex(vals[3]), 2e154
+    a, ab = G._v[:-1], G._v[1:] - G._v[:-1]
+    ang = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
+    best, nan_rings = (None, 0.0), 0
+    with np.errstate(all="ignore"):
+        for r in (0.9, 0.7, 0.5, 0.3):
+            z = target + tol * r * np.exp(1j * ang)
+            clear = _seg_dists(z[:, None], a, ab, _sq_moduli(ab)).min(axis=1)
+            nan_rings += bool(np.isnan(clear).any())
+            k = int(np.argmax(clear))
+            if clear[k] > best[1]:
+                best = (complex(z[k]), float(clear[k]))
+        assert 0 < nan_rings < 4 and best[1] > 0.0
+        assert offrange_lambda(G, target, tol) == best
+
+
 def test_offrange_lambda_scores_a_pass_per_distance_call(monkeypatch):
     """One distance call per refinement pass while the pass fits the entry
     budget; a larger pass is split into whole rings, never more entries per
     call than the budget or one ring."""
     shapes = []
 
-    def counted(z, a, b):
+    def counted(z, a, ab, denom):
         shapes.append((z.shape[0], z.shape[1], len(a)))
-        return _seg_dists(z, a, b)
+        return _seg_dists(z, a, ab, denom)
 
     monkeypatch.setattr("specgap.cfun._seg_dists", counted)
     G = PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0), values=(-1.0, 1j, 1.0, 2j))
@@ -416,25 +439,33 @@ def test_cfun_disconnect_on_cantor_stage():
     assert rep.n_components >= 2
 
 
-def test_cfun_disconnect_evaluates_in_bulk(monkeypatch):
-    """A fixed number of evaluations, whatever the number of pieces: one for
-    the target value, one at each cut, g and f once for the sup distance and
-    g once for the range gap."""
-    sizes = []
+def test_cfun_disconnect_evaluates_each_function_once(monkeypatch):
+    """Three evaluations, whatever the number of pieces: f once at t0 and
+    the cuts g passes through, then f and g once each at the same knots,
+    every piece end of X and f's breakpoints inside the pieces."""
+    calls = []
     call = PLFunction.__call__
 
     def counted(self, t):
-        sizes.append(np.size(t))
+        calls.append((self, np.array(t, dtype=float)))
         return call(self, t)
 
     monkeypatch.setattr(PLFunction, "__call__", counted)
-    X = CompactRealSet.cantor(depth=8, ratio="1/3")
-    assert len(X.pieces()) == 256
-    f = PLFunction(breakpoints=(-0.5, 0.2, 1.5), values=(0.0, 1j, 2.0))
-    res = cfun_disconnect(X, f, eps=0.05)
-    assert res.sup_dist < 0.05
-    assert len(sizes) == 6
-    assert max(sizes) >= 2 * 256        # the bulk calls see every piece
+    f = PLFunction(breakpoints=(-0.5, 0.2, 0.75, 1.5), values=(0.0, 1j, 1.0, 2.0))
+    for X, eps in ((CompactRealSet.cantor(depth=8, ratio="1/3"), 0.05),
+                   (CompactRealSet(points=(0, Fraction(1, 2), 1)), 0.25),
+                   (CompactRealSet(intervals=((0, Fraction(1, 3)), (Fraction(2, 3), 1)),
+                                   points=(Fraction(1, 2),)), 0.25)):
+        calls.clear()
+        res = cfun_disconnect(X, f, eps)
+        assert len(calls) == 3
+        assert calls[0][0] is calls[1][0] is f and calls[2][0] is res.g
+        at = calls[0][1]
+        assert at[0] == float(res.t0)
+        assert set(at[1:]) <= {float(res.piece.cut_lo), float(res.piece.cut_hi)}
+        inside = sum(float(a) < b < float(c) for a, c in X.pieces() for b in f.breakpoints)
+        assert len(calls[1][1]) == 2 * len(X.pieces()) + inside
+        assert np.array_equal(calls[1][1], calls[2][1])
 
 
 def test_cfun_disconnect_rounds_x_once(monkeypatch):
@@ -475,18 +506,24 @@ def test_cfun_disconnect_guards():
     off_domain = CompactRealSet.cantor(depth=4, ratio="1/3", lo=5, hi=6)
     with pytest.raises(ShapeMismatch):
         cfun_disconnect(off_domain, f, eps=0.1)
+    # a callable is refused before anything else is looked at
+    for X, eps in ((CompactRealSet.cantor(depth=4, ratio="1/3"), 0.1),
+                   (CompactRealSet(intervals=((0, 1),)), 0.0)):
+        with pytest.raises(ShapeMismatch, match="f must be a PLFunction, got function"):
+            cfun_disconnect(X, lambda t: complex(t), eps=eps)
 
 
-@pytest.mark.parametrize("name, value", [("_sup_dist", lambda eps: eps),
-                                         ("_range_gap_outside", lambda eps: 0.0)])
-def test_cfun_disconnect_raises_when_its_own_check_fails(monkeypatch, name, value):
+@pytest.mark.parametrize("check, bounds", [("sup_dist", lambda eps: (eps, 1.0)),
+                                           ("range_gap", lambda eps: (0.0, 0.0))])
+def test_cfun_disconnect_raises_when_its_own_check_fails(monkeypatch, check, bounds):
     """The certificate's bounds are checked by a raise, not an assert that
-    ``python -O`` strips."""
+    ``python -O`` strips; each bound fails on its own."""
     eps = 0.05
-    monkeypatch.setattr(f"specgap.cfun.{name}", lambda *args: value(eps))
+    monkeypatch.setattr("specgap.cfun._certificate_bounds", lambda *args: bounds(eps))
     X = CompactRealSet.cantor(depth=8, ratio="1/3")
     f = PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0))
-    with pytest.raises(ConvergenceFailure) as info:
+    message = {"sup_dist": r"sup\|g - f\| = 0.05 failed", "range_gap": "gap 0.0"}[check]
+    with pytest.raises(ConvergenceFailure, match=message) as info:
         cfun_disconnect(X, f, eps=eps)
     assert isinstance(info.value, SpecgapError)
 
@@ -622,6 +659,23 @@ def test_range_components_matches_brute_force_linkage(case):
     _, g, X, resolution = case
     rep = range_components(g, X, resolution=resolution)
     assert (rep.n_components, rep.n_samples, rep.gap) == _ref_range_components(g, X, resolution)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+                          st.integers(2, 60)), min_size=1, max_size=6))
+def test_linspaces_match_numpy_linspace(runs):
+    """Widths include 0 (a point: one sample) and subnormals, where
+    linspace's step underflows to 0 and it scales i / (num - 1) instead."""
+    lo = np.array([a for a, _, _ in runs])
+    hi = lo + np.array([w for _, w, _ in runs])
+    num = np.array([n if b > a else 1 for (_, _, n), a, b in zip(runs, lo, hi)])
+    t, owner = _linspaces(lo, hi, num)
+    want = [np.linspace(a, b, n) if n > 1 else np.asarray([b]) for a, b, n in zip(lo, hi, num)]
+    assert t.tobytes() == np.concatenate(want).tobytes()
+    assert owner.tolist() == [k for k, n in enumerate(num) for _ in range(n)]
+    assert _linspaces(np.array([0.0]), np.array([5e-324]), np.array([4]))[0].tolist() == \
+        np.linspace(0.0, 5e-324, 4).tolist()
 
 
 @st.composite
@@ -880,15 +934,30 @@ def test_bulk_evaluation_matches_per_piece_references(data):
     assert f.sup_norm_on(X) == _ref_sup_norm_on(f, X)
     assert _nearest_in_piece(ClopenPiece(subset=X, cut_lo=X.inf - 1,
                                          cut_hi=X.sup + 1)) == _ref_nearest(X)
-    assert _sup_dist(g, f, _float_ends(X)) == _ref_sup_dist(g, f, X)
+
+    def in_gap(k):
+        """The cut k / 16 - 5, moved past the piece it falls in, if any."""
+        c = Fraction(k, 2 * GRID) - 5
+        return next((b + Fraction(1, 2 * GRID) for a, b in X.pieces() if a < c < b), c)
 
     cut = sorted(data.draw(st.lists(st.integers(-1, 81), min_size=2, max_size=2)))
-    piece = ClopenPiece(subset=X, cut_lo=Fraction(2 * cut[0] + 1, 2 * GRID) - 5,
-                        cut_hi=Fraction(2 * cut[1] + 1, 2 * GRID) - 5)
+    piece = ClopenPiece(subset=X, cut_lo=in_gap(2 * cut[0] + 1), cut_hi=in_gap(2 * cut[1] + 1))
+    # g spliced as cfun_disconnect splices it: f's breakpoints beyond the
+    # cuts, which lie in gaps of X, and between them piece ends only; its
+    # values are those of the drawn g
+    cuts = float(piece.cut_lo), float(piece.cut_hi)
+    fb, ends = np.asarray(f.breakpoints), _float_ends(X)
+    between = ends[(cuts[0] < ends[:, 0]) & (ends[:, 1] < cuts[1])]
+    bg = np.union1d(fb[(fb < cuts[0]) | (fb > cuts[1])],
+                    np.concatenate([fb[[0, -1]], between.ravel()]))
+    vals = g(bg)
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(np.abs(np.diff(vals)) / np.diff(bg)).all())
+    g = PLFunction(breakpoints=bg, values=vals)
     lam = data.draw(st.one_of(st.sampled_from(g.values),
                               st.builds(complex, _values, _values)))
-    assert (_range_gap_outside(g, _float_ends(X), piece, lam)
-            == _ref_range_gap_outside(g, X, piece, lam))
+    assert (_certificate_bounds(g, f, ends, cuts, lam)
+            == (_ref_sup_dist(g, f, X), _ref_range_gap_outside(g, X, piece, lam)))
 
     target = data.draw(st.one_of(st.sampled_from(g.values),
                                  st.builds(complex, _values, _values)))
@@ -902,6 +971,19 @@ def test_bulk_evaluation_matches_per_piece_references(data):
         assert offrange_lambda(g, target, tol) == want
 
 
+def test_certificate_bounds_take_f_breakpoints_inside_the_piece():
+    """g is flat on the piece [2, 3] between the cuts 1.5 and 4, where f
+    peaks at its breakpoint 2.5: the sup is taken there, a knot of f only."""
+    X = CompactRealSet(intervals=((0, 1), (2, 3)))
+    f = PLFunction(breakpoints=(0.0, 2.5, 4.0), values=(0.0, 10.0, 0.0))
+    g = PLFunction(breakpoints=(0.0, 1.5, 2.0, 3.0, 4.0), values=(0.0, 6.0, 20j, 20j, 0.0))
+    piece = ClopenPiece(subset=X.restrict(Fraction(3, 2), Fraction(4)),
+                        cut_lo=Fraction(3, 2), cut_hi=Fraction(4))
+    got = _certificate_bounds(g, f, _float_ends(X), (1.5, 4.0), 20j)
+    assert got == (_ref_sup_dist(g, f, X), _ref_range_gap_outside(g, X, piece, 20j))
+    assert got == (abs(20j - 10.0), 20.0)
+
+
 def test_segment_projection_squares_with_pow():
     """|b - a|**2 is C pow(h, 2), which differs from h * h in the last bit
     for this h; lam on the segment then sits at distance 0.0 with pow and
@@ -911,5 +993,5 @@ def test_segment_projection_squares_with_pow():
     g = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, h))
     X = CompactRealSet(intervals=((0, 1),))
     piece = ClopenPiece(subset=X, cut_lo=Fraction(2), cut_hi=Fraction(3))
-    assert (_range_gap_outside(g, _float_ends(X), piece, lam)
+    assert (_certificate_bounds(g, g, _float_ends(X), (2.0, 3.0), lam)[1]
             == _ref_range_gap_outside(g, X, piece, lam) == 0.0)
