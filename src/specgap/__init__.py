@@ -17,7 +17,7 @@ from .errors import (
     ConvergenceFailure, EmptySpectralWindow, BelowRoundoff, InfiniteCPhi,
     NotDominating, DimensionOne, ContourThroughSpectrum,
     EnclosesAllOrNone, FiniteUnion, ExhaustedSamples, StageTooShallow,
-    BudgetNotLessThanOne, NoConvergenceCertificate, UsageError,
+    RangeOverflow, BudgetNotLessThanOne, NoConvergenceCertificate, UsageError,
 )
 from .algebra import (
     BlockOperator, AlgebraSpec, Projection, block_operator,

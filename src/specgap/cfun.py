@@ -31,7 +31,8 @@ Interval endpoints and isolated points are exact rationals
 diameters are computed without rounding; PL data is floating point.  Pieces
 stay sorted, so clopen cuts are exact ``Fraction`` bisections; a Cantor
 stage is built from integers and its small pieces are runs of its indices.
-A certificate rounds the piece ends to floats once.
+A certificate rounds the piece ends to floats once; a stage's float ends
+are kept on its generator, which live sets of equal Cantor parameters share.
 """
 
 from __future__ import annotations
@@ -42,14 +43,15 @@ import heapq
 import json
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, ShapeMismatch,
-                     StageTooShallow)
+from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, RangeOverflow,
+                     ShapeMismatch, StageTooShallow)
 from .spectral import link_components
 
 __all__ = [
@@ -119,6 +121,7 @@ class CantorGenerator:
     lo: Fraction = Fraction(0)
     hi: Fraction = Fraction(1)
     _stage: tuple = field(default=None, init=False, repr=False, compare=False)
+    _float_stage: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ratio", _frac(self.ratio))
@@ -157,6 +160,28 @@ class CantorGenerator:
             ends = [Fraction(base + B * e, den) for e in ends]
             object.__setattr__(self, "_stage", tuple(zip(ends[::2], ends[1::2])))
         return self._stage
+
+    def stage_float_ends(self) -> np.ndarray:
+        """The stage's piece ends as a read-only (pieces, 2) float array,
+        converted once, on first use."""
+        if self._float_stage is None:
+            ends = _ends_to_floats(self.stage_intervals())
+            ends.flags.writeable = False
+            object.__setattr__(self, "_float_stage", ends)
+        return self._float_stage
+
+
+# The live generators by (depth, ratio, lo, hi): sets with equal Cantor
+# parameters share one generator, hence one stage and its float ends.  An
+# entry goes when the last set holding its generator does.
+_GENERATORS = weakref.WeakValueDictionary()
+
+
+def _shared_generator(depth, ratio, lo, hi) -> CantorGenerator:
+    """The live generator with these parameters (compared after
+    normalization, so "1/3" and Fraction(1, 3) are one ratio), else a new one."""
+    gen = CantorGenerator(depth=depth, ratio=ratio, lo=lo, hi=hi)
+    return _GENERATORS.setdefault((gen.depth, gen.ratio, gen.lo, gen.hi), gen)
 
 
 @dataclass(frozen=True)
@@ -221,7 +246,9 @@ class CompactRealSet:
 
     @classmethod
     def cantor(cls, depth: int, ratio, lo=0, hi=1) -> "CompactRealSet":
-        gen = CantorGenerator(depth=depth, ratio=ratio, lo=lo, hi=hi)
+        """The depth-``depth`` stage on [lo, hi], sharing its generator and
+        stage with every live set of equal parameters."""
+        gen = _shared_generator(depth, ratio, lo, hi)
         return cls._of_pieces(gen.stage_intervals(), gen)
 
     @property
@@ -419,11 +446,18 @@ class PLFunction:
 
 
 def _float_ends(X: CompactRealSet) -> np.ndarray:
-    """X's piece ends as a (pieces, 2) array; int / int is ``float(Fraction)``,
-    correctly rounded at any size.  One flat list converts faster than
-    pairs."""
+    """X's piece ends as a (pieces, 2) array: a generator-backed X's are its
+    generator's, converted once and read-only."""
+    if X.generator is not None:
+        return X.generator.stage_float_ends()
+    return _ends_to_floats(X.pieces())
+
+
+def _ends_to_floats(pieces) -> np.ndarray:
+    """int / int is ``float(Fraction)``, correctly rounded at any size.  One
+    flat list converts faster than pairs."""
     return np.array([x.numerator / x.denominator
-                     for ab in X.pieces() for x in ab]).reshape(-1, 2)
+                     for ab in pieces for x in ab]).reshape(-1, 2)
 
 
 def _knots(ends, b):
@@ -477,8 +511,13 @@ def pl_approximate(f, tol: float, lo=None, hi=None, max_refine: int = 18):
 def _sq_moduli(w):
     """|w|**2 elementwise, rounded as CPython's scalar ``abs(w) ** 2``: C
     hypot (NumPy's ``hypot`` calls it), then C ``pow``, not always
-    ``x * x``; a modulus whose square overflows raises ``OverflowError``."""
-    return np.array([h ** 2 for h in np.hypot(w.real, w.imag).tolist()])
+    ``x * x``.  Raises :class:`RangeOverflow` when a square overflows."""
+    moduli = np.hypot(w.real, w.imag).tolist()
+    try:
+        return np.array([h ** 2 for h in moduli])
+    except OverflowError:
+        raise RangeOverflow(f"a segment of the range is {max(moduli):.6g} long; "
+                            f"its squared length overflows a float") from None
 
 
 def _seg_dists(z, a, ab, denom):
@@ -967,8 +1006,7 @@ def set_from_dict(data: dict) -> CompactRealSet:
     gen = data.get("generator")
     if gen is not None:
         c = gen["cantor"]
-        gen = CantorGenerator(depth=c["depth"], ratio=c["ratio"],
-                              lo=c.get("lo", 0), hi=c.get("hi", 1))
+        gen = _shared_generator(c["depth"], c["ratio"], c.get("lo", 0), c.get("hi", 1))
         if "intervals" not in data and "points" not in data:
             return CompactRealSet._of_pieces(gen.stage_intervals(), gen)
     return CompactRealSet(

@@ -17,6 +17,7 @@ __all__ = [
     "FiniteUnion",
     "ExhaustedSamples",
     "StageTooShallow",
+    "RangeOverflow",
     "BudgetNotLessThanOne",
     "NoConvergenceCertificate",
     "UsageError",
@@ -89,6 +90,10 @@ class ExhaustedSamples(SpecgapError):
 
 class StageTooShallow(SpecgapError):
     """No clopen piece of the set's generator stage is small enough for eps."""
+
+
+class RangeOverflow(SpecgapError):
+    """A segment of a function's range is too long to square in floats."""
 
 
 class BudgetNotLessThanOne(SpecgapError):

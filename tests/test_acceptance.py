@@ -212,6 +212,19 @@ def _random_compact_set(rng):
     return CompactRealSet(points=tuple(round(float(p), 6) for p in pts))
 
 
+def test_criterion_8_sets_share_their_stages():
+    """The criterion-8 generator draws its Cantor sets from 72 parameter
+    choices (6 depths, 3 ratios, 4 bases), and live sets of equal
+    parameters share one stage and one float-ends array, so 900 sets hold
+    at most 72 of each.  Objects are counted, not bytes."""
+    rng = rng_from_seed((MASTER_SEED, 8))
+    sets = [_random_compact_set(rng) for _ in range(900)]
+    cantor = [X for X in sets if X.generator is not None]
+    assert len(cantor) > 72
+    assert len({id(X.pieces()) for X in cantor}) <= 72
+    assert len({id(X.generator.stage_float_ends()) for X in cantor}) <= 72
+
+
 def test_criterion_8_cfun_corpus():
     rng = rng_from_seed((MASTER_SEED, 8))
     bad = []

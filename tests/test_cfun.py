@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specgap.cfun import (_RING_ENTRIES, CantorGenerator, ClopenPiece,
+from specgap import cfun
+from specgap.cfun import (_GENERATORS, _RING_ENTRIES, CantorGenerator, ClopenPiece,
                           CompactRealSet, PLFunction, _certificate_bounds,
                           _first_small_piece, _float_ends, _gap_piece, _linspaces,
                           _nearest_in_piece, _seg_dists, _sq_moduli, cfun_disconnect,
@@ -18,7 +21,7 @@ from specgap.cfun import (_RING_ENTRIES, CantorGenerator, ClopenPiece,
                           pl_to_dict, range_components, read_pl, read_set,
                           set_from_dict, set_to_dict, write_pl, write_set)
 from specgap.errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion,
-                            ShapeMismatch, SpecgapError)
+                            RangeOverflow, ShapeMismatch, SpecgapError)
 from specgap.sampling import rng_from_seed
 from specgap.spectral import link_components
 
@@ -225,7 +228,10 @@ def test_derived_sets_equal_validated_ones(ratio, lo, hi):
 
 def test_stage_and_pieces_make_no_fraction_comparison_per_piece(monkeypatch):
     """Building a stage and cutting its small pieces compares Fractions a
-    fixed number of times (the generator's range checks), whatever the depth."""
+    fixed number of times (the generator's range checks), whatever the depth.
+    An empty registry keeps a live set of equal parameters from adding the
+    key comparisons of a hit."""
+    monkeypatch.setattr("specgap.cfun._GENERATORS", weakref.WeakValueDictionary())
     calls = []
     for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
         def counted(a, b, _cmp=getattr(Fraction, name)):
@@ -252,6 +258,62 @@ def test_set_from_dict_refuses_pieces_off_the_stage():
             set_from_dict({**data, "generator": {"cantor": cantor}})
     assert set_from_dict({"generator": {"cantor": cantor}}) == X
     assert set_from_dict({**set_to_dict(X), "points": []}) == X
+
+
+def test_equal_cantor_parameters_share_one_generator():
+    """Equal parameters, after normalization, give one generator, one stage
+    tuple and one float-ends array; the set reader's generator-only path
+    shares them too."""
+    X = CompactRealSet.cantor(depth=5, ratio="1/3")
+    same = (CompactRealSet.cantor(depth=5, ratio=Fraction(1, 3)),
+            CompactRealSet.cantor(depth=np.int64(5), ratio="1/3", lo=0.0, hi=Fraction(1)),
+            set_from_dict({"generator": {"cantor": {"depth": 5, "ratio": "1/3"}}}),
+            set_from_dict(set_to_dict(X)))
+    for Y in same:
+        assert Y.generator is X.generator and Y.pieces() is X.pieces()
+        assert _float_ends(Y) is _float_ends(X)
+    for Y in (CompactRealSet.cantor(depth=6, ratio="1/3"),
+              CompactRealSet.cantor(depth=5, ratio="1/4"),
+              CompactRealSet.cantor(depth=5, ratio="1/3", lo=1, hi=2),
+              CompactRealSet.cantor(depth=5, ratio="1/3", hi=2)):
+        assert Y.generator != X.generator and Y.pieces() is not X.pieces()
+
+
+def test_generator_registry_holds_nothing_alive():
+    key = (7, Fraction(2, 7), Fraction(-1), Fraction(3))
+    X = CompactRealSet.cantor(depth=7, ratio="2/7", lo=-1, hi=3)
+    assert _GENERATORS[key] is X.generator
+    gen = weakref.ref(X.generator)
+    del X
+    gc.collect()
+    assert gen() is None and key not in _GENERATORS
+    # a later set with the same parameters registers a new generator
+    Y = CompactRealSet.cantor(depth=7, ratio="2/7", lo=-1, hi=3)
+    assert _GENERATORS[key] is Y.generator
+
+
+def test_stage_float_ends_are_built_once_and_read_only(monkeypatch):
+    built = []
+    convert = cfun._ends_to_floats
+    monkeypatch.setattr("specgap.cfun._ends_to_floats",
+                        lambda pieces: built.append(pieces) or convert(pieces))
+    X = CompactRealSet.cantor(depth=9, ratio="3/7", lo=Fraction(-5, 3), hi=Fraction(1, 9))
+    Y = set_from_dict(set_to_dict(X))
+    ends = _float_ends(X)
+    f = PLFunction(breakpoints=(-2.0, 0.5), values=(0.0, 3.0 + 1j))
+    cfun_disconnect(Y, f, 0.05)
+    range_components(f, X, resolution=0.1)
+    assert _float_ends(Y) is ends and X.generator.stage_float_ends() is ends
+    assert built == [X.pieces()]
+    want = np.array([[float(a), float(b)] for a, b in X.pieces()])
+    assert ends.shape == (512, 2) and ends.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        ends[0, 0] = 0.0
+    # a set derived from the stage converts its own pieces, as point sets do
+    piece = clopen_small_pieces(X, 1)[0].subset
+    sub = _float_ends(piece)
+    assert piece.generator is None and built[-1] is piece.pieces()
+    assert sub.flags.writeable and sub.tobytes() == ends[256:].tobytes()
 
 
 # -- PL functions ---------------------------------------------------------------
@@ -995,3 +1057,16 @@ def test_segment_projection_squares_with_pow():
     piece = ClopenPiece(subset=X, cut_lo=Fraction(2), cut_hi=Fraction(3))
     assert (_certificate_bounds(g, g, _float_ends(X), (2.0, 3.0), lam)[1]
             == _ref_range_gap_outside(g, X, piece, lam) == 0.0)
+
+
+def test_overflowing_segment_raises_range_overflow():
+    """A segment of f's range whose squared length overflows is a typed
+    error naming its length, not a bare OverflowError."""
+    X = CompactRealSet(points=(0, 1))
+    f = PLFunction(breakpoints=(-1.0, 2.0), values=(0.0, 3e154))
+    with pytest.raises(RangeOverflow, match=r"segment of the range is 3e\+154 long") as info:
+        cfun_disconnect(X, f, eps=1e150)
+    assert isinstance(info.value, SpecgapError)
+    with pytest.raises(RangeOverflow, match=r"1\.5e\+154 long"):
+        _sq_moduli(np.array([1.0, 1.5e154]))
+    assert _sq_moduli(np.array([3.0 + 4.0j, 1.747937])).tolist() == [25.0, 1.747937 ** 2]

@@ -284,6 +284,17 @@ def test_cfun_disconnect_tiny_resolution_exits_1(capsys, tmp_path):
     assert err.startswith("ExhaustedSamples: resolution 1e-12 asks for 8.779e+10 samples"), err
 
 
+def test_cfun_disconnect_overflowing_range_exits_1(capsys, tmp_path):
+    # f's one segment is 3e154 long, and its square overflows a float
+    write_set(CompactRealSet(points=(0, 1)), tmp_path / "set.json")
+    write_pl(PLFunction(breakpoints=(-1.0, 2.0), values=(0.0, 3e154)), tmp_path / "fn.json")
+    code, payload, err = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
+                             "--fn", tmp_path / "fn.json", "--eps", "1e150",
+                             "--output-dir", tmp_path)
+    assert code == 1 and payload is None
+    assert err.startswith("RangeOverflow: a segment of the range is 3e+154 long"), err
+
+
 def test_cfun_disconnect_non_integer_depth_exits_1(capsys, tmp_path):
     write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
              tmp_path / "fn.json")
