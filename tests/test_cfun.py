@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -173,6 +174,19 @@ def test_depths_and_piece_counts_must_be_integers():
         with pytest.raises(ValueError, match="integer"):
             nondensity_witness(bad)
     assert len(clopen_small_pieces(X, np.int64(2))) == 2
+
+
+def test_cantor_depth_is_bounded_before_any_piece_is_built(monkeypatch):
+    # building depth 10**6 would never finish, so raising proves the order
+    monkeypatch.setattr(CantorGenerator, "stage_intervals", None)
+    for depth in (21, 10 ** 6):
+        msg = re.escape(f"cantor depth {depth} asks for 2**{depth} pieces; "
+                        "at most 2**20 = 1048576 are built")
+        with pytest.raises(ShapeMismatch, match=msg):
+            CantorGenerator(depth=depth, ratio="1/3")
+        with pytest.raises(ShapeMismatch, match=msg):
+            set_from_dict({"generator": {"cantor": {"depth": depth, "ratio": "1/3"}}})
+    assert CantorGenerator(depth=20, ratio="1/3").depth == 20
 
 
 def _stages_by_recursion(ratio, lo, hi, depth):
@@ -661,6 +675,13 @@ def _ref_range_components(g, X, resolution):
     return n_comps, len(z), gap
 
 
+def _two_of_three():
+    X = CompactRealSet(intervals=((0, 1), (2, 3), (20, 21)))
+    g = PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0, 20.0, 21.0),
+                   values=(0.0, 1.0, 0.025j, 1 + 0.025j, 10j, 1 + 10j))
+    return g, X, 1e-2
+
+
 def _range_reference_cases():
     rng = rng_from_seed(20260814)
     cantor = CompactRealSet.cantor(depth=6, ratio="1/3")
@@ -682,15 +703,18 @@ def _range_reference_cases():
     yield "breakpoint-inside", kinked, two, 1e-2
     ends = PLFunction(breakpoints=(0.0, 0.5, 0.75, 1.0), values=(0.0, 1j, 0.5, 0.5 + 1j))
     yield "breakpoints-at-ends", ends, two, 1e-2
-    # Lip ~ 1 at resolution 1e-2: parallel images 0.025 apart lie in the
-    # rounding band [2h, 3h] of range_components, so samples settle them;
-    # in phase the samples link, half a step out of phase at 0.03 they miss
+    # Lip ~ 1 at resolution 1e-2: parallel images 0.025 apart are too far
+    # for a polyline link (below 2h), so the sample pass decides them; in
+    # phase the samples link, half a step out of phase at 0.03 they miss
     apart = CompactRealSet(intervals=((0, 1), (2, 3)))
     yield "band-settles-linked", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
                                             values=(0.0, 1.0, 0.025j, 1 + 0.025j)), apart, 1e-2
     yield "band-settles-apart", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
                                            values=(0.0, 1.0, -0.005 + 0.03j, 0.995 + 0.03j)), apart, 1e-2
     yield "constant", PLFunction(breakpoints=(0.0, 3.0), values=(1 + 1j, 1 + 1j)), apart, 1e-2
+    # the polylines leave all three chains apart, the in-phase samples join
+    # the first two, and the third stays 9.975 away
+    yield "samples-join-two-of-three", *_two_of_three()
     cantor8 = CompactRealSet.cantor(depth=8, ratio="1/3")
     t = np.linspace(-0.2, 1.2, 9)
     f8 = PLFunction(breakpoints=t, values=rng.standard_normal(9) + 1j * rng.standard_normal(9))
@@ -721,6 +745,46 @@ def test_range_components_matches_brute_force_linkage(case):
     _, g, X, resolution = case
     rep = range_components(g, X, resolution=resolution)
     assert (rep.n_components, rep.n_samples, rep.gap) == _ref_range_components(g, X, resolution)
+
+
+def test_range_components_decides_in_two_steps(monkeypatch):
+    """g is evaluated twice, once at the knots and once at every sample:
+    the polylines leave the three chains apart, one sample pass joins two."""
+    calls, labels = [], []
+    call, chain_labels = PLFunction.__call__, cfun._chain_labels
+
+    def counted(self, t):
+        calls.append(len(np.atleast_1d(t)))
+        return call(self, t)
+
+    def recorded(*args):
+        labels.append(chain_labels(*args).tolist())
+        return np.asarray(labels[-1])
+
+    monkeypatch.setattr(PLFunction, "__call__", counted)
+    monkeypatch.setattr(cfun, "_chain_labels", recorded)
+    g, X, resolution = _two_of_three()
+    rep = range_components(g, X, resolution=resolution)
+    assert (rep.n_components, rep.gap) == (2, pytest.approx(9.975))
+    assert calls == [6, rep.n_samples] and rep.n_samples == 303
+    assert labels == [[0, 1, 2], [0, 0, 1]]
+
+
+def test_sample_pass_memory_is_linear_in_the_samples():
+    """g is constant on [0, 1], so 3,335 of its samples sit at one point.  A
+    list of the sample pairs within the threshold would hold 5.6 million
+    pairs (89 MB); the sample pass holds about 100 bytes per sample."""
+    X = CompactRealSet(intervals=((0, 1), (2, 3)))
+    g = PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0), values=(0.0, 0.0, 1.0, 2.0))
+    range_components(g, X, resolution=3e-4)      # imports outside the trace
+    tracemalloc.start()
+    try:
+        rep = range_components(g, X, resolution=3e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.n_components, rep.n_samples, rep.gap) == (2, 6670, 1.0)
+    assert peak < 8 * 2 ** 20
 
 
 @settings(max_examples=200, deadline=None)

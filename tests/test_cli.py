@@ -308,6 +308,18 @@ def test_cfun_disconnect_non_integer_depth_exits_1(capsys, tmp_path):
         assert err.startswith("ShapeMismatch: cantor depth must be an integer"), err
 
 
+def test_cfun_disconnect_too_deep_stage_exits_1(capsys, tmp_path):
+    write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
+             tmp_path / "fn.json")
+    (tmp_path / "set.json").write_text(
+        '{"generator":{"cantor":{"depth":30,"ratio":"1/3"}}}\n')
+    code, payload, err = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
+                             "--fn", tmp_path / "fn.json", "--eps", "0.1",
+                             "--output-dir", tmp_path)
+    assert code == 1 and payload is None
+    assert err.startswith("ShapeMismatch: cantor depth 30 asks for 2**30 pieces"), err
+
+
 def test_cfun_disconnect_set_off_its_stage_exits_1(capsys, tmp_path):
     write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
              tmp_path / "fn.json")

@@ -2,9 +2,9 @@
 
 Spectrum clustering, certificates and Riesz idempotents (screen, ring proof,
 quadrature and verification) need neither, and nor does a connected range:
-only `range_components` builds KD-trees, for a disconnected range or for
-chains whose image distance falls in its ambiguous band.  Each check runs in
-a fresh interpreter, since the test process may have loaded both already."""
+only `range_components` builds KD-trees, for a range whose image polylines
+do not link every chain.  Each check runs in a fresh interpreter, since the
+test process may have loaded both already."""
 
 import json
 import os

@@ -271,14 +271,16 @@ def test_csv_writers(tmp_path, rng):
     rep = spectrum_components(eigenvalues(T), threshold=1.0)
     p1 = tmp_path / "spec.csv"
     write_spectrum_csv(rep, p1)
-    rows = list(csv.reader(p1.open()))
+    with p1.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["re", "im", "component_id"]
     assert len(rows) == 3
     grid = GridSpec(re_min=-1, re_max=1, im_min=-1, im_max=1, nx=5, ny=4)
     ps = pseudospectrum_grid(T, eps=0.1, grid=grid)
     p2 = tmp_path / "ps.csv"
     write_pseudospectrum_csv(ps, p2)
-    rows = list(csv.reader(p2.open()))
+    with p2.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["re", "im", "marked"]
     assert len(rows) == 1 + 5 * 4
     # floats serialized via repr: parse back exactly
