@@ -27,7 +27,7 @@ print(f"  exact sup |g - f| on X = {res.sup_dist:.4f}  (< eps)")
 print(f"  exact gap between lambda and the rest of g(X) = {res.range_gap:.4f}")
 
 rep = range_components(res.g, X, resolution=res.range_gap / 12.0)
-print(f"  sampled image: {rep.n_components} components "
+print(f"  image polylines: {rep.n_components} components "
       f"(gap {rep.gap:.4f} at threshold {rep.threshold:.2e})")
 assert res.sup_dist < eps and res.range_gap > 0
 

@@ -56,8 +56,8 @@ from .uppertri import (
 )
 from .cfun import (
     CompactRealSet, CantorGenerator, PLFunction, ClopenPiece,
-    is_finite_interval_union, clopen_small_pieces, pl_approximate,
-    offrange_lambda, CfunDisconnectResult, cfun_disconnect,
+    is_finite_interval_union, clopen_small_pieces, offrange_lambda,
+    CfunDisconnectResult, cfun_disconnect,
     nondensity_witness, RangeReport, range_components,
     set_to_dict, set_from_dict, read_set, write_set,
     pl_to_dict, pl_from_dict, read_pl, write_pl,

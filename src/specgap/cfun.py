@@ -4,9 +4,8 @@ For X a compact subset of R and f in C(X) (complex valued), the spectrum of
 f is its range.  Functions with disconnected range are dense in C(X) exactly
 when X is *not* a finite union of disjoint (nondegenerate) closed intervals.
 The constructive side implemented here: given such an X and a piecewise
-linear f (a :class:`PLFunction`; continuous functions are first brought to
-PL form, e.g. by :func:`pl_approximate`), produce g with
-``||g - f||_inf < eps`` whose range splits off an isolated value:
+linear f (a :class:`PLFunction`), produce g with ``||g - f||_inf < eps``
+whose range splits off an isolated value:
 
 1. cut a clopen piece X0 of X small enough that f oscillates less than
    eps/3 on it — gap midpoints give such pieces with diameters shrinking
@@ -61,7 +60,6 @@ __all__ = [
     "ClopenPiece",
     "is_finite_interval_union",
     "clopen_small_pieces",
-    "pl_approximate",
     "offrange_lambda",
     "CfunDisconnectResult",
     "cfun_disconnect",
@@ -488,31 +486,6 @@ def _max_modulus(z, point) -> float:
                float(np.max(np.hypot(z[point].real, z[point].imag), initial=0.0)))
 
 
-def pl_approximate(f, tol: float, lo=None, hi=None, max_refine: int = 18):
-    """A PL function within ``tol`` of ``f`` in sup norm.
-
-    PL inputs are returned unchanged (the distance is zero).  A callable is
-    sampled on doubling grids over [lo, hi] until the interpolation error,
-    probed at segment midpoints, drops below tol/2.
-    """
-    if isinstance(f, PLFunction):
-        return f
-    if lo is None or hi is None:
-        raise ShapeMismatch("sampling a callable needs lo and hi")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    n = 17
-    for _ in range(max_refine):
-        t = np.linspace(float(lo), float(hi), n)
-        g = PLFunction(breakpoints=t, values=[complex(f(x)) for x in t])
-        mids = (t[:-1] + t[1:]) / 2.0
-        err = max(abs(complex(f(m)) - g(m)) for m in mids)
-        if err <= tol / 2.0:
-            return g
-        n = 2 * n - 1
-    raise ExhaustedSamples(f"could not reach tol={tol} with {n} samples")
-
-
 def _sq_moduli(w):
     """|w|**2 elementwise, rounded as CPython's scalar ``abs(w) ** 2``: C
     hypot (NumPy's ``hypot`` calls it), then C ``pow``, not always
@@ -711,7 +684,7 @@ def nondensity_witness(n: int):
     return X, PLFunction(breakpoints=bps, values=vals)
 
 
-# -- range topology: polylines prove links, one sample pass settles the rest --
+# -- range topology: image polylines linked within a threshold ------------------
 
 
 @dataclass(frozen=True)
@@ -728,10 +701,6 @@ class RangeReport:
 
 
 _U = 2.0 ** -53     # unit roundoff of a double
-# Samples one range_components call may take.  A range the polylines leave
-# split holds about 100 bytes per sample (parameters, values, coordinates,
-# their per-component copy and its KD-tree), so 2**22 samples are about 0.4 GB.
-_MAX_RANGE_SAMPLES = 2 ** 22
 # Segment pairs per distance evaluation of the sweep in _near_segment_pairs:
 # 2**13 keeps each complex temporary within 128 KB; larger NumPy temporaries
 # took about 4x the time per element on a 2-core x86-64 Linux host.
@@ -760,10 +729,11 @@ def _orient_sign(d, w):
 
 
 def _segment_gaps(p0, p1, q0, q1):
-    """Upper bounds on the distances between the segments [p0, p1] and
-    [q0, q1], elementwise: 0 where orientation tests prove that they cross,
-    else the least endpoint-to-segment distance, which is the distance
-    unless they cross."""
+    """Distances between the segments [p0, p1] and [q0, q1], elementwise: 0
+    where orientation tests prove that they cross, else the least
+    endpoint-to-segment distance, which is the distance unless they cross.
+    A crossing the tests leave unproven has an endpoint within rounding of
+    the other segment, so that distance is then a rounding error."""
     u, v = p1 - p0, q1 - q0                     # along P, along Q
     a, b, c = q0 - p0, q1 - p0, p1 - q0
     hi = np.minimum(np.minimum(_point_segment(a, u), _point_segment(b, u)),
@@ -800,158 +770,80 @@ def _near_segment_pairs(p0, p1, reach):
         r0 = r1
 
 
-def _linspaces(lo, hi, num):
-    """``np.linspace(lo[k], hi[k], num[k])`` for every k, concatenated, and
-    the k of each sample, in one pass with linspace's arithmetic: lo + i *
-    step for step = (hi - lo) / (num - 1), or lo + i / (num - 1) * (hi - lo)
-    where that step is 0, and the last sample set to hi.  ``num[k]`` is 1
-    only where ``lo[k] == hi[k]``.  Each run is sorted: i * step + lo never
-    passes hi for fewer than 2**50 samples."""
-    owner = np.repeat(np.arange(len(num)), num)
-    first = np.cumsum(num) - num
-    i = (np.arange(len(owner)) - first[owner]).astype(float)
-    delta, div = hi - lo, np.maximum(num - 1, 1)
-    step = delta / div
-    t = np.where((step == 0.0)[owner], i / div[owner] * delta[owner], i * step[owner])
-    t += lo[owner]
-    t[first + num - 1] = hi
-    return t, owner
-
-
 def _chain_labels(n: int, a, c) -> np.ndarray:
     """``link_components`` labels of the n vertices joined by the edges
     (a[k], c[k]), each pair of distinct vertices passed once."""
     lo, hi = np.minimum(a, c), np.maximum(a, c)
-    lo, hi = np.divmod(np.unique(lo[lo != hi] * n + hi[lo != hi]), n)
+    # sorted, then deduplicated: np.unique (NumPy 2.4) hashes the keys, and
+    # on a 2-core x86-64 Linux host took 1.9 s for 1.9 million of them,
+    # where the sort took 0.03 s
+    key = np.sort(lo[lo != hi] * n + hi[lo != hi])
+    lo, hi = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
     return np.asarray(link_components(n, zip(lo.tolist(), hi.tolist())))
 
 
 def range_components(g: PLFunction, X: CompactRealSet,
                      resolution: float = 1e-3) -> RangeReport:
-    """Connected components of g(X), sampled at the given parameter step.
+    """Connected components of g(X), joined within ``threshold = 3 * Lip(g) *
+    resolution``.
 
-    The sampled rule: each X-interval is sampled at ``resolution`` or finer
-    (its ends, an even grid and the breakpoints of g inside it; a point is
-    one sample).  The image of an X-piece is one continuous curve, so its
-    samples form a chain, linked regardless of distances; two chains are
-    linked when some pair of their samples is within
-    ``threshold = 3 * Lip(g) * resolution``.  ``gap`` is the smallest
-    distance between samples of different final components (inf when
-    connected) and ``n_samples`` the number of samples.
+    The image of an X-piece is one continuous curve, the polyline through
+    g's values at the piece's ends and at the breakpoints of g inside it (a
+    point piece is one value): g is linear between consecutive knots.  Each
+    polyline is a chain, and two chains are linked when their polylines come
+    within ``threshold``; ``n_components`` counts the classes of the links.
+    ``gap`` is the least distance between polylines of different components
+    (inf when connected) and ``n_samples`` the number of values of g taken,
+    one per knot (a point piece has two, its equal ends).
 
-    The rule is decided in two steps.  First the image polylines prove
-    links: the polyline of a piece runs through g's values at the piece's
-    ends and the breakpoints inside it; g is linear between consecutive
-    samples, so every sample lies on it and every point of it lies within
-    h/2 of a sample, h = Lip(g) * resolution.  With d an upper bound on the
-    distance between two chains' polylines (``_segment_gaps``) and
-    ``mu = 64 u (max|g| + threshold + Lip(g) max|t|)`` (u = 2**-53; it
-    covers the rounding of g's values, of d and of the sample grid), the
-    chains are linked if ``d + h + mu < threshold``: some sample pair is
-    within it.  The geometry runs on g's values times the power of two that
-    brings max(|g|, threshold) to [1/2, 1), an exact scaling under which no
-    squared distance overflows or underflows beyond mu.  A range these
-    links connect is reported without evaluating g at a sample.
-
-    Otherwise one sample pass decides the rest: g is evaluated at every
-    sample once, and a KD-tree per polyline component gives the least
-    sample distance between each pair of components.  Pairs within
-    ``threshold`` are joined, which is the sampled rule itself, and the
-    least distance between pairs left apart is the gap.  The memory stays
-    linear in the samples: no list of sample pairs is built.
-
-    Raises ``ExhaustedSamples`` when the samples would number more than
-    ``_MAX_RANGE_SAMPLES``, before any is made.
+    A distance is ``_segment_gaps`` of a segment pair: 0 where orientation
+    tests prove a crossing, else the least endpoint-to-segment distance.
+    Links come from the segment pairs whose boxes ``_near_segment_pairs``
+    finds within the threshold.  The gap comes from the pairs it finds at a
+    reach that doubles from there until the least distance between
+    components among them is within the reach: a pair within the reach has
+    boxes within it, so no pair left out is nearer.  The geometry runs on
+    g's values times the power of two that brings max(|g|, threshold) to
+    [1/2, 1), an exact scaling under which no squared distance or
+    orientation product overflows.
     """
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
-    lip = g.lipschitz()
-    threshold = 3.0 * lip * resolution
+    threshold = 3.0 * g.lipschitz() * resolution
     ends = _float_ends(X)
     t, same, _ = _knots(ends, g._b)
-    z = g(t)                                     # raises as sampling would
-    n_chains = len(ends)
-    chain = np.concatenate(([0], np.cumsum(~same)))     # of each knot
-    n_inner = np.bincount(chain, minlength=n_chains) - 2
-    length = ends[:, 1] - ends[:, 0]
-    with np.errstate(over="ignore"):
-        grid = np.where(length > 0.0, np.maximum(2.0, np.ceil(length / resolution) + 1.0), 1.0)
-    bound = float(np.sum(grid) + np.sum(n_inner))     # exact below 2**53
-    if not bound <= _MAX_RANGE_SAMPLES:
-        raise ExhaustedSamples(f"resolution {resolution!r} asks for {bound:.4g} samples "
-                               f"of the range; at most {_MAX_RANGE_SAMPLES} are taken")
-    inner = np.zeros(len(t), dtype=bool)     # g's breakpoints inside the pieces
-    inner[1:-1] = same[:-1] & same[1:]
-
-    def chain_params(take):
-        """The sample parameters of the chains where ``take`` is set and the
-        chain of each, in chain order: ``np.linspace(*ends[k], grid[k])``,
-        merged with g's breakpoints inside the piece as ``np.union1d`` merges
-        them where there are any."""
-        ks = np.flatnonzero(take)
-        params, owner = _linspaces(ends[ks, 0], ends[ks, 1], grid[ks].astype(np.int64))
-        owner = ks[owner]
-        bp = inner & take[chain]
-        if bp.any():
-            params = np.concatenate([params, t[bp]])
-            owner = np.concatenate([owner, chain[bp]])
-            order = np.lexsort((params, owner))
-            params, owner = params[order], owner[order]
-            # drop repeated values as np.union1d does; a chain without
-            # breakpoints keeps its linspace whole, repeats included
-            keep = np.ones(len(params), dtype=bool)
-            keep[1:] = ~((owner[1:] == owner[:-1]) & (params[1:] == params[:-1])
-                         & (n_inner[owner[1:]] > 0))
-            params, owner = params[keep], owner[keep]
-        return params, owner
-
-    n_samples = int(np.sum(grid[n_inner == 0]))
-    if np.any(n_inner):
-        n_samples += len(chain_params(n_inner > 0)[0])
-    if n_chains == 1:
-        return RangeReport(1, math.inf, threshold, resolution, n_samples)
-
+    z = g(t)
+    if len(ends) == 1:
+        return RangeReport(1, math.inf, threshold, resolution, len(t))
     # One power of two brings max(|g|, threshold) to [1/2, 1) (to at least
     # 2**-54 on a range below 2**-1020): the geometry scales exactly, and no
-    # squared distance or orientation product overflows, nor underflows by
-    # more than mu covers.
+    # squared distance or orientation product overflows.
     scale = 2.0 ** -max(math.frexp(max(float(np.max(np.abs(z))), threshold))[1], -1020)
     z = z * scale
-    reach, h = threshold * scale, lip * scale * resolution
-    mu = 64.0 * _U * (float(np.max(np.abs(z))) + reach
-                      + lip * scale * max(abs(ends[0, 0]), abs(ends[-1, 1])))
+    chain = np.concatenate(([0], np.cumsum(~same)))     # of each knot
     p0, p1, owner = z[:-1][same], z[1:][same], chain[:-1][same]
-    edges = []
-    for i, j in _near_segment_pairs(p0, p1, reach):
-        other = owner[i] != owner[j]
-        i, j = i[other], j[other]
-        link = _segment_gaps(p0[i], p1[i], p0[j], p1[j]) + h + mu < reach
-        edges.append(owner[np.stack([i[link], j[link]])])
-    labels = _chain_labels(n_chains, *np.concatenate(edges, axis=1))
-    if labels.max() == 0:
-        return RangeReport(1, math.inf, threshold, resolution, n_samples)
 
-    import scipy.spatial    # here: only a range the polylines leave split needs trees
-    params, owner = chain_params(np.ones(n_chains, dtype=bool))
-    w = g(params)
-    # samples grouped by polyline component, in chain order within each
-    # group; each component's tree is queried once, by all earlier groups,
-    # for the least sample distance d from each of them to it
-    point_label = labels[owner]
-    xy = np.column_stack([w.real, w.imag])[np.argsort(point_label, kind="stable")]
-    size = np.bincount(point_label)
-    first = np.cumsum(size) - size
-    d = np.concatenate([
-        np.minimum.reduceat(scipy.spatial.cKDTree(xy[first[k]:first[k] + size[k]])
-                            .query(xy[:first[k]])[0], first[:k])
-        for k in range(1, len(size))])
-    later, earlier = np.tril_indices(len(size), -1)     # the pairs of d, in order
-    near = d <= threshold
-    labels = _chain_labels(len(size), earlier[near], later[near])
-    apart = labels[earlier] != labels[later]
-    gap = float(np.min(d[apart])) if apart.any() else math.inf
+    def gaps(reach, label):
+        """The chains of the segment pairs with boxes within ``reach`` and
+        different labels, and their distances, in blocks.  An empty block
+        skips the distance call: most passes of the gap search find none."""
+        for i, j in _near_segment_pairs(p0, p1, reach):
+            apart = label[i] != label[j]
+            i, j = i[apart], j[apart]
+            d = _segment_gaps(p0[i], p1[i], p0[j], p1[j]) if len(i) else np.zeros(0)
+            yield owner[i], owner[j], d
+
+    reach = threshold * scale
+    links = [(a[d <= reach], c[d <= reach]) for a, c, d in gaps(reach, owner)]
+    labels = _chain_labels(len(ends), *np.concatenate(links, axis=1))
+    gap = math.inf
+    if labels.max() > 0:
+        while not gap <= reach:
+            reach = max(2.0 * reach, _U)    # the scaled threshold may round to 0
+            gap = min(float(np.min(d, initial=math.inf)) for _, _, d in gaps(reach, labels[owner]))
+        gap /= scale
     return RangeReport(n_components=int(labels.max()) + 1, gap=gap, threshold=threshold,
-                       resolution=resolution, n_samples=n_samples)
+                       resolution=resolution, n_samples=len(t))
 
 
 # -- persistence ----------------------------------------------------------------

@@ -310,7 +310,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="compact set JSON")
     p.add_argument("--fn", required=True, help="piecewise linear function JSON")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--resolution", type=float, default=1e-3)
+    p.add_argument("--resolution", type=float, default=1e-3,
+                   help="the range check joins pieces of X whose images under g "
+                        "come within 3 * Lip(g) * resolution")
     p.add_argument("--out", help="write the perturbed function JSON here")
     p.set_defaults(func=_cmd_cfun_disconnect)
 

@@ -6,9 +6,10 @@ union over blocks.  Spectra of finite matrices are finite sets, so
 threshold, and the boundary of the spectrum is the spectrum itself (the
 finite-dimensional surrogate used throughout this package).
 Clustering is one union-find, :func:`link_components`, over the point pairs
-within the threshold; ``cfun.range_components`` shares it.  Spectra are
-small, so those pairs come from the full matrix of distances, which also
-gives a spectrum report its gap.
+within the threshold; ``cfun.range_components`` joins the image polylines
+within its threshold with the same union-find.  Spectra are small, so the
+point pairs come from the full matrix of distances, which also gives a
+spectrum report its gap.
 
 A pseudospectrum grid factors each block once, to its complex Schur form R,
 and finds sigma_min(R - z) for many grid points at a time by inverse

@@ -330,7 +330,7 @@ def counterexample_check(K: int = 8, trials: int = 20, seed=7) -> CheckResult:
 def cfun_checks(seed=8, n_disconnect: int = 10, n_witness: int = 50) -> CheckResult:
     """Commutative side: stage-10 Cantor disconnections succeed with exact
     sup distance under eps, and the interval-union witness resists small
-    perturbations (sampled range stays connected)."""
+    perturbations (the image polylines stay linked within the threshold)."""
     rng = rng_from_seed(seed)
     worst = 0.0
     ok = True
@@ -341,8 +341,8 @@ def cfun_checks(seed=8, n_disconnect: int = 10, n_witness: int = 50) -> CheckRes
         f = PLFunction(breakpoints=t, values=vals)
         res = cfun_disconnect(X, f, eps=0.25)
         worst = max(worst, res.sup_dist / 0.25)
-        # Sample finely enough that the merge threshold sits inside the
-        # certified gap, else a steep g bridges it spuriously.
+        # Keep the merge threshold inside the certified gap, else the
+        # polylines of a steep g come within it and bridge the gap.
         r = min(2e-3, res.range_gap / (6.0 * max(1e-12, res.g.lipschitz())))
         rep = range_components(res.g, X, resolution=r)
         if res.range_gap <= 0 or rep.n_components < 2:

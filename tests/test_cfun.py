@@ -2,7 +2,6 @@ import gc
 import json
 import math
 import re
-import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -14,11 +13,11 @@ from hypothesis import strategies as st
 from specgap import cfun
 from specgap.cfun import (_GENERATORS, _RING_ENTRIES, CantorGenerator, ClopenPiece,
                           CompactRealSet, PLFunction, _certificate_bounds,
-                          _first_small_piece, _float_ends, _gap_piece, _linspaces,
+                          _first_small_piece, _float_ends, _gap_piece,
                           _nearest_in_piece, _seg_dists, _sq_moduli, cfun_disconnect,
                           clopen_small_pieces,
                           is_finite_interval_union, nondensity_witness,
-                          offrange_lambda, pl_approximate, pl_from_dict,
+                          offrange_lambda, pl_from_dict,
                           pl_to_dict, range_components, read_pl, read_set,
                           set_from_dict, set_to_dict, write_pl, write_set)
 from specgap.errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion,
@@ -404,28 +403,6 @@ def test_sup_norm_on_is_exact():
     assert f.sup_norm_on(Y) == 0.5    # endpoint t=1/4: f = 1/2
 
 
-def test_pl_approximate_callable_and_passthrough():
-    fn = lambda t: np.exp(1j * t) * np.cos(3 * t)
-    G = pl_approximate(fn, tol=1e-3, lo=-1.0, hi=2.0)
-    t = np.linspace(-1.0, 2.0, 4001)
-    assert np.max(np.abs(G(t) - fn(t))) < 1e-3
-    f = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, 1.0))
-    assert pl_approximate(f, tol=1e-6) is f
-
-
-def test_pl_approximate_refuses_bad_tol_before_sampling():
-    calls = []
-
-    def fn(t):
-        calls.append(t)
-        return t * t
-
-    for bad in (0.0, -1e-3, math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            pl_approximate(fn, tol=bad, lo=0.0, hi=1.0)
-    assert calls == []
-
-
 def test_offrange_lambda_clears_the_range():
     G = PLFunction(breakpoints=(0.0, 1.0, 2.0), values=(-1.0, 0.0, 1.0))
     lam, clear = offrange_lambda(G, target=0.0, tol=0.1)
@@ -638,6 +615,11 @@ def test_range_components_counts_and_gap():
     joined = range_components(g, CompactRealSet(intervals=((0, 3),)),
                               resolution=1e-3)
     assert joined.connected and joined.gap == np.inf
+    # parallel images 0.030 apart, under a threshold of 0.0302, link
+    band = PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
+                      values=(0.0, 1.0, -0.005 + 0.03j, 0.995 + 0.03j))
+    rep = range_components(band, CompactRealSet(intervals=((0, 1), (2, 3))), resolution=1e-2)
+    assert rep.connected and rep.threshold > 0.0301
 
 
 def test_range_components_resolution_guard():
@@ -648,31 +630,81 @@ def test_range_components_resolution_guard():
             range_components(g, X, resolution=bad)
 
 
+def _orient(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _sq_point_segment(w, a, b):
+    dx, dy, wx, wy = b[0] - a[0], b[1] - a[1], w[0] - a[0], w[1] - a[1]
+    dd, s = dx * dx + dy * dy, wx * dx + wy * dy
+    if s <= 0 or dd == 0:
+        return Fraction(wx * wx + wy * wy)
+    if s >= dd:
+        return Fraction((w[0] - b[0]) ** 2 + (w[1] - b[1]) ** 2)
+    return Fraction((wx * dy - wy * dx) ** 2, dd)
+
+
+def _sq_segment_distance(p0, p1, q0, q1):
+    """0 where the segments cross, else the least endpoint-to-segment
+    distance, which is their distance; squared, exactly, on integer points."""
+    if (_orient(p0, p1, q0) * _orient(p0, p1, q1) < 0
+            and _orient(q0, q1, p0) * _orient(q0, q1, p1) < 0):
+        return Fraction(0)
+    return min(_sq_point_segment(q0, p0, p1), _sq_point_segment(q1, p0, p1),
+               _sq_point_segment(p0, q0, q1), _sq_point_segment(p1, q0, q1))
+
+
+def _sqrt(x: Fraction) -> float:
+    """sqrt(x) within a few units of roundoff, for x far beyond float range."""
+    k = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+    return math.sqrt(x / Fraction(4) ** k) * 2.0 ** k
+
+
 def _ref_range_components(g, X, resolution):
-    """Brute-force single linkage on the documented samples: every sample
-    pair within the threshold, plus consecutive samples of each chain."""
+    """Exact single linkage over the image polylines.  Each piece's chain
+    runs through g's float values at its ends and at g's breakpoints inside
+    it; these are dyadic, so one power of two scales them to integers and
+    the geometry is exact.  Two chains link when some pair of their segments is
+    within the threshold.  Returns the component counts with links at
+    threshold + mu and at threshold - mu, mu = 64 u (max|g| + threshold),
+    the number of knots, the least distance between components at
+    threshold + mu (inf when one) and mu: range_components must land
+    between them whatever it rounds."""
     threshold = 3.0 * g.lipschitz() * resolution
     b = np.asarray(g.breakpoints)
-    chains = []
+    knots = []
     for a, c in X.pieces():
         fa, fc = float(a), float(c)
-        if fa == fc:
-            chains.append(np.asarray([fa]))
-            continue
-        m = max(2, int(math.ceil((fc - fa) / resolution)) + 1)
-        chains.append(np.union1d(np.linspace(fa, fc, m), b[(b > fa) & (b < fc)]))
-    z = g(np.concatenate(chains))
-    xy = np.column_stack([z.real, z.imag])
-    with np.errstate(over="ignore"):    # squares of far pairs may be inf
-        dist = np.sqrt(((xy[:, None, :] - xy[None, :, :]) ** 2).sum(axis=-1))
-    i, j = np.nonzero(np.triu(dist <= threshold, k=1))
-    starts = np.cumsum([0] + [len(t) for t in chains])
-    along = [(k, k + 1) for s, e in zip(starts[:-1], starts[1:]) for k in range(s, e - 1)]
-    labels = np.asarray(link_components(len(z), list(zip(i.tolist(), j.tolist())) + along))
-    n_comps = int(labels.max()) + 1
-    apart = labels[:, None] != labels[None, :]
-    gap = float(dist[apart].min()) if n_comps > 1 else math.inf
-    return n_comps, len(z), gap
+        knots.append([fa, *b[(b > fa) & (b < fc)], fc])
+    values = g(np.concatenate(knots))
+    mu = 64 * 2.0 ** -53 * (float(np.max(np.abs(values))) + threshold)
+    coords = [Fraction(x) for w in values.tolist() for x in (w.real, w.imag)]
+    scale = max(x.denominator for x in coords)      # a power of two
+    ints = [x.numerator * (scale // x.denominator) for x in coords]
+    points = list(zip(ints[::2], ints[1::2]))
+    ends = np.cumsum([0] + [len(t) for t in knots]).tolist()
+    z = [points[s:t] for s, t in zip(ends, ends[1:])]
+    n = len(z)
+    dist = {(i, j): min(_sq_segment_distance(p0, p1, q0, q1)
+                        for p0, p1 in zip(z[i], z[i][1:]) for q0, q1 in zip(z[j], z[j][1:]))
+            / scale ** 2 for i in range(n) for j in range(i + 1, n)}
+
+    def labels(level):
+        level = Fraction(max(level, 0.0))
+        return link_components(n, [ij for ij, d in dist.items() if d <= level * level])
+
+    near, far = labels(threshold + mu), labels(threshold - mu)
+    gaps = [d for (i, j), d in dist.items() if near[i] != near[j]]
+    gap = _sqrt(min(gaps)) if gaps else math.inf
+    return max(near) + 1, max(far) + 1, sum(map(len, knots)), gap, mu
+
+
+def _assert_matches_reference(g, X, resolution):
+    rep = range_components(g, X, resolution=resolution)
+    n_near, n_far, n_knots, gap, mu = _ref_range_components(g, X, resolution)
+    assert n_near <= rep.n_components <= n_far and rep.n_samples == n_knots
+    if n_near == n_far:
+        assert rep.gap == gap or abs(rep.gap - gap) <= mu
 
 
 def _two_of_three():
@@ -703,17 +735,17 @@ def _range_reference_cases():
     yield "breakpoint-inside", kinked, two, 1e-2
     ends = PLFunction(breakpoints=(0.0, 0.5, 0.75, 1.0), values=(0.0, 1j, 0.5, 0.5 + 1j))
     yield "breakpoints-at-ends", ends, two, 1e-2
-    # Lip ~ 1 at resolution 1e-2: parallel images 0.025 apart are too far
-    # for a polyline link (below 2h), so the sample pass decides them; in
-    # phase the samples link, half a step out of phase at 0.03 they miss
+    # 3 * (1/8) * 5e-324 rounds to a threshold of 0; the images are 1/32 apart
+    yield "zero-threshold", PLFunction(breakpoints=(0.0, 8.0), values=(0.0, 1j)), two, 5e-324
+    # Lip ~ 1 at resolution 1e-2, a threshold of about 0.030: parallel
+    # images 0.025 and 0.030 apart both link
     apart = CompactRealSet(intervals=((0, 1), (2, 3)))
     yield "band-settles-linked", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
                                             values=(0.0, 1.0, 0.025j, 1 + 0.025j)), apart, 1e-2
     yield "band-settles-apart", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
                                            values=(0.0, 1.0, -0.005 + 0.03j, 0.995 + 0.03j)), apart, 1e-2
     yield "constant", PLFunction(breakpoints=(0.0, 3.0), values=(1 + 1j, 1 + 1j)), apart, 1e-2
-    # the polylines leave all three chains apart, the in-phase samples join
-    # the first two, and the third stays 9.975 away
+    # the first two images link 0.025 apart, and the third stays 9.975 away
     yield "samples-join-two-of-three", *_two_of_three()
     cantor8 = CompactRealSet.cantor(depth=8, ratio="1/3")
     t = np.linspace(-0.2, 1.2, 9)
@@ -731,6 +763,14 @@ def _range_reference_cases():
         vals += [0.07 * k + y, 0.07 * k + 0.01 + y]
     yield "long-beside-short", PLFunction(breakpoints=bps, values=vals), CompactRealSet(
         intervals=((0, 1),) + tuple((a, a + Fraction(1, 100)) for a in starts)), 1e-2
+    # images that touch at an end, overlap along a line, or end on the
+    # inside of a slanted segment, at a threshold of 3e-12
+    yield "touching", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
+                                 values=(0.0, 1.0, 1.0, 1 + 1j)), apart, 1e-12
+    yield "collinear-overlap", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
+                                          values=(0.0, 2.0, 1.0, 3.0)), apart, 1e-12
+    yield "point-on-segment", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0),
+                                         values=(0.0, 3 + 1j, 1.5 + 0.5j, 2 - 1j)), apart, 1e-12
     # images 1e152 apart under a threshold of 3e152: squaring the 1e155-long
     # segments overflows, so the geometry must be scaled to keep them linked
     yield "huge-values", PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0), values=(
@@ -742,14 +782,12 @@ def _range_reference_cases():
 
 @pytest.mark.parametrize("case", list(_range_reference_cases()), ids=lambda c: c[0])
 def test_range_components_matches_brute_force_linkage(case):
-    _, g, X, resolution = case
-    rep = range_components(g, X, resolution=resolution)
-    assert (rep.n_components, rep.n_samples, rep.gap) == _ref_range_components(g, X, resolution)
+    _assert_matches_reference(*case[1:])
 
 
-def test_range_components_decides_in_two_steps(monkeypatch):
-    """g is evaluated twice, once at the knots and once at every sample:
-    the polylines leave the three chains apart, one sample pass joins two."""
+def test_range_components_evaluates_g_once(monkeypatch):
+    """g is evaluated at the 6 knots and nowhere else: the polylines link
+    the first two chains and leave the third apart."""
     calls, labels = [], []
     call, chain_labels = PLFunction.__call__, cfun._chain_labels
 
@@ -765,43 +803,9 @@ def test_range_components_decides_in_two_steps(monkeypatch):
     monkeypatch.setattr(cfun, "_chain_labels", recorded)
     g, X, resolution = _two_of_three()
     rep = range_components(g, X, resolution=resolution)
-    assert (rep.n_components, rep.gap) == (2, pytest.approx(9.975))
-    assert calls == [6, rep.n_samples] and rep.n_samples == 303
-    assert labels == [[0, 1, 2], [0, 0, 1]]
-
-
-def test_sample_pass_memory_is_linear_in_the_samples():
-    """g is constant on [0, 1], so 3,335 of its samples sit at one point.  A
-    list of the sample pairs within the threshold would hold 5.6 million
-    pairs (89 MB); the sample pass holds about 100 bytes per sample."""
-    X = CompactRealSet(intervals=((0, 1), (2, 3)))
-    g = PLFunction(breakpoints=(0.0, 1.0, 2.0, 3.0), values=(0.0, 0.0, 1.0, 2.0))
-    range_components(g, X, resolution=3e-4)      # imports outside the trace
-    tracemalloc.start()
-    try:
-        rep = range_components(g, X, resolution=3e-4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (rep.n_components, rep.n_samples, rep.gap) == (2, 6670, 1.0)
-    assert peak < 8 * 2 ** 20
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
-                          st.integers(2, 60)), min_size=1, max_size=6))
-def test_linspaces_match_numpy_linspace(runs):
-    """Widths include 0 (a point: one sample) and subnormals, where
-    linspace's step underflows to 0 and it scales i / (num - 1) instead."""
-    lo = np.array([a for a, _, _ in runs])
-    hi = lo + np.array([w for _, w, _ in runs])
-    num = np.array([n if b > a else 1 for (_, _, n), a, b in zip(runs, lo, hi)])
-    t, owner = _linspaces(lo, hi, num)
-    want = [np.linspace(a, b, n) if n > 1 else np.asarray([b]) for a, b, n in zip(lo, hi, num)]
-    assert t.tobytes() == np.concatenate(want).tobytes()
-    assert owner.tolist() == [k for k, n in enumerate(num) for _ in range(n)]
-    assert _linspaces(np.array([0.0]), np.array([5e-324]), np.array([4]))[0].tolist() == \
-        np.linspace(0.0, 5e-324, 4).tolist()
+    assert (rep.n_components, rep.n_samples, rep.gap) == (2, 6, pytest.approx(9.975))
+    assert calls == [6]
+    assert labels == [[0, 0, 1]]
 
 
 @st.composite
@@ -824,23 +828,10 @@ def _small_range_inputs(draw):
     return PLFunction(breakpoints=bps, values=vals), X, draw(st.floats(1e-3, 1e-1))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(_small_range_inputs())
 def test_range_components_matches_brute_force_on_small_inputs(case):
-    g, X, resolution = case
-    rep = range_components(g, X, resolution=resolution)
-    assert (rep.n_components, rep.n_samples, rep.gap) == _ref_range_components(g, X, resolution)
-
-
-def test_range_components_refuses_tiny_resolutions():
-    # 1e-300 once overflowed NumPy's array size, and 1e-9 asked for 7.5e8
-    # samples (12 GB); now both are counted before any is made
-    g = PLFunction(breakpoints=(0.0, 1.0), values=(0.0, 1j))
-    X = CompactRealSet(intervals=((0, Fraction(1, 2)), (Fraction(3, 4), 1)))
-    for tiny, count in ((1e-300, "7.5e+299"), (1e-9, "7.5e+08"), (5e-324, "inf")):
-        with pytest.raises(ExhaustedSamples, match=re.escape(
-                f"resolution {tiny!r} asks for {count} samples")):
-            range_components(g, X, resolution=tiny)
+    _assert_matches_reference(*case)
 
 
 def test_range_components_outside_the_domain_raises():

@@ -272,16 +272,16 @@ def test_cfun_disconnect_too_shallow_stage_exits_1(capsys, tmp_path):
     assert err.startswith("StageTooShallow: no clopen piece is small enough")
 
 
-def test_cfun_disconnect_tiny_resolution_exits_1(capsys, tmp_path):
-    # 64 pieces of 3**-6 at resolution 1e-12 would be 8.779e10 range samples
+def test_cfun_disconnect_tiny_resolution_exits_0(capsys, tmp_path):
+    # 64 pieces of 3**-6 at resolution 1e-12: a threshold of 1.6e-11 links
+    # only the pieces that g sends to its one value lambda; no sample is taken
     write_set(CompactRealSet.cantor(depth=6, ratio="1/3"), tmp_path / "set.json")
     write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)),
              tmp_path / "fn.json")
     code, payload, err = run(capsys, "cfun-disconnect", "--set", tmp_path / "set.json",
                              "--fn", tmp_path / "fn.json", "--eps", "0.1",
                              "--resolution", "1e-12", "--output-dir", tmp_path)
-    assert code == 1 and payload is None
-    assert err.startswith("ExhaustedSamples: resolution 1e-12 asks for 8.779e+10 samples"), err
+    assert code == 0 and payload["range_components"] >= 2, err
 
 
 def test_cfun_disconnect_overflowing_range_exits_1(capsys, tmp_path):

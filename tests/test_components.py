@@ -1,7 +1,4 @@
-"""The shared union-find behind spectrum clustering and sampled ranges."""
-
-import importlib.util
-import pathlib
+"""The shared union-find behind spectrum clustering and function ranges."""
 
 import numpy as np
 import pytest
@@ -60,17 +57,6 @@ def test_range_components_point_on_the_interval_image_is_one_component():
     g = PLFunction(breakpoints=(0.0, 1.0, 2.0), values=(0.0, 1.0, 0.5))
     rep = range_components(g, X, resolution=1e-3)
     assert rep.n_components == 1 and rep.connected
-
-
-def test_bench_trace_targets_exist():
-    # `bench/run.py --trace 1` rebinds these names; a rename must fail here
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    for key, targets in tracing.TARGETS.items():
-        for owner, name in targets:
-            assert hasattr(owner, name), f"{key}: {owner!r} has no {name!r}"
 
 
 def _same_value_error(points, threshold):
