@@ -13,6 +13,7 @@ import pathlib
 from specgap import (AlgebraSpec, BaseNorm, NormSpec, c_phi, disconnect,
                      phi_eval, random_block_operator, rng_from_seed,
                      write_certificate)
+from specgap.norms import phi_rank_one
 
 OUT = pathlib.Path(__file__).with_name("demo_output")
 OUT.mkdir(exist_ok=True)
@@ -51,5 +52,7 @@ path = OUT / "certificate.json"
 write_certificate(cert, path, seed=7)
 print(f"\nfull certificate written to {path}")
 
-# sanity: the perturbation really is as small as advertised, re-measured
-assert phi_eval(spec, cert.X) == cert.phi_X
+# sanity: phi(X) is the rank-one closed form w_k ||w|| ||v|| of the stored
+# vectors, and an SVD of the dense X re-measures it to within rounding
+assert cert.phi_X == phi_rank_one(spec, cert.structure, cert.summand, cert.w, cert.v)
+assert abs(phi_eval(spec, cert.X) - cert.phi_X) <= 1e-12 * cert.phi_X

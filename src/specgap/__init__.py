@@ -32,13 +32,12 @@ from .norms import (
 )
 from .sampling import (
     rng_from_seed, spawn_rngs, haar_unitary, random_block_operator,
-    random_hermitian, random_psd, random_projection, random_subprojection,
+    random_psd, random_projection, random_subprojection,
 )
 from .spectral import (
     eigenvalues, cluster_points, SpectrumReport, spectrum_components,
     rightmost_boundary_point, min_singular_value,
-    GridSpec, PseudospectrumGrid, pseudospectrum_grid, write_spectrum_csv,
-    write_pseudospectrum_csv,
+    GridSpec, PseudospectrumGrid, pseudospectrum_grid, write_pseudospectrum_csv,
 )
 from .perturb import (
     PerturbationCertificate, disconnect, disconnect_rr0,
@@ -52,7 +51,7 @@ from .riesz import (
 )
 from .uppertri import (
     UTBlock, ut_assemble, UTInclusionReport, ut_inclusion_check,
-    shift_example, adjoint_flip,
+    shift_example,
 )
 from .cfun import (
     CompactRealSet, CantorGenerator, PLFunction, ClopenPiece,

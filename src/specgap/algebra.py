@@ -212,12 +212,11 @@ class Projection:
     ``factors`` holds ``(id, W)`` pairs, ``W`` an ``n x r`` matrix with
     orthonormal columns, so the block is ``W W*`` of rank ``r``.  The
     constructor is the one check of that invariant: ``||W* W - I_r||_F <=
-    tol`` or :class:`NotAProjection`, and ``r <= n`` or :class:`ShapeMismatch`.
-    ``base`` builds the dense blocks on access.
+    DEFAULT_TOL`` or :class:`NotAProjection`, and ``r <= n`` or
+    :class:`ShapeMismatch`.  ``base`` builds the dense blocks on access.
     """
 
     factors: tuple = ()
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         pairs = []
@@ -227,9 +226,9 @@ class Projection:
                 raise ShapeMismatch(f"summand {sid}: factor {w.shape} not n x r, r <= n")
             g = w.conj().T @ w - np.eye(w.shape[1])
             res = float(np.sqrt(np.vdot(g, g).real))
-            if not res <= self.tol:     # NaN fails too
+            if not res <= DEFAULT_TOL:     # NaN fails too
                 raise NotAProjection(f"summand {sid}: ||W*W - I||_F = {res:.3e} "
-                                     f"exceeds tol={self.tol:.3e}", residual=res)
+                                     f"exceeds tol={DEFAULT_TOL:.3e}", residual=res)
             w.setflags(write=False)
             pairs.append((int(sid), w))
         object.__setattr__(self, "factors", tuple(pairs))
@@ -251,14 +250,15 @@ class Projection:
         return tuple(sid for sid, w in self.factors if w.shape[1] > 0)
 
 
-def validate_projection(A: BlockOperator, tol: float = DEFAULT_TOL) -> Projection:
+def validate_projection(A: BlockOperator) -> Projection:
     """Check blockwise that dense ``A`` is an orthogonal projection.
 
-    Requires finite entries, ``||A - A*|| <= tol`` and ``||A@A - A|| <= tol``
-    on every block; raises :class:`NotAProjection` carrying the worst
-    residual otherwise (``inf`` for a non-finite entry).  Each block's factor
-    is the eigenvectors of its symmetrized part with eigenvalue above 1/2
-    (the eigenvalues sit within ``tol`` of {0, 1}, so the cut is unambiguous).
+    Requires finite entries, ``||A - A*|| <= DEFAULT_TOL`` and ``||A@A - A||
+    <= DEFAULT_TOL`` on every block; raises :class:`NotAProjection` carrying
+    the worst residual otherwise (``inf`` for a non-finite entry).  Each
+    block's factor is the eigenvectors of its symmetrized part with
+    eigenvalue above 1/2 (the eigenvalues sit within ``DEFAULT_TOL`` of
+    {0, 1}, so the cut is unambiguous).
     """
     factors = []
     for sid, b in A.summands:
@@ -266,13 +266,13 @@ def validate_projection(A: BlockOperator, tol: float = DEFAULT_TOL) -> Projectio
             raise NotAProjection(f"summand {sid} has a non-finite entry", residual=np.inf)
         herm = np.linalg.norm(b - b.conj().T, 2)
         idem = np.linalg.norm(b @ b - b, 2)
-        if herm > tol or idem > tol:
+        if herm > DEFAULT_TOL or idem > DEFAULT_TOL:
             raise NotAProjection(
                 f"summand {sid}: ||P-P*||={herm:.3e}, ||P@P-P||={idem:.3e} "
-                f"exceed tol={tol:.3e}", residual=max(herm, idem))
+                f"exceed tol={DEFAULT_TOL:.3e}", residual=max(herm, idem))
         evals, vecs = np.linalg.eigh((b + b.conj().T) / 2.0)
         factors.append((sid, vecs[:, evals > 0.5]))
-    return Projection(tuple(factors), tol=tol)
+    return Projection(tuple(factors))
 
 
 def minimal_subprojection(P: Projection, sid: int) -> Projection:
@@ -284,7 +284,7 @@ def minimal_subprojection(P: Projection, sid: int) -> Projection:
     if w is None or w.shape[1] == 0:
         raise EmptyBlock(f"projection has no weight in summand {sid}")
     return Projection(tuple((s, f[:, :1] if s == sid else f[:, :0])
-                            for s, f in P.factors), tol=P.tol)
+                            for s, f in P.factors))
 
 
 # -- JSON persistence -----------------------------------------------------

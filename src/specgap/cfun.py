@@ -311,10 +311,6 @@ class ClopenPiece:
     def diam(self) -> Fraction:
         return self.subset.diam
 
-    @property
-    def hull(self):
-        return self.subset.inf, self.subset.sup
-
 
 def _isolated_point_piece(X: CompactRealSet) -> ClopenPiece:
     x0 = X.points[0]
@@ -427,25 +423,9 @@ class PLFunction:
         out = np.interp(t_arr, b, v.real) + 1j * np.interp(t_arr, b, v.imag)
         return out if np.ndim(t) else complex(out[0])
 
-    @property
-    def domain(self):
-        return self.breakpoints[0], self.breakpoints[-1]
-
     def lipschitz(self) -> float:
         b, v = self._b, self._v
         return float((np.abs(v[1:] - v[:-1]) / (b[1:] - b[:-1])).max())
-
-    def sup_norm_on(self, X: CompactRealSet) -> float:
-        """Sup of |f| over X: |f| is convex on each linear segment, so the
-        max over an interval is attained at a breakpoint or an interval
-        endpoint — all of which are evaluated (in one float call), none
-        sampled."""
-        lo, hi = self.domain
-        ends = _float_ends(X)
-        if ends[0, 0] < lo - 1e-12 or ends[-1, 1] > hi + 1e-12:
-            raise ShapeMismatch("X is not contained in the function's domain")
-        t, _, n_knots = _knots(ends, self._b)
-        return _max_modulus(self(t), np.repeat(ends[:, 0] == ends[:, 1], n_knots))
 
 
 def _float_ends(X: CompactRealSet) -> np.ndarray:

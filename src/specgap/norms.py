@@ -68,11 +68,11 @@ class BaseNorm:
         if self.kind == "operator":
             pass
         elif self.kind == "schatten":
-            if self.p is None or (not math.isinf(self.p) and self.p < 1):
-                raise ShapeMismatch("schatten base needs p >= 1 (or inf)")
+            if self.p is None or not self.p >= 1:    # NaN fails too; +inf passes
+                raise ShapeMismatch(f"schatten base needs p >= 1 (or inf), got {self.p!r}")
         elif self.kind == "kyfan":
-            if self.k is None or int(self.k) < 1:
-                raise ShapeMismatch("kyfan base needs k >= 1")
+            if self.k is None or not (self.k >= 1 and float(self.k).is_integer()):
+                raise ShapeMismatch(f"kyfan base needs a whole k >= 1, got {self.k!r}")
             object.__setattr__(self, "k", int(self.k))
         else:
             raise ShapeMismatch(f"unknown base norm kind {self.kind!r}")
@@ -101,11 +101,12 @@ class NormSpec:
     Parameters
     ----------
     base : tuple of BaseNorm, one per realized summand
-    weights : tuple of positive floats, same length
+    weights : tuple of finite positive floats, same length
     agg : "sup" or "lq"
-    q : exponent >= 1, required when ``agg == "lq"``
+    q : finite exponent >= 1, required when ``agg == "lq"`` (l-infinity
+        aggregation is ``"sup"``)
     tail_weights : "none", "divergent", or "bounded"
-    tail_sup : the constant tail weight, required when bounded
+    tail_sup : the finite positive tail weight, required when bounded
 
     lq aggregation over a divergent tail is refused: there is no convergence
     certificate for the induced weight series.  A bounded tail is accepted
@@ -126,16 +127,18 @@ class NormSpec:
             raise ShapeMismatch("base and weights must be nonempty, equal-length")
         if any(not isinstance(b, BaseNorm) for b in base):
             raise ShapeMismatch("base entries must be BaseNorm instances")
-        if any(w <= 0 for w in weights):
-            raise ShapeMismatch("weights must be positive")
+        if not all(0.0 < w < math.inf for w in weights):
+            raise ShapeMismatch(f"weights must be finite and positive, got {weights}")
         if self.agg not in ("sup", "lq"):
             raise ShapeMismatch(f"unknown aggregation {self.agg!r}")
-        if self.agg == "lq" and (self.q is None or self.q < 1):
-            raise ShapeMismatch("lq aggregation needs q >= 1")
+        if self.agg == "lq" and (self.q is None or not 1 <= self.q < math.inf):
+            raise ShapeMismatch(f"lq aggregation needs a finite q >= 1, got {self.q!r}")
         if self.tail_weights not in ("none", "divergent", "bounded"):
             raise ShapeMismatch(f"unknown tail weight class {self.tail_weights!r}")
-        if self.tail_weights == "bounded" and (self.tail_sup is None or self.tail_sup <= 0):
-            raise ShapeMismatch("bounded tail needs a positive tail_sup")
+        if self.tail_weights == "bounded" and (self.tail_sup is None
+                                               or not 0 < self.tail_sup < math.inf):
+            raise ShapeMismatch(f"bounded tail needs a finite positive tail_sup, "
+                                f"got {self.tail_sup!r}")
         if self.tail_weights == "divergent" and self.agg == "lq":
             raise NoConvergenceCertificate(
                 "lq aggregation over a divergent tail has no convergence certificate")
@@ -202,13 +205,23 @@ def phi_rank_one(spec: NormSpec, structure, k: int, a: np.ndarray,
     norms all equal it.  Raises :class:`~specgap.errors.ShapeMismatch` on the
     same structures as :func:`phi_eval`.
     """
-    s1 = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+    s1 = _vector_norm(a) * _vector_norm(b)
     terms = []
     for sid, _ in structure:
         w = spec.weight_of(sid)
         spec.base_of(sid)   # raises ShapeMismatch where phi_eval would
         terms.append(w * s1 if sid == k else 0.0)
     return _aggregate(spec, terms)
+
+
+def _vector_norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` of ``a`` scaled by a power of two to a largest
+    entry in [1/2, 1), so that no square overflows (as for entries above
+    about 1e154) or underflows.  The scaling is exact, so the value is
+    NumPy's bit for bit wherever NumPy's squares stay normal."""
+    _, e = math.frexp(float(np.abs(a).max(initial=0.0)))
+    e = max(e, -1023)   # 2**1023 is the largest power of two a float holds
+    return float(np.ldexp(np.linalg.norm(a * math.ldexp(1.0, -e)), e))
 
 
 def _aggregate(spec: NormSpec, terms) -> float:

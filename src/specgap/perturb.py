@@ -24,11 +24,11 @@ factored.  The norm cost is
 
 for ``eps0 = eps / (2 (1 + c_phi))`` (``eps / 2`` in the operator-norm
 variant `disconnect_rr0`), because ``phi((T - lambda) E)`` must stay below
-the fixed budget ``delta = eps0 * 1e-3``.  Both ``E`` and ``(T - lambda) E``
-are rank one, ``a b*`` in summand ``k``, so their norms are the closed form
-``w_k ||a|| ||b||`` (`norms.phi_rank_one`); ``phi(X)`` is measured on ``X``
-as stored.  A budget below the round-off in ``sigma_min(T - lambda)`` raises
-:class:`BelowRoundoff`.
+the fixed budget ``delta = eps0 * 1e-3``.  ``E``, ``(T - lambda) E`` and
+``X = w v*`` are rank one, ``a b*`` in summand ``k``, so all three norms are
+the closed form ``w_k ||a|| ||b||`` (`norms.phi_rank_one`), read off the
+stored vectors.  A budget below the round-off in ``sigma_min(T - lambda)``
+raises :class:`BelowRoundoff`.
 
 The split is certified by ``s = min(sigma_min(C - mu), sigma_min(T_j - mu)
 for j != k)``, a lower bound on the distance from ``mu`` to the rest of
@@ -70,7 +70,6 @@ from .errors import (
     DimensionOne,
     InfiniteCPhi,
     NotDominating,
-    ShapeMismatch,
 )
 from .norms import (
     NormSpec,
@@ -197,7 +196,7 @@ def _build_certificate(T, spec, eps, eps0, route):
     w = mu * v - tv
     for a in (v, w):
         a.setflags(write=False)
-    phi_X = phi_eval(spec, _rank_one(structure, sid, w, v))
+    phi_X = phi_rank_one(spec, structure, sid, w, v)
     if not (phi_X < eps):
         raise ConvergenceFailure(f"phi(X)={phi_X} failed the < eps={eps} bound")
 
@@ -287,10 +286,10 @@ def counterexample_net(K: int) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def counterexample_operator(K: int, dims=None):
+def counterexample_operator(K: int):
     """Scalar blocks on a spiral net, with weights doubling per summand.
 
-    Returns ``(T, spec)`` where ``T`` is the direct sum of ``lam_k I`` with
+    Returns ``(T, spec)`` where ``T`` is the direct sum of 2x2 ``lam_k I`` with
     ``|lam_k| = 1 - 2^-k`` and the norm has weight ``2^k`` on summand ``k``
     (ids 0..K-1 carry k = 1..K), sup aggregation and a divergent tail — so
     ``c_phi`` is infinite and any ``X`` with ``phi(X) < 1`` satisfies
@@ -298,28 +297,24 @@ def counterexample_operator(K: int, dims=None):
     """
     if K < 2:
         raise ValueError("need at least two summands")
-    if dims is None:
-        dims = (2,) * K
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != K or any(d < 1 for d in dims):
-        raise ShapeMismatch(f"need {K} dims >= 1")
     lams = counterexample_net(K)
-    T = BlockOperator(tuple((i, lams[i] * np.eye(d)) for i, d in enumerate(dims)))
+    T = BlockOperator(tuple((i, lam * np.eye(2)) for i, lam in enumerate(lams)))
     weights = tuple(2.0 ** (i + 1) for i in range(K))
     spec = NormSpec(base=(OPERATOR,) * K, weights=weights, agg="sup",
                     tail_weights="divergent")
     return T, spec
 
 
-def net_spacing(lams, K: int, grid_step: float = 0.004) -> float:
+def net_spacing(lams, K: int) -> float:
     """Covering radius of the net within the disk of radius ``1 - 2^-K``,
-    estimated on a fine polar grid."""
+    estimated on a polar grid of step 0.004."""
     lams = np.asarray(lams, dtype=complex)
+    step = 0.004
     R = 1.0 - 2.0 ** (-K)
-    radii = np.arange(0.0, R + grid_step, grid_step)
+    radii = np.arange(0.0, R + step, step)
     worst = 0.0
     for r in radii:
-        n_ang = max(8, int(math.ceil(2.0 * math.pi * max(r, grid_step) / grid_step)))
+        n_ang = max(8, int(math.ceil(2.0 * math.pi * max(r, step) / step)))
         z = r * np.exp(2j * math.pi * np.arange(n_ang) / n_ang)
         worst = max(worst, float(np.abs(z[:, None] - lams[None, :]).min(axis=1).max()))
     return worst
@@ -350,7 +345,12 @@ def verify_counterexample(T: BlockOperator, spec: NormSpec, trials: int = 100,
     of its net point and the whole spectrum remains delta-connected at
 
         delta = net_spacing(K) + 2 * max_k 2^-k.
+
+    Raises ``ValueError`` unless ``phi_budget > 0`` (NaN included) and
+    :class:`BudgetNotLessThanOne` unless ``phi_budget < 1``.
     """
+    if not 0.0 < phi_budget:
+        raise ValueError(f"phi_budget must be positive, got {phi_budget!r}")
     if not phi_budget < 1.0:
         raise BudgetNotLessThanOne(f"phi_budget={phi_budget} must be < 1")
     if trials < 1:

@@ -16,7 +16,6 @@ __all__ = [
     "spawn_rngs",
     "haar_unitary",
     "random_block_operator",
-    "random_hermitian",
     "random_psd",
     "random_projection",
     "random_subprojection",
@@ -56,29 +55,24 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _ginibre(n, rng, scale=1.0):
+def _ginibre(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * z / np.sqrt(2.0 * n)
+    return z / np.sqrt(2.0 * n)
 
 
-def random_block_operator(alg: AlgebraSpec, rng, scale: float = 1.0) -> BlockOperator:
+def random_block_operator(alg: AlgebraSpec, rng) -> BlockOperator:
     """Independent normalized Ginibre blocks on the realized summands."""
     return BlockOperator(tuple(
-        (i, _ginibre(d, rng, scale)) for i, d in enumerate(alg.dims)
+        (i, _ginibre(d, rng)) for i, d in enumerate(alg.dims)
     ))
 
 
-def random_hermitian(n: int, rng, scale: float = 1.0) -> np.ndarray:
-    g = _ginibre(n, rng, scale)
-    return (g + g.conj().T) / 2.0
-
-
-def random_psd(n: int, rng, scale: float = 1.0) -> np.ndarray:
-    g = _ginibre(n, rng, scale)
+def random_psd(n: int, rng) -> np.ndarray:
+    g = _ginibre(n, rng)
     return g @ g.conj().T
 
 
-def random_projection(alg: AlgebraSpec, ranks, rng, tol: float = 1e-9) -> Projection:
+def random_projection(alg: AlgebraSpec, ranks, rng) -> Projection:
     """Random orthogonal projection with the given rank in each realized summand."""
     if len(ranks) != len(alg.dims):
         raise ValueError(f"{len(ranks)} ranks for {len(alg.dims)} summands")
@@ -87,10 +81,10 @@ def random_projection(alg: AlgebraSpec, ranks, rng, tol: float = 1e-9) -> Projec
         if not 0 <= r <= d:
             raise ValueError(f"rank {r} out of range for dim {d}")
         factors.append((i, haar_unitary(d, rng)[:, :r] if r else np.zeros((d, 0))))
-    return Projection(tuple(factors), tol=tol)
+    return Projection(tuple(factors))
 
 
-def random_subprojection(P: Projection, ranks, rng, tol: float = 1e-9) -> Projection:
+def random_subprojection(P: Projection, ranks, rng) -> Projection:
     """Random projection E <= P with prescribed block ranks (capped by P's)."""
     if len(ranks) != len(P.factors):
         raise ValueError(f"{len(ranks)} ranks for {len(P.factors)} summands")
@@ -100,4 +94,4 @@ def random_subprojection(P: Projection, ranks, rng, tol: float = 1e-9) -> Projec
             raise ValueError(f"negative rank {r} for summand {sid}")
         r = min(int(r), w.shape[1])
         factors.append((sid, w @ haar_unitary(w.shape[1], rng)[:, :r] if r else w[:, :0]))
-    return Projection(tuple(factors), tol=tol)
+    return Projection(tuple(factors))

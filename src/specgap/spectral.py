@@ -49,7 +49,6 @@ __all__ = [
     "GridSpec",
     "PseudospectrumGrid",
     "pseudospectrum_grid",
-    "write_spectrum_csv",
     "write_pseudospectrum_csv",
 ]
 
@@ -499,15 +498,6 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
                               ims=tuple(float(y) for y in ims),
                               sigma_min=tuple(tuple(float(v) for v in r) for r in sig),
                               eps=float(eps))
-
-
-def write_spectrum_csv(report: SpectrumReport, path):
-    """Columns: re, im, component_id."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["re", "im", "component_id"])
-        for z, label in zip(report.eigenvalues, report.labels):
-            w.writerow([repr(z.real), repr(z.imag), label])
 
 
 def write_pseudospectrum_csv(ps: PseudospectrumGrid, path):

@@ -33,7 +33,6 @@ __all__ = [
     "UTInclusionReport",
     "ut_inclusion_check",
     "shift_example",
-    "adjoint_flip",
 ]
 
 
@@ -68,28 +67,25 @@ class UTBlock:
         return self.T2.shape[0]
 
 
-def ut_assemble(b: UTBlock, summand_id: int = 0) -> BlockOperator:
-    """The assembled operator as a single-summand block operator."""
+def ut_assemble(b: UTBlock) -> BlockOperator:
+    """The assembled operator as a block operator with the one summand 0."""
     n1, n2 = b.n1, b.n2
     full = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     full[:n1, :n1] = b.T1
     full[:n1, n1:] = b.T12
     full[n1:, n1:] = b.T2
-    return BlockOperator(((summand_id, full),))
+    return BlockOperator(((0, full),))
 
 
 @dataclass(frozen=True)
 class UTInclusionReport:
     """Numerical check of sigma(T) = sigma(T1) ∪ sigma(T2).
 
-    ``forward`` bounds how far points of sigma(T) stray from the union,
-    ``reverse`` the opposite inclusion, and ``matched`` is the largest
-    distance in a mass-matching of the two multisets (an upper bound on the
-    bottleneck matching distance).  All absolute; ``scale`` is ||T||.
+    ``matched`` is the largest distance in a mass-matching of the two
+    multisets (an upper bound on the bottleneck matching distance), which
+    bounds both inclusions.  Absolute; ``scale`` is ||T||.
     """
 
-    forward: float
-    reverse: float
     matched: float
     scale: float
     tol: float
@@ -104,13 +100,10 @@ def ut_inclusion_check(b: UTBlock, tol: float = 1e-7) -> UTInclusionReport:
     sig_T = np.linalg.eigvals(np.asarray(full.block(full.ids[0])))
     sig_union = np.concatenate([np.linalg.eigvals(b.T1), np.linalg.eigvals(b.T2)])
     dist = np.abs(sig_T[:, None] - sig_union[None, :])
-    forward = float(dist.min(axis=1).max())
-    reverse = float(dist.min(axis=0).max())
     import scipy.optimize   # here, not at module top: nothing else needs it
     rows, cols = scipy.optimize.linear_sum_assignment(dist)
     matched = float(dist[rows, cols].max())
-    return UTInclusionReport(forward=forward, reverse=reverse, matched=matched,
-                             scale=float(full.norm()), tol=tol)
+    return UTInclusionReport(matched=matched, scale=float(full.norm()), tol=tol)
 
 
 def shift_example(N: int):
@@ -134,9 +127,3 @@ def shift_example(N: int):
     T12 = C[:h, h:].copy()          # the single 1 at (0, h-1): e_{N-1} -> e_0
     T2 = C[h:, h:].copy()
     return T, UTBlock(T1=T1, T12=T12, T2=T2)
-
-
-def adjoint_flip(b: UTBlock) -> UTBlock:
-    """Upper-triangular form of the adjoint, with the halves swapped:
-    T* = [[T2*, T12*], [0, T1*]]."""
-    return UTBlock(T1=b.T2.conj().T, T12=b.T12.conj().T, T2=b.T1.conj().T)

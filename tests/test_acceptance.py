@@ -29,6 +29,7 @@ MASTER_SEED = 20260814
 CORPUS_N = 1000              # criteria 1, 2, 4, 5
 EPS_CYCLE = (1e-1, 1e-2, 1e-3)
 GAP_MIN = 1e-8               # single-linkage separation after perturbation
+PHI_REMEASURE_TOL = 1e-12    # criteria 1, 4: closed-form phi_X against phi_eval(X)
 TIME_BUDGET = 300.0          # seconds for the criterion-1 corpus
 RIESZ_TOL = 1e-8
 UT_N = 1000                  # criterion 6
@@ -86,6 +87,7 @@ def test_criterion_1_disconnect_corpus(cert_corpus):
     bad = []
     for i, (T, spec, eps, cert, _) in enumerate(entries):
         ok = (cert.phi_X < eps
+              and abs(phi_eval(spec, cert.X) - cert.phi_X) <= PHI_REMEASURE_TOL * cert.phi_X
               and cert.X.norm() <= cert.phi_X + 1e-12
               and cert.components_after.n_components >= 2
               and cert.gap_achieved >= GAP_MIN)
@@ -93,7 +95,7 @@ def test_criterion_1_disconnect_corpus(cert_corpus):
             bad.append(i)
     ok = not bad and len(entries) == CORPUS_N and elapsed <= TIME_BUDGET
     _report(1, ok, f"{CORPUS_N - len(bad)}/{CORPUS_N} certificates valid "
-                   f"(phi(X)<eps, ||X||<=phi(X), >=2 components at gap>="
+                   f"(phi(X)<eps and re-measured, ||X||<=phi(X), >=2 components at gap>="
                    f"{GAP_MIN:g}) in {elapsed:.0f}s (budget {TIME_BUDGET:.0f}s)")
     assert not bad, f"invalid certificates at indices {bad[:10]}"
     assert elapsed <= TIME_BUDGET
@@ -131,6 +133,8 @@ def test_criterion_4_rr0_corpus():
         cert = disconnect_rr0(T, eps)
         ok = (cert.eps0 == eps / 2.0
               and cert.X.norm() < eps
+              and abs(phi_eval(cert.norm, cert.X) - cert.phi_X)
+              <= PHI_REMEASURE_TOL * cert.phi_X
               and cert.components_after.n_components >= 2
               and cert.gap_achieved >= GAP_MIN)
         if not ok:

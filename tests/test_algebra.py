@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgap.algebra import (AlgebraSpec, BlockOperator, Projection, block_operator,
-                             central_projection, identity_like, minimal_subprojection,
-                             operator_from_dict, operator_to_dict, read_operator,
-                             validate_projection, write_operator, zero_like)
+from specgap.algebra import (DEFAULT_TOL, AlgebraSpec, BlockOperator, Projection,
+                             block_operator, central_projection, identity_like,
+                             minimal_subprojection, operator_from_dict, operator_to_dict,
+                             read_operator, validate_projection, write_operator, zero_like)
 from specgap.errors import (EmptyBlock, NotAProjection, ShapeMismatch,
                             ZeroProjection)
 from specgap.norms import f_phi
@@ -123,7 +123,7 @@ def test_projection_factor_invariant(rng):
                         (3, np.zeros((2, 2)))])
     P = validate_projection(A)
     assert P.ranks == (2, 2, 0) and P.support == (0, 1)
-    assert (P.base - A).is_zero(tol=P.tol)
+    assert (P.base - A).is_zero(tol=DEFAULT_TOL)
 
 
 def test_central_support_and_minimal_subprojection(rng):

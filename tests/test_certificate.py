@@ -219,9 +219,9 @@ def test_one_factorization_per_block(monkeypatch):
     assert cert.disconnected
     assert calls["eigvals"] == 3 and calls["eig"] == 0     # no eig of T + X
     assert calls["schur"] == 0 and calls["qr"] == 1      # one QR of lambda's block
-    # sigma-only: one per block for the separation and one for phi(X); no
-    # norm of T for the rounding bound
-    assert calls["svd_uv"] == 0 and calls["svd"] == 3 + 1
+    # sigma-only: one per block for the separation; phi(X) is the rank-one
+    # closed form and the rounding bound takes no norm of T
+    assert calls["svd_uv"] == 0 and calls["svd"] == 3
 
 
 def test_separation_bound_uses_the_largest_frobenius_norm():

@@ -393,16 +393,6 @@ def test_lipschitz_and_refine():
     assert g.lipschitz() == pytest.approx(5.0)
 
 
-def test_sup_norm_on_is_exact():
-    # |f - g| peaks strictly inside a piece: t=0 -> 1, t=1 -> -1 on [0,1]
-    f = PLFunction(breakpoints=(0.0, 1.0), values=(1.0, -1.0))
-    X = CompactRealSet(intervals=((0, Fraction(1, 4)),), points=(1,))
-    # on [0, 1/4] the max is at t=0 (value 1); the point t=1 gives |-1| = 1
-    assert f.sup_norm_on(X) == 1.0
-    Y = CompactRealSet(intervals=((Fraction(1, 4), Fraction(1, 2)),))
-    assert f.sup_norm_on(Y) == 0.5    # endpoint t=1/4: f = 1/2
-
-
 def test_offrange_lambda_clears_the_range():
     G = PLFunction(breakpoints=(0.0, 1.0, 2.0), values=(-1.0, 0.0, 1.0))
     lam, clear = offrange_lambda(G, target=0.0, tol=0.1)
@@ -939,19 +929,6 @@ def _ref_nearest(X):
     return best
 
 
-def _ref_sup_norm_on(f, X):
-    b = np.asarray(f.breakpoints)
-    best = 0.0
-    for a, c in _ref_pieces(X):
-        fa, fc = float(a), float(c)
-        if fa == fc:
-            best = max(best, abs(f(fa)))
-            continue
-        cand = np.concatenate(([fa], b[(b > fa) & (b < fc)], [fc]))
-        best = max(best, float(np.max(np.abs(f(cand)))))
-    return best
-
-
 def _ref_sup_dist(g, f, X):
     knots = np.union1d(np.asarray(g.breakpoints), np.asarray(f.breakpoints))
     best = 0.0
@@ -1048,7 +1025,6 @@ def pl_covering(draw, X):
 def test_bulk_evaluation_matches_per_piece_references(data):
     X = data.draw(mixed_sets())
     g, f = data.draw(pl_covering(X)), data.draw(pl_covering(X))
-    assert f.sup_norm_on(X) == _ref_sup_norm_on(f, X)
     assert _nearest_in_piece(ClopenPiece(subset=X, cut_lo=X.inf - 1,
                                          cut_hi=X.sup + 1)) == _ref_nearest(X)
 

@@ -103,6 +103,15 @@ def test_cphi_divergent_reports_inf(capsys, tmp_path):
     assert payload["c_phi"] == "inf" and payload["finite"] is False
 
 
+def test_cphi_nan_weight_exits_1(capsys, tmp_path):
+    p = tmp_path / "nannorm.json"
+    p.write_text('{"base":[{"kind":"operator"}],"weights":[NaN],"agg":"sup"}')
+    code, payload, err = run(capsys, "cphi", "--norm", p, "--dims", "2",
+                             "--output-dir", tmp_path)
+    assert code == 1 and payload is None
+    assert "ShapeMismatch" in err
+
+
 def test_riesz_command(capsys, tmp_path, op_file):
     code, payload, _ = run(capsys, "riesz", "--operator", op_file,
                            "--center", "0,0", "--radius", "0.1",
@@ -165,6 +174,8 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
     bad_json.write_text("{not json")
     for argv in (("counterexample", "--k", "1"),
                  ("counterexample", "--trials", "0"),
+                 ("counterexample", "--budget", "-1"),
+                 ("counterexample", "--budget", "nan"),
                  ("shift-demo", "--n", "3"),
                  ("disconnect-rr0", "--operator", op_file, "--eps", "0"),
                  ("disconnect-rr0", "--operator", op_file, "--eps", "nan"),

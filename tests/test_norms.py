@@ -61,6 +61,28 @@ def test_base_norm_validation():
         BaseNorm(kind="kyfan", k=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: BaseNorm(kind="schatten", p=math.nan),
+    lambda: BaseNorm(kind="schatten", p=-math.inf),
+    lambda: BaseNorm(kind="kyfan", k=1.5),
+    lambda: BaseNorm(kind="kyfan", k=math.inf),
+    lambda: BaseNorm(kind="kyfan", k=math.nan),
+    lambda: make_spec([1.0, math.nan]),
+    lambda: make_spec([1.0, math.inf]),
+    lambda: NormSpec(base=(OPERATOR,), weights=(1.0,), agg="lq", q=math.inf),
+    lambda: NormSpec(base=(OPERATOR,), weights=(1.0,), agg="lq", q=math.nan),
+    lambda: NormSpec(base=(OPERATOR,), weights=(1.0,), tail_weights="bounded",
+                     tail_sup=math.nan),
+    lambda: NormSpec(base=(OPERATOR,), weights=(1.0,), tail_weights="bounded",
+                     tail_sup=math.inf),
+], ids=["p-nan", "p-neg-inf", "k-fraction", "k-inf", "k-nan", "weight-nan",
+        "weight-inf", "q-inf", "q-nan", "tail-sup-nan", "tail-sup-inf"])
+def test_non_finite_or_fractional_parameters_are_refused(make):
+    # q = inf would price phi(0) at 1; a NaN weight or tail_sup makes c_phi NaN
+    with pytest.raises(ShapeMismatch):
+        make()
+
+
 def test_normspec_validation():
     with pytest.raises(ShapeMismatch):
         make_spec([])

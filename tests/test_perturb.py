@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specgap.algebra import AlgebraSpec, block_operator, identity_like
-from specgap.errors import DimensionOne, InfiniteCPhi, NotDominating
+from specgap.errors import BudgetNotLessThanOne, DimensionOne, InfiniteCPhi, NotDominating
 from specgap.norms import c_phi
 from specgap.perturb import (certificate_from_dict, certificate_to_dict,
                              counterexample_net, counterexample_operator,
@@ -125,6 +125,16 @@ def test_verify_counterexample_needs_a_trial():
     for trials in (0, -3):
         with pytest.raises(ValueError):
             verify_counterexample(T, spec, trials=trials)
+
+
+def test_verify_counterexample_budget_lies_in_0_1():
+    T, spec = counterexample_operator(4)
+    for budget in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            verify_counterexample(T, spec, trials=1, phi_budget=budget)
+    for budget in (1.0, math.inf):
+        with pytest.raises(BudgetNotLessThanOne, match="must be < 1"):
+            verify_counterexample(T, spec, trials=1, phi_budget=budget)
 
 
 def test_net_spacing_monotone_in_k():

@@ -14,7 +14,7 @@ from specgap.errors import ConvergenceFailure
 from specgap.spectral import (GridSpec, cluster_points, eigenvalues,
                               min_singular_value, pseudospectrum_grid,
                               rightmost_boundary_point, spectrum_components,
-                              write_pseudospectrum_csv, write_spectrum_csv)
+                              write_pseudospectrum_csv)
 from specgap.uppertri import shift_example
 
 U = np.finfo(float).eps
@@ -268,13 +268,6 @@ def test_grid_spec_validation():
 
 def test_csv_writers(tmp_path, rng):
     T = block_operator([(0, np.diag([0.0, 3.0]))])
-    rep = spectrum_components(eigenvalues(T), threshold=1.0)
-    p1 = tmp_path / "spec.csv"
-    write_spectrum_csv(rep, p1)
-    with p1.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["re", "im", "component_id"]
-    assert len(rows) == 3
     grid = GridSpec(re_min=-1, re_max=1, im_min=-1, im_max=1, nx=5, ny=4)
     ps = pseudospectrum_grid(T, eps=0.1, grid=grid)
     p2 = tmp_path / "ps.csv"

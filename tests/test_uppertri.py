@@ -4,8 +4,7 @@ import pytest
 from specgap.algebra import block_operator
 from specgap.errors import ShapeMismatch
 from specgap.spectral import GridSpec, eigenvalues, pseudospectrum_grid
-from specgap.uppertri import (UTBlock, adjoint_flip, shift_example, ut_assemble,
-                              ut_inclusion_check)
+from specgap.uppertri import UTBlock, shift_example, ut_assemble, ut_inclusion_check
 
 
 def random_ut(rng, n1=3, n2=4):
@@ -15,9 +14,9 @@ def random_ut(rng, n1=3, n2=4):
 
 def test_assemble_layout(rng):
     b = random_ut(rng)
-    T = ut_assemble(b, summand_id=2)
-    assert T.ids == (2,)
-    M = T.block(2)
+    T = ut_assemble(b)
+    assert T.ids == (0,)
+    M = T.block(0)
     np.testing.assert_array_equal(M[:3, :3], b.T1)
     np.testing.assert_array_equal(M[:3, 3:], b.T12)
     np.testing.assert_array_equal(M[3:, 3:], b.T2)
@@ -78,17 +77,3 @@ def test_truncated_shift_pseudospectrum_grows_with_n():
         ps = pseudospectrum_grid(block_operator([(0, b.T1)]), eps=1e-3, grid=grid)
         fractions.append(ps.marked_fraction)
     assert fractions[0] < fractions[1] < fractions[2]
-
-
-def test_adjoint_flip_conjugates_spectrum(rng):
-    b = random_ut(rng)
-    flipped = adjoint_flip(b)
-    assert flipped.n1 == b.n2 and flipped.n2 == b.n1
-    ev = np.sort_complex(eigenvalues(ut_assemble(b)).conj())
-    fev = np.sort_complex(eigenvalues(ut_assemble(flipped)))
-    np.testing.assert_allclose(np.sort_complex(ev), fev, atol=1e-10)
-    # involution up to the original data
-    back = adjoint_flip(flipped)
-    np.testing.assert_allclose(back.T1, b.T1)
-    np.testing.assert_allclose(back.T12, b.T12)
-    np.testing.assert_allclose(back.T2, b.T2)
