@@ -672,7 +672,6 @@ class RangeReport:
     n_components: int
     gap: float
     threshold: float
-    resolution: float
     n_samples: int
 
     @property
@@ -750,18 +749,6 @@ def _near_segment_pairs(p0, p1, reach):
         r0 = r1
 
 
-def _chain_labels(n: int, a, c) -> np.ndarray:
-    """``link_components`` labels of the n vertices joined by the edges
-    (a[k], c[k]), each pair of distinct vertices passed once."""
-    lo, hi = np.minimum(a, c), np.maximum(a, c)
-    # sorted, then deduplicated: np.unique (NumPy 2.4) hashes the keys, and
-    # on a 2-core x86-64 Linux host took 1.9 s for 1.9 million of them,
-    # where the sort took 0.03 s
-    key = np.sort(lo[lo != hi] * n + hi[lo != hi])
-    lo, hi = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-    return np.asarray(link_components(n, zip(lo.tolist(), hi.tolist())))
-
-
 def range_components(g: PLFunction, X: CompactRealSet,
                      resolution: float = 1e-3) -> RangeReport:
     """Connected components of g(X), joined within ``threshold = 3 * Lip(g) *
@@ -794,7 +781,7 @@ def range_components(g: PLFunction, X: CompactRealSet,
     t, same, _ = _knots(ends, g._b)
     z = g(t)
     if len(ends) == 1:
-        return RangeReport(1, math.inf, threshold, resolution, len(t))
+        return RangeReport(1, math.inf, threshold, len(t))
     # One power of two brings max(|g|, threshold) to [1/2, 1) (to at least
     # 2**-54 on a range below 2**-1020): the geometry scales exactly, and no
     # squared distance or orientation product overflows.
@@ -815,7 +802,7 @@ def range_components(g: PLFunction, X: CompactRealSet,
 
     reach = threshold * scale
     links = [(a[d <= reach], c[d <= reach]) for a, c, d in gaps(reach, owner)]
-    labels = _chain_labels(len(ends), *np.concatenate(links, axis=1))
+    labels = link_components(len(ends), *np.concatenate(links, axis=1))
     gap = math.inf
     if labels.max() > 0:
         while not gap <= reach:
@@ -823,7 +810,7 @@ def range_components(g: PLFunction, X: CompactRealSet,
             gap = min(float(np.min(d, initial=math.inf)) for _, _, d in gaps(reach, labels[owner]))
         gap /= scale
     return RangeReport(n_components=int(labels.max()) + 1, gap=gap, threshold=threshold,
-                       resolution=resolution, n_samples=len(t))
+                       n_samples=len(t))
 
 
 # -- persistence ----------------------------------------------------------------

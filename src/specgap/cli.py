@@ -276,9 +276,11 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riesz", parents=[common],
                        help="Riesz idempotent for a contour around part of the spectrum")
     p.add_argument("--operator", required=True)
-    p.add_argument("--center", help="circle center as 're,im'")
+    p.add_argument("--center", help="circle center as 're,im'; a value with a "
+                                    "leading '-' takes the form --center=-0.1,0")
     p.add_argument("--radius", type=float)
-    p.add_argument("--corners", help="rectangle as 'relo,imlo:rehi,imhi'")
+    p.add_argument("--corners", help="rectangle as 'relo,imlo:rehi,imhi'; a value with a "
+                                     "leading '-' takes the form --corners=-0.5,-0.5:0.5,0.5")
     p.add_argument("--nodes", type=int, default=128,
                    help="quadrature nodes of the quadrature_deviation cross-check, "
                         "and the most nodes the contour's proof may use")

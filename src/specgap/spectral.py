@@ -5,11 +5,11 @@ union over blocks.  Spectra of finite matrices are finite sets, so
 "connected components" means single-linkage clusters at a caller-chosen
 threshold, and the boundary of the spectrum is the spectrum itself (the
 finite-dimensional surrogate used throughout this package).
-Clustering is one union-find, :func:`link_components`, over the point pairs
-within the threshold; ``cfun.range_components`` joins the image polylines
-within its threshold with the same union-find.  Spectra are small, so the
-point pairs come from the full matrix of distances, which also gives a
-spectrum report its gap.
+Clustering labels the components of the graph of point pairs within the
+threshold with :func:`link_components`, in whole-array hook-and-shortcut
+rounds; ``cfun.range_components`` labels its linked image polylines the
+same way.  Spectra are small, so the point pairs come from the full matrix
+of distances, which also gives a spectrum report its gap.
 
 A pseudospectrum grid factors each block once, to its complex Schur form R,
 and finds sigma_min(R - z) for many grid points at a time by inverse
@@ -79,25 +79,29 @@ def eigenvalues(T: BlockOperator) -> np.ndarray:
     return pool_spectra(block_eigenvalues(T))
 
 
-def link_components(n: int, pairs) -> list:
-    """Component label of each vertex 0..n-1 of the graph with edges ``pairs``.
+def link_components(n: int, i, j) -> np.ndarray:
+    """Component label of each vertex 0..n-1 of the graph with edges
+    (i[k], j[k]), which may repeat, run both ways or be self-loops.
 
-    Labels count up in order of each component's first vertex, so they depend
-    on the partition only, not on the order of the edges."""
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    first = {}
-    return [first.setdefault(find(i), len(first)) for i in range(n)]
+    Labels count up in order of each component's least vertex.  Each round
+    hooks every root to the least root it shares an edge with, then
+    shortcuts every vertex to its root, until each edge lies within one root
+    (Shiloach & Vishkin, J. Algorithms 3, 1982); roots only move down."""
+    root = np.arange(n)
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    while True:
+        ri, rj = root[i], root[j]
+        apart = ri != rj
+        if not apart.any():
+            break
+        i, j, ri, rj = i[apart], j[apart], ri[apart], rj[apart]
+        np.minimum.at(root, ri, rj)
+        np.minimum.at(root, rj, ri)
+        hop = root[root]
+        while not np.array_equal(hop, root):
+            root, hop = hop, hop[hop]
+    # ranks of the roots by a cumsum: NumPy 2.4's np.unique hashes, slowly
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def _single_linkage(points, threshold: float):
@@ -114,9 +118,7 @@ def _single_linkage(points, threshold: float):
     dist = np.abs(pts[:, None] - pts[None, :])
     # flat indices: np.nonzero of a 2-D mask is several times slower
     i, j = np.divmod(np.flatnonzero(dist <= threshold), n)
-    pairs = zip(i[i < j].tolist(), j[i < j].tolist())
-    labels = np.array(link_components(n, pairs), dtype=int)
-    return pts, dist, labels
+    return pts, dist, link_components(n, i, j)
 
 
 def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:

@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+# Each suite's tolerance on its relative violation, and the sizes no caller sets
+_NORM_TOL, _RIESZ_TOL, _UPPERTRI_TOL = 1e-9, 1e-8, 1e-7
+_DISCONNECT_N, _DISCONNECT_EPS = 25, 1e-2       # each of disconnect and rr0
+_RIESZ_N, _UPPERTRI_N = 30, 50
+_COUNTEREXAMPLE_K, _COUNTEREXAMPLE_TRIALS = 8, 20
+_CFUN_DISCONNECT, _CFUN_WITNESS = 10, 50
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -98,7 +106,7 @@ def normspec_battery():
 
 
 def norm_axioms(spec: NormSpec, alg: AlgebraSpec, n_samples: int = 200,
-                seed=0, tol: float = 1e-9) -> CheckResult:
+                seed=0) -> CheckResult:
     """Norm axioms plus the structural identities of unitarily invariant
     norms: triangle inequality, absolute homogeneity, definiteness,
     adjoint and modulus invariance, two-sided unitary invariance, the
@@ -152,27 +160,25 @@ def norm_axioms(spec: NormSpec, alg: AlgebraSpec, n_samples: int = 200,
             (phi_eval(spec, lo) - phi_eval(spec, hi))
             / max(phi_eval(spec, hi), 1e-300))
     peak = max(worst.values())
-    return CheckResult(name="norm-axioms", passed=definite and peak <= tol,
-                       worst=peak, tol=tol,
+    return CheckResult(name="norm-axioms", passed=definite and peak <= _NORM_TOL,
+                       worst=peak, tol=_NORM_TOL,
                        detail={**worst, "definite": definite,
                                "n_samples": n_samples})
 
 
-def norm_axiom_battery(n_total: int = 10_000, seed=20260814,
-                       tol: float = 1e-9):
+def norm_axiom_battery(n_total: int = 10_000, seed=20260814):
     """Spread ``n_total`` axiom samples across the whole battery."""
     pairs = normspec_battery()
     per = max(1, n_total // len(pairs))
     out = []
     for i, (alg, spec) in enumerate(pairs):
-        r = norm_axioms(spec, alg, n_samples=per, seed=(seed, i), tol=tol)
+        r = norm_axioms(spec, alg, n_samples=per, seed=(seed, i))
         out.append(CheckResult(name=f"norm-axioms[{i}]", passed=r.passed,
                                worst=r.worst, tol=r.tol, detail=r.detail))
     return out
 
 
-def fphi_oracle(n_projections: int = 40, n_subs: int = 30, seed=1,
-                tol: float = 1e-9) -> CheckResult:
+def fphi_oracle(n_projections: int = 40, n_subs: int = 30, seed=1) -> CheckResult:
     """The closed form for f_phi against brute force: no random nonzero
     subprojection of P may score below f_phi(P), and the returned witness
     must attain the value."""
@@ -197,12 +203,12 @@ def fphi_oracle(n_projections: int = 40, n_subs: int = 30, seed=1,
                 val = phi_eval(spec, Q.base)
                 worst = max(worst, (res.value - val) / max(res.value, 1e-300))
     peak = max(worst, witness_err)
-    return CheckResult(name="fphi-oracle", passed=peak <= tol, worst=peak,
-                       tol=tol, detail={"undercut": worst,
-                                        "witness_err": witness_err})
+    return CheckResult(name="fphi-oracle", passed=peak <= _NORM_TOL, worst=peak,
+                       tol=_NORM_TOL, detail={"undercut": worst,
+                                              "witness_err": witness_err})
 
 
-def projection_bound(n: int = 60, seed=2, tol: float = 1e-9) -> CheckResult:
+def projection_bound(n: int = 60, seed=2) -> CheckResult:
     """||X Q|| * f_phi(Q) <= phi(X) for projections Q, the inequality that
     prices how much of X survives compression to a cheap projection."""
     rng = rng_from_seed(seed)
@@ -221,8 +227,8 @@ def projection_bound(n: int = 60, seed=2, tol: float = 1e-9) -> CheckResult:
             for Q in (Z, random_projection(alg, ranks, rng)):
                 lhs = (X @ Q.base).norm() * f_phi(spec, Q).value
                 worst = max(worst, (lhs - px) / max(px, 1e-300))
-    return CheckResult(name="projection-bound", passed=worst <= tol,
-                       worst=worst, tol=tol, detail={"n": n})
+    return CheckResult(name="projection-bound", passed=worst <= _NORM_TOL,
+                       worst=worst, tol=_NORM_TOL, detail={"n": n})
 
 
 def _random_disconnect_setup(rng, max_dim=12, max_summands=3):
@@ -235,43 +241,42 @@ def _random_disconnect_setup(rng, max_dim=12, max_summands=3):
     return alg, T, spec
 
 
-def _disconnect_loop(name: str, run, n: int, eps: float, seed) -> CheckResult:
+def _disconnect_loop(name: str, run, seed) -> CheckResult:
     """End-to-end disconnections ``run(T, eps, spec)`` on random operators:
     the perturbation must stay under budget and the spectrum must split."""
     rng = rng_from_seed(seed)
     worst = 0.0
     split = True
-    for _ in range(n):
+    for _ in range(_DISCONNECT_N):
         _, T, spec = _random_disconnect_setup(rng)
-        cert = run(T, eps, spec)
-        worst = max(worst, cert.phi_X / eps)
+        cert = run(T, _DISCONNECT_EPS, spec)
+        worst = max(worst, cert.phi_X / _DISCONNECT_EPS)
         if not cert.disconnected or cert.components_after.n_components < 2:
             split = False
             break
     return CheckResult(name=name, passed=split and worst < 1.0, worst=worst,
-                       tol=1.0, detail={"n": n, "eps": eps})
+                       tol=1.0, detail={"n": _DISCONNECT_N, "eps": _DISCONNECT_EPS})
 
 
-def disconnect_batch(n: int = 25, eps: float = 1e-2, seed=3) -> CheckResult:
+def disconnect_batch(seed=3) -> CheckResult:
     """Weighted-norm :func:`disconnect` runs (see :func:`_disconnect_loop`)."""
-    return _disconnect_loop("disconnect", disconnect, n, eps, seed)
+    return _disconnect_loop("disconnect", disconnect, seed)
 
 
-def rr0_batch(n: int = 25, eps: float = 1e-2, seed=4) -> CheckResult:
+def rr0_batch(seed=4) -> CheckResult:
     """Operator-norm :func:`disconnect_rr0` runs (see :func:`_disconnect_loop`)."""
     return _disconnect_loop("disconnect-rr0",
-                            lambda T, eps, _spec: disconnect_rr0(T, eps),
-                            n, eps, seed)
+                            lambda T, eps, _spec: disconnect_rr0(T, eps), seed)
 
 
-def riesz_batch(n: int = 30, seed=5, tol: float = 1e-8) -> CheckResult:
+def riesz_batch(seed=5) -> CheckResult:
     """Riesz idempotents from circle contours around one eigenvalue:
     idempotency and commutation residuals, and the distance to the 64-node
     quadrature relative to its norm, stay under tolerance."""
     rng = rng_from_seed(seed)
     worst = 0.0
     done = 0
-    while done < n:
+    while done < _RIESZ_N:
         alg = AlgebraSpec((int(rng.integers(3, 11)),), "none")
         T = random_block_operator(alg, rng)
         ev = eigenvalues(T)
@@ -289,45 +294,45 @@ def riesz_batch(n: int = 30, seed=5, tol: float = 1e-8) -> CheckResult:
                     (P - P_quad).norm() / max(P_quad.norm(), 1.0))
         if rep.rank < 1:
             return CheckResult(name="riesz", passed=False, worst=worst,
-                               tol=tol, detail={"n": n})
+                               tol=_RIESZ_TOL, detail={"n": _RIESZ_N})
         done += 1
-    return CheckResult(name="riesz", passed=worst <= tol, worst=worst,
-                       tol=tol, detail={"n": n})
+    return CheckResult(name="riesz", passed=worst <= _RIESZ_TOL, worst=worst,
+                       tol=_RIESZ_TOL, detail={"n": _RIESZ_N})
 
 
-def uppertri_batch(n: int = 50, seed=6, tol: float = 1e-7) -> CheckResult:
+def uppertri_batch(seed=6) -> CheckResult:
     """sigma(T) = sigma(T1) + sigma(T2) (with multiplicity) for block
     upper-triangular T, measured by optimal matching distance."""
     rng = rng_from_seed(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(_UPPERTRI_N):
         n1 = int(rng.integers(1, 9))
         n2 = int(rng.integers(1, 9))
         b = UTBlock(
             T1=rng.standard_normal((n1, n1)) + 1j * rng.standard_normal((n1, n1)),
             T12=rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2)),
             T2=rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2)))
-        rep = ut_inclusion_check(b, tol=tol)
+        rep = ut_inclusion_check(b, tol=_UPPERTRI_TOL)
         worst = max(worst, rep.matched / max(rep.scale, 1.0))
         if not rep.passed:
             return CheckResult(name="uppertri", passed=False, worst=worst,
-                               tol=tol, detail={"n": n})
-    return CheckResult(name="uppertri", passed=worst <= tol, worst=worst,
-                       tol=tol, detail={"n": n})
+                               tol=_UPPERTRI_TOL, detail={"n": _UPPERTRI_N})
+    return CheckResult(name="uppertri", passed=worst <= _UPPERTRI_TOL, worst=worst,
+                       tol=_UPPERTRI_TOL, detail={"n": _UPPERTRI_N})
 
 
-def counterexample_check(K: int = 8, trials: int = 20, seed=7) -> CheckResult:
+def counterexample_check(seed=7) -> CheckResult:
     """The divergent-weight family: random norm-budget perturbations never
     split its delta-connected spectrum."""
-    T, spec = counterexample_operator(K)
-    rep = verify_counterexample(T, spec, trials=trials, seed=seed)
+    T, spec = counterexample_operator(_COUNTEREXAMPLE_K)
+    rep = verify_counterexample(T, spec, trials=_COUNTEREXAMPLE_TRIALS, seed=seed)
     return CheckResult(name="counterexample", passed=rep.all_passed,
-                       worst=float(trials - rep.passes), tol=0.0,
-                       detail={"K": K, "trials": trials, "delta": rep.delta,
-                               "net_spacing": rep.net_spacing})
+                       worst=float(_COUNTEREXAMPLE_TRIALS - rep.passes), tol=0.0,
+                       detail={"K": _COUNTEREXAMPLE_K, "trials": _COUNTEREXAMPLE_TRIALS,
+                               "delta": rep.delta, "net_spacing": rep.net_spacing})
 
 
-def cfun_checks(seed=8, n_disconnect: int = 10, n_witness: int = 50) -> CheckResult:
+def cfun_checks(seed=8) -> CheckResult:
     """Commutative side: stage-10 Cantor disconnections succeed with exact
     sup distance under eps, and the interval-union witness resists small
     perturbations (the image polylines stay linked within the threshold)."""
@@ -335,7 +340,7 @@ def cfun_checks(seed=8, n_disconnect: int = 10, n_witness: int = 50) -> CheckRes
     worst = 0.0
     ok = True
     X = CompactRealSet.cantor(depth=10, ratio="1/3")
-    for i in range(n_disconnect):
+    for i in range(_CFUN_DISCONNECT):
         t = np.linspace(-0.2, 1.2, 9)
         vals = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         f = PLFunction(breakpoints=t, values=vals)
@@ -348,7 +353,7 @@ def cfun_checks(seed=8, n_disconnect: int = 10, n_witness: int = 50) -> CheckRes
         if res.range_gap <= 0 or rep.n_components < 2:
             ok = False
     W, fw = nondensity_witness(3)
-    for _ in range(n_witness):
+    for _ in range(_CFUN_WITNESS):
         bump = (rng.standard_normal(len(fw.values))
                 + 1j * rng.standard_normal(len(fw.values)))
         bump *= 0.09 / max(1e-12, float(np.max(np.abs(bump))))
@@ -358,8 +363,8 @@ def cfun_checks(seed=8, n_disconnect: int = 10, n_witness: int = 50) -> CheckRes
         if not rep.connected:
             ok = False
     return CheckResult(name="cfun", passed=ok and worst < 1.0, worst=worst,
-                       tol=1.0, detail={"n_disconnect": n_disconnect,
-                                        "n_witness": n_witness})
+                       tol=1.0, detail={"n_disconnect": _CFUN_DISCONNECT,
+                                        "n_witness": _CFUN_WITNESS})
 
 
 SUITES = {

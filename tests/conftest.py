@@ -21,6 +21,25 @@ def small_op(small_alg, rng):
     return random_block_operator(small_alg, rng)
 
 
+def union_find_labels(n, pairs):
+    """Reference component labels: a Python union-find over the edge pairs,
+    labels counting up in order of each component's first vertex."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    first = {}
+    return [first.setdefault(find(i), len(first)) for i in range(n)]
+
+
 def make_spec(weights, kinds=None, agg="sup", q=None, **tail):
     """Shorthand for NormSpec construction in tests."""
     kinds = kinds or [("operator", None, None)] * len(weights)

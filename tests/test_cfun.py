@@ -23,7 +23,8 @@ from specgap.cfun import (_GENERATORS, _RING_ENTRIES, CantorGenerator, ClopenPie
 from specgap.errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion,
                             RangeOverflow, ShapeMismatch, SpecgapError)
 from specgap.sampling import rng_from_seed
-from specgap.spectral import link_components
+
+from conftest import union_find_labels
 
 
 # -- sets ---------------------------------------------------------------------
@@ -681,7 +682,7 @@ def _ref_range_components(g, X, resolution):
 
     def labels(level):
         level = Fraction(max(level, 0.0))
-        return link_components(n, [ij for ij, d in dist.items() if d <= level * level])
+        return union_find_labels(n, [ij for ij, d in dist.items() if d <= level * level])
 
     near, far = labels(threshold + mu), labels(threshold - mu)
     gaps = [d for (i, j), d in dist.items() if near[i] != near[j]]
@@ -779,18 +780,18 @@ def test_range_components_evaluates_g_once(monkeypatch):
     """g is evaluated at the 6 knots and nowhere else: the polylines link
     the first two chains and leave the third apart."""
     calls, labels = [], []
-    call, chain_labels = PLFunction.__call__, cfun._chain_labels
+    call, link_components = PLFunction.__call__, cfun.link_components
 
     def counted(self, t):
         calls.append(len(np.atleast_1d(t)))
         return call(self, t)
 
     def recorded(*args):
-        labels.append(chain_labels(*args).tolist())
+        labels.append(link_components(*args).tolist())
         return np.asarray(labels[-1])
 
     monkeypatch.setattr(PLFunction, "__call__", counted)
-    monkeypatch.setattr(cfun, "_chain_labels", recorded)
+    monkeypatch.setattr(cfun, "link_components", recorded)
     g, X, resolution = _two_of_three()
     rep = range_components(g, X, resolution=resolution)
     assert (rep.n_components, rep.n_samples, rep.gap) == (2, 6, pytest.approx(9.975))

@@ -144,6 +144,16 @@ def test_riesz_on_the_circle_of_an_rr0_certificate(capsys, tmp_path):
     assert payload["quadrature_deviation"] < 1e-10
 
 
+def test_riesz_contours_with_negative_values_in_the_equals_form(capsys, tmp_path):
+    """A value that starts with '-' passes as --corners=... or --center=...;
+    the spaced form is read as an option by argparse."""
+    write_operator(block_operator([(0, [[0.0, 1.0], [0.0, 2.0]])]), tmp_path / "op.json")
+    for contour in (["--corners=-0.5,-0.5:0.5,0.5"], ["--center=-0.1,0", "--radius", "0.5"]):
+        code, payload, _ = run(capsys, "riesz", "--operator", tmp_path / "op.json",
+                               *contour, "--output-dir", tmp_path)
+        assert code == 0 and payload["rank"] == 1
+
+
 def test_domain_failure_exits_1(capsys, tmp_path, op_file):
     # a circle through the eigenvalue 0.25 is a domain error, not a usage error
     code, payload, err = run(capsys, "riesz", "--operator", op_file,

@@ -1,7 +1,10 @@
-"""The shared union-find behind spectrum clustering and function ranges."""
+"""The shared component labelling behind spectrum clustering and function
+ranges."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgap.algebra import AlgebraSpec
 from specgap.cfun import CompactRealSet, PLFunction, range_components
@@ -10,6 +13,12 @@ from specgap.sampling import random_block_operator, rng_from_seed
 from specgap.spectral import (cluster_points, eigenvalues, link_components,
                               spectrum_components)
 
+from conftest import union_find_labels
+
+
+def _edge_arrays(pairs):
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
+
 
 @pytest.mark.parametrize("n, pairs, expected", [
     (4, [(2, 3)], [0, 1, 2, 2]),
@@ -17,8 +26,59 @@ from specgap.spectral import (cluster_points, eigenvalues, link_components,
     (1, [], [0]),
 ])
 def test_link_components_numbers_by_first_vertex(n, pairs, expected):
-    assert link_components(n, pairs) == expected
-    assert link_components(n, pairs[::-1]) == expected
+    i, j = _edge_arrays(pairs)
+    assert link_components(n, i, j).tolist() == expected
+    assert link_components(n, j[::-1], i[::-1]).tolist() == expected
+
+
+@st.composite
+def _graphs(draw):
+    """n <= 60 vertices and edges with repeats, reversed pairs and self-loops."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    pairs += extra + [(j, i) for i, j in extra] + [(i, i) for i, _ in extra]
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_link_components_matches_union_find(graph):
+    n, pairs = graph
+    assert link_components(n, *_edge_arrays(pairs)).tolist() == union_find_labels(n, pairs)
+
+
+def test_link_components_small_and_edgeless_graphs():
+    none = np.zeros(0, dtype=int)
+    assert link_components(0, none, none).tolist() == []
+    assert link_components(1, none, none).tolist() == [0]
+    assert link_components(1, [0, 0], [0, 0]).tolist() == [0]
+    assert link_components(6, none, none).tolist() == list(range(6))
+
+
+def test_link_components_star_centred_on_the_last_vertex():
+    n = 1000
+    leaves = np.arange(n - 1)
+    assert link_components(n, leaves, np.full(n - 1, n - 1)).tolist() == [0] * n
+    # the leaves 0 and 1 left out: each is its own component, numbered first
+    assert link_components(n, leaves[2:], np.full(n - 3, n - 1)).tolist() == [0, 1] + [2] * (n - 2)
+
+
+@pytest.mark.parametrize("order", ["sorted", "alternating", "random"])
+def test_link_components_long_paths(order):
+    n = 2 ** 16
+    path = {"sorted": np.arange(n),
+            # 0, n-1, 1, n-2, ...: each edge joins the two ends' halves
+            "alternating": np.stack([np.arange(n // 2), n - 1 - np.arange(n // 2)], axis=1).ravel(),
+            "random": np.random.default_rng(20260814).permutation(n)}[order]
+    assert not link_components(n, path[:-1], path[1:]).any()
+    # cut the path in the middle: the half holding vertex 0 is component 0
+    cut = n // 2
+    labels = link_components(n, np.delete(path[:-1], cut), np.delete(path[1:], cut))
+    half = np.zeros(n, dtype=int)
+    half[path[cut + 1:]] = 1
+    assert (labels == (half if half[0] == 0 else 1 - half)).all()
 
 
 def test_cluster_points_numbers_clusters_by_first_point():

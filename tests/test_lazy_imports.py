@@ -1,11 +1,12 @@
 """scipy.optimize loads only in the function that calls it, and
-scipy.spatial only with it.
+scipy.sparse and scipy.spatial only with it.
 
 Spectrum clustering, certificates, Riesz idempotents (screen, ring proof,
-quadrature and verification) and ranges, connected or split, need neither:
-`range_components` decides a range on its image polylines.  Each check runs
-in a fresh interpreter, since the test process may have loaded both
-already."""
+quadrature and verification) and ranges, connected or split, need none of
+them: `range_components` decides a range on its image polylines, and both
+label their components with NumPy's array passes in `link_components`, not
+with `scipy.sparse.csgraph`.  Each check runs in a fresh interpreter, since
+the test process may have loaded them already."""
 
 import json
 import os
@@ -27,7 +28,7 @@ SCRIPT = r"""
 import json, sys
 
 def loaded():
-    return sorted(m for m in ("scipy.optimize", "scipy.spatial") if m in sys.modules)
+    return sorted(m for m in ("scipy.optimize", "scipy.sparse", "scipy.spatial") if m in sys.modules)
 
 out = {}
 import specgap, specgap.cli
@@ -85,8 +86,9 @@ def test_scipy_optimize_and_spatial_load_only_where_called():
     assert out["after_riesz"] == []
     assert out["after_connected_range"] == []
     assert out["after_range"] == []
-    # scipy.optimize's own package import loads scipy.spatial (SciPy 1.17)
-    assert out["after_all"] == ["scipy.optimize", "scipy.spatial"]
+    # scipy.optimize's own package import loads scipy.sparse and
+    # scipy.spatial (SciPy 1.17)
+    assert out["after_all"] == ["scipy.optimize", "scipy.sparse", "scipy.spatial"]
 
     # and the lazily importing functions return what they return here
     rep = spectrum_components([0.0, 0.05, 3.0], 0.1)
