@@ -12,12 +12,12 @@ marked read-only, and every operation returns a new object.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
+from ._jsonio import dump, load
 from .errors import (
     EmptyBlock,
     NotAProjection,
@@ -292,8 +292,8 @@ def minimal_subprojection(P: Projection, sid: int) -> Projection:
 # Schema: {"summands": [{"id": 0, "dim": 2, "re": [[..]], "im": [[..]]}, ...],
 #          "tail": "none"}
 # Files are always written with "tail": "none"; a reader still refuses any
-# value other than "none" or "repeat_last".  Floats survive a round trip
-# exactly (shortest-repr JSON encoding).
+# value other than "none" or "repeat_last".  ``_jsonio`` writes floats
+# exactly and a non-finite entry as "nan"/"inf"/"-inf", which reads back.
 
 
 def operator_to_dict(op: BlockOperator) -> dict:
@@ -327,11 +327,8 @@ def operator_from_dict(data: dict) -> BlockOperator:
 
 
 def write_operator(op: BlockOperator, path):
-    with open(path, "w") as fh:
-        json.dump(operator_to_dict(op), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    dump(operator_to_dict(op), path)
 
 
 def read_operator(path) -> BlockOperator:
-    with open(path) as fh:
-        return operator_from_dict(json.load(fh))
+    return operator_from_dict(load(path))

@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import heapq
-import json
 import math
 import numbers
 import weakref
@@ -49,6 +48,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ._jsonio import dump, load
 from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, RangeOverflow,
                      ShapeMismatch, StageTooShallow)
 from .spectral import _is_count, link_components
@@ -819,7 +819,7 @@ def range_components(g: PLFunction, X: CompactRealSet,
 #              "generator": {"cantor": {"depth": 6, "ratio": "1/3",
 #                                       "lo": 0, "hi": 1}} | null}
 # Rationals are written as plain numbers when their decimal repr is exact,
-# else as "p/q" strings; both are read back exactly.
+# else as "p/q" strings; both are read back exactly.  ``_jsonio`` writes it.
 
 
 def set_to_dict(X: CompactRealSet) -> dict:
@@ -850,14 +850,11 @@ def set_from_dict(data: dict) -> CompactRealSet:
 
 
 def write_set(X: CompactRealSet, path):
-    with open(path, "w") as fh:
-        json.dump(set_to_dict(X), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    dump(set_to_dict(X), path)
 
 
 def read_set(path) -> CompactRealSet:
-    with open(path) as fh:
-        return set_from_dict(json.load(fh))
+    return set_from_dict(load(path))
 
 
 # Function schema: {"breakpoints": [...], "re": [...], "im": [...]}
@@ -877,11 +874,8 @@ def pl_from_dict(data: dict) -> PLFunction:
 
 
 def write_pl(f: PLFunction, path):
-    with open(path, "w") as fh:
-        json.dump(pl_to_dict(f), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    dump(pl_to_dict(f), path)
 
 
 def read_pl(path) -> PLFunction:
-    with open(path) as fh:
-        return pl_from_dict(json.load(fh))
+    return pl_from_dict(load(path))

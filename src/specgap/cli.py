@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Every subcommand reads/writes the package's JSON and CSV formats, prints a
-single machine-readable JSON report on stdout (keys sorted, compact
-separators, so identical runs emit identical bytes) and reserves stderr for
-human-facing notes.  Exit codes: 0 success, 1 a domain failure (the
-construction or check did not go through), 2 usage errors: bad flags,
-argument values the library rejects with ``ValueError``, and missing or
-malformed input files.  File outputs are confined to ``--output-dir``.
+single machine-readable JSON report on stdout and reserves stderr for
+human-facing notes.  The JSON bytes are those of ``specgap._jsonio``, the
+one codec of every file and report.  Exit codes: 0 success, 1 a domain
+failure (the construction or check did not go through), 2 usage errors: bad
+flags, argument values the library rejects with ``ValueError``, and missing
+or malformed input files.  File outputs are confined to ``--output-dir``.
 When ``--seed`` is omitted, the ``SPECTOOL_SEED`` environment variable is
 consulted before falling back to 0.
 """
@@ -14,13 +14,13 @@ consulted before falling back to 0.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import pathlib
 import sys
 
 from . import __version__
+from ._jsonio import dumps
 from .algebra import AlgebraSpec, BlockOperator, read_operator, write_operator
 from .cfun import cfun_disconnect, range_components, read_pl, read_set, write_pl
 from .errors import SpecgapError, UsageError
@@ -42,35 +42,17 @@ def _seed_of(args):
     return int(os.environ.get("SPECTOOL_SEED", "0"))
 
 
-def _write_out(args, payload: dict, write):
-    """With ``--out``, call ``write`` on its path in ``--output-dir`` and record it."""
-    if not args.out:
-        return
-    base = pathlib.Path(args.output_dir).resolve()
-    path = (base / args.out).resolve()
-    if not path.is_relative_to(base):
-        raise UsageError(f"output path {args.out!r} escapes --output-dir {base}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write(path)
-    payload["out"] = str(path)
-
-
-def _safe(v):
-    if isinstance(v, float):
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(v, complex):
-        return [_safe(v.real), _safe(v.imag)]
-    if isinstance(v, dict):
-        return {k: _safe(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_safe(x) for x in v]
-    return v
-
-
-def _emit(args, payload: dict):
-    body = {"version": __version__, "seed": _seed_of(args)}
-    body.update(payload)
-    print(json.dumps(_safe(body), sort_keys=True, separators=(",", ":")))
+def _emit(args, payload: dict, write=None):
+    """Print the report; with ``--out``, first ``write`` there and report the path."""
+    if write is not None and args.out:
+        base = pathlib.Path(args.output_dir).resolve()
+        path = (base / args.out).resolve()
+        if not path.is_relative_to(base):
+            raise UsageError(f"output path {args.out!r} escapes --output-dir {base}")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+        payload["out"] = str(path)
+    print(dumps({"version": __version__, "seed": _seed_of(args), **payload}))
 
 
 def _parse_complex(text: str) -> complex:
@@ -114,8 +96,7 @@ def _cmd_disconnect(args) -> int:
     spec = read_norm_spec(args.norm)
     cert = disconnect(T, args.eps, spec)
     payload = _cert_summary(cert)
-    _write_out(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
-    _emit(args, payload)
+    _emit(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
     return 0
 
 
@@ -123,8 +104,7 @@ def _cmd_disconnect_rr0(args) -> int:
     T = read_operator(args.operator)
     cert = disconnect_rr0(T, args.eps)
     payload = _cert_summary(cert)
-    _write_out(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
-    _emit(args, payload)
+    _emit(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
     return 0
 
 
@@ -158,8 +138,7 @@ def _cmd_riesz(args) -> int:
     payload = {"idem_residual": rep.idem_residual, "commutator": rep.commutator,
                "rank": rep.rank, "corank": rep.corank,
                "quadrature_deviation": float((P - P_quad).norm())}
-    _write_out(args, payload, lambda p: write_operator(P, p))
-    _emit(args, payload)
+    _emit(args, payload, lambda p: write_operator(P, p))
     return 0
 
 
@@ -173,8 +152,7 @@ def _cmd_pseudospectrum(args) -> int:
     ps = pseudospectrum_grid(T, args.eps, grid, threads=args.threads)
     payload = {"eps": ps.eps, "nx": args.nx, "ny": args.ny,
                "marked_fraction": ps.marked_fraction}
-    _write_out(args, payload, lambda p: write_pseudospectrum_csv(ps, p))
-    _emit(args, payload)
+    _emit(args, payload, lambda p: write_pseudospectrum_csv(ps, p))
     return 0
 
 
@@ -187,8 +165,7 @@ def _cmd_shift_demo(args) -> int:
     payload = {"n": args.n, "eps": args.eps,
                "matched": rep.matched, "inclusion_passed": rep.passed,
                "half_shift_marked_fraction": ps.marked_fraction}
-    _write_out(args, payload, lambda p: write_pseudospectrum_csv(ps, p))
-    _emit(args, payload)
+    _emit(args, payload, lambda p: write_pseudospectrum_csv(ps, p))
     return 0 if rep.passed else 1
 
 
@@ -207,8 +184,7 @@ def _cmd_cfun_disconnect(args) -> int:
                   "diam": float(res.piece.diam)},
         "range_components": rep.n_components,
     }
-    _write_out(args, payload, lambda p: write_pl(res.g, p))
-    _emit(args, payload)
+    _emit(args, payload, lambda p: write_pl(res.g, p))
     return 0 if rep.n_components >= 2 else 1
 
 

@@ -21,13 +21,13 @@ the last realized weight (the concrete unbounded family used throughout).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonio import dump, load
 from .algebra import AlgebraSpec, BlockOperator, Projection, minimal_subprojection
 from .errors import (
     NoConvergenceCertificate,
@@ -319,7 +319,7 @@ def check_unitary_invariance(phi, X: BlockOperator, trials: int = 20,
     return worst
 
 
-# -- JSON persistence -----------------------------------------------------
+# -- JSON persistence, written by _jsonio ----------------------------------
 
 # Schema: {"base": [{"kind": "schatten", "p": 2}, ...], "weights": [...],
 #          "agg": "sup" | {"kind": "lq", "q": 2.0},
@@ -372,11 +372,8 @@ def norm_from_dict(data: dict) -> NormSpec:
 
 
 def write_norm_spec(spec: NormSpec, path):
-    with open(path, "w") as fh:
-        json.dump(norm_to_dict(spec), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    dump(norm_to_dict(spec), path)
 
 
 def read_norm_spec(path) -> NormSpec:
-    with open(path) as fh:
-        return norm_from_dict(json.load(fh))
+    return norm_from_dict(load(path))

@@ -50,13 +50,13 @@ is crushed by the weight, and the spectrum stays one connected net.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from ._jsonio import dump
 from .algebra import (
     BlockOperator,
     Projection,
@@ -389,7 +389,7 @@ def verify_counterexample(T: BlockOperator, spec: NormSpec, trials: int = 100,
                                 connectivity_failures=conn_fail)
 
 
-# -- persistence ------------------------------------------------------------
+# -- persistence, written by _jsonio -----------------------------------------
 
 
 def _report_dict(report: SpectrumReport) -> dict:
@@ -437,7 +437,4 @@ def certificate_from_dict(data: dict) -> dict:
 
 
 def write_certificate(cert: PerturbationCertificate, path, seed=None):
-    with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert, seed=seed), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+    dump(certificate_to_dict(cert, seed=seed), path)

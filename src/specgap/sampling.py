@@ -46,13 +46,18 @@ def spawn_rngs(seed, n: int):
             for s in np.random.SeedSequence(_entropy(seed)).spawn(n)]
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _haar_isometry(n, k, rng):
+    """Haar n x k isometry: Q of the QR of a complex Ginibre matrix, the phases
+    of R's diagonal divided out (Mezzadri, Notices AMS 54, 2007)."""
+    z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     q, r = np.linalg.qr(z)
-    # fix the phase ambiguity so the distribution is exactly Haar
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    return _haar_isometry(n, n, rng)
 
 
 def _ginibre(n, rng):
@@ -92,6 +97,7 @@ def random_subprojection(P: Projection, ranks, rng) -> Projection:
     for (sid, w), r in zip(P.factors, ranks):
         if int(r) < 0:
             raise ValueError(f"negative rank {r} for summand {sid}")
-        r = min(int(r), w.shape[1])
-        factors.append((sid, w @ haar_unitary(w.shape[1], rng)[:, :r] if r else w[:, :0]))
+        k = w.shape[1]
+        r = min(int(r), k)
+        factors.append((sid, w[:, :r] if r in (0, k) else w @ _haar_isometry(k, r, rng)))
     return Projection(tuple(factors))

@@ -5,7 +5,7 @@ stated inequality or identity, and returns a :class:`CheckResult`.  The
 suites are importable one by one for tests and runnable together through
 ``run_suites`` (the CLI ``verify-suite`` command).  Violations are reported
 relative to the natural scale of each inequality, so tolerances transfer
-across magnitudes.
+across magnitudes.  ``to_dict`` passes the report through ``_jsonio.jsonable``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._jsonio import jsonable
 from .algebra import (AlgebraSpec, BlockOperator, central_projection,
                       identity_like, validate_projection, zero_like)
 from .cfun import (CompactRealSet, PLFunction, cfun_disconnect,
@@ -55,9 +56,8 @@ class CheckResult:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed),
-                "worst": _json_safe(self.worst), "tol": self.tol,
-                "detail": {k: _json_safe(v) for k, v in self.detail.items()}}
+        return jsonable({"name": self.name, "passed": bool(self.passed),
+                         "worst": self.worst, "tol": self.tol, "detail": self.detail})
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,6 @@ class SuiteReport:
     def to_dict(self) -> dict:
         return {"all_passed": self.all_passed,
                 "suites": [r.to_dict() for r in self.results]}
-
-
-def _json_safe(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
 
 
 def normspec_battery():

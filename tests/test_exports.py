@@ -78,3 +78,20 @@ def test_every_export_has_a_caller():
     assert sorted(uncalled - set(UNCALLED)) == []
     # the kept list stays exact: a name that gains a caller leaves it
     assert sorted(set(UNCALLED) - uncalled) == []
+
+
+def test_only_the_codec_imports_json():
+    """Every JSON file and report is spelled by `specgap._jsonio`, so the
+    byte format keeps one home."""
+    importers = []
+    for path in sorted((ROOT / "src" / "specgap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "json" or n.startswith("json.") for n in names):
+                importers.append(path.name)
+    assert importers == ["_jsonio.py"]

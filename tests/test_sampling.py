@@ -67,3 +67,27 @@ def test_random_subprojection_needs_one_rank_per_summand(rng):
     for ranks in ((1,), (1, 1, 1)):
         with pytest.raises(ValueError, match="ranks for 2 summands"):
             random_subprojection(P, ranks, rng)
+
+
+def test_haar_unitary_draws_are_unchanged():
+    # the QR of one n x n complex Ginibre draw, R's diagonal phases divided out
+    rng = rng_from_seed(7)
+    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    np.testing.assert_array_equal(haar_unitary(5, rng_from_seed(7)), q * (d / np.abs(d)))
+
+
+def test_random_subprojection_draws_only_kept_columns(rng):
+    P = random_projection(AlgebraSpec(dims=(6, 4), tail="none"), (5, 3), rng)
+    # at P's own rank (or zero) the factor is P's, and nothing is drawn
+    state = rng.bit_generator.state
+    Q = random_subprojection(P, (5, 0), rng)
+    assert rng.bit_generator.state == state
+    np.testing.assert_array_equal(Q.factors[0][1], P.factors[0][1])
+    assert Q.ranks == (5, 0)
+    # below it, P's factor times a Haar 5 x 2 isometry: orthonormal columns under P
+    Q = random_subprojection(P, (2, 3), rng)
+    w = Q.factors[0][1]
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(2), atol=1e-12)
+    assert (P.base @ Q.base - Q.base).is_zero(tol=1e-9)
