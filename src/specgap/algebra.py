@@ -6,8 +6,15 @@ non-negative summand id.  :class:`AlgebraSpec` records the shape of the
 ambient algebra (the summand dimensions, optionally continued by infinitely
 many copies of the last one), which the closed forms in ``norms`` read.
 
-All values are immutable after construction: block arrays are copied in and
-marked read-only, and every operation returns a new object.
+All values are immutable after construction, and every operation returns a
+new object.  Block arrays are read-only, and an array is copied only when it
+comes from outside the package: the public constructors copy whatever a
+caller hands them, while the blocks the package makes itself (arithmetic
+results, identities, zeros, blocks read from a file) are complex128 arrays
+that no one else holds, marked read-only in place.  So results may share
+blocks: in ``T + X`` and ``T - X`` a block where ``X`` is exactly zero is
+``T``'s own block object, bitwise ``T``'s entries (a ``-0.0`` entry keeps its
+sign where computing ``a + 0`` would give ``+0.0``).
 """
 
 from __future__ import annotations
@@ -43,14 +50,32 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-def _as_block(arr) -> np.ndarray:
-    block = np.array(arr, dtype=np.complex128, copy=True)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ShapeMismatch(f"blocks must be square 2-d arrays, got shape {block.shape}")
-    if block.shape[0] < 1:
-        raise ShapeMismatch("blocks must have dimension >= 1")
-    block.setflags(write=False)
-    return block
+def _checked_summands(pairs, copy: bool) -> tuple:
+    """``(id, block)`` pairs with ids strictly increasing from >= 0 and each
+    block a square complex128 array, at least 1 x 1 and read-only.  With
+    ``copy`` each array is copied, so later writes to the caller's array
+    cannot reach the block; without it, complex128 arrays are used as they
+    are."""
+    out = []
+    last = -1
+    for sid, arr in pairs:
+        sid = int(sid)
+        if sid < 0:
+            raise ShapeMismatch("summand ids must be >= 0")
+        if sid <= last:
+            raise ShapeMismatch("summand ids must be strictly increasing")
+        last = sid
+        block = (np.array(arr, dtype=np.complex128, copy=True) if copy
+                 else np.asarray(arr, dtype=np.complex128))
+        if block.ndim != 2 or block.shape[0] != block.shape[1]:
+            raise ShapeMismatch(f"blocks must be square 2-d arrays, got shape {block.shape}")
+        if block.shape[0] < 1:
+            raise ShapeMismatch("blocks must have dimension >= 1")
+        block.setflags(write=False)
+        out.append((sid, block))
+    if not out:
+        raise ShapeMismatch("a block operator needs at least one summand")
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -67,19 +92,16 @@ class BlockOperator:
     summands: tuple = ()
 
     def __post_init__(self):
-        pairs = []
-        last = -1
-        for sid, arr in self.summands:
-            sid = int(sid)
-            if sid < 0:
-                raise ShapeMismatch("summand ids must be >= 0")
-            if sid <= last:
-                raise ShapeMismatch("summand ids must be strictly increasing")
-            last = sid
-            pairs.append((sid, _as_block(arr)))
-        if not pairs:
-            raise ShapeMismatch("a block operator needs at least one summand")
-        object.__setattr__(self, "summands", tuple(pairs))
+        object.__setattr__(self, "summands", _checked_summands(self.summands, copy=True))
+
+    @staticmethod
+    def _from_owned(pairs) -> "BlockOperator":
+        """The package's own constructor, for blocks it just made and holds
+        no other reference to: checked as the public constructor checks
+        them, marked read-only in place and not copied."""
+        op = object.__new__(BlockOperator)
+        object.__setattr__(op, "summands", _checked_summands(pairs, copy=False))
+        return op
 
     # -- structure ------------------------------------------------------
 
@@ -113,27 +135,29 @@ class BlockOperator:
 
     # -- arithmetic (blockwise, never mixes summands) -------------------
 
+    # a block where the right operand is exactly zero is the left operand's
+    # own (read-only) block: T + X keeps T's blocks outside X's summand
+
     def __add__(self, other):
         self._require_same_structure(other)
-        return BlockOperator(tuple(
-            (sid, a + b) for (sid, a), (_, b) in zip(self.summands, other.summands)
-        ))
+        return BlockOperator._from_owned(
+            (sid, a if not b.any() else a + b)
+            for (sid, a), (_, b) in zip(self.summands, other.summands))
 
     def __sub__(self, other):
         self._require_same_structure(other)
-        return BlockOperator(tuple(
-            (sid, a - b) for (sid, a), (_, b) in zip(self.summands, other.summands)
-        ))
+        return BlockOperator._from_owned(
+            (sid, a if not b.any() else a - b)
+            for (sid, a), (_, b) in zip(self.summands, other.summands))
 
     def __matmul__(self, other):
         self._require_same_structure(other)
-        return BlockOperator(tuple(
-            (sid, a @ b) for (sid, a), (_, b) in zip(self.summands, other.summands)
-        ))
+        return BlockOperator._from_owned(
+            (sid, a @ b) for (sid, a), (_, b) in zip(self.summands, other.summands))
 
     def __mul__(self, scalar):
         z = complex(scalar)
-        return BlockOperator(tuple((sid, z * b) for sid, b in self.summands))
+        return BlockOperator._from_owned((sid, z * b) for sid, b in self.summands)
 
     __rmul__ = __mul__
 
@@ -141,7 +165,7 @@ class BlockOperator:
         return self * (-1.0)
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator(tuple((sid, b.conj().T) for sid, b in self.summands))
+        return BlockOperator._from_owned((sid, b.conj().T) for sid, b in self.summands)
 
     def norm(self) -> float:
         """Operator norm: the largest spectral norm over the blocks."""
@@ -157,22 +181,22 @@ def block_operator(pairs: Iterable) -> BlockOperator:
 
 
 def identity_like(op: BlockOperator) -> BlockOperator:
-    return BlockOperator(tuple((sid, np.eye(b.shape[0])) for sid, b in op.summands))
+    return BlockOperator._from_owned(
+        (sid, np.eye(n, dtype=np.complex128)) for sid, n in op.structure())
 
 
 def zero_like(op: BlockOperator) -> BlockOperator:
-    return BlockOperator(tuple(
-        (sid, np.zeros((b.shape[0], b.shape[0]))) for sid, b in op.summands
-    ))
+    return BlockOperator._from_owned(
+        (sid, np.zeros((n, n), dtype=np.complex128)) for sid, n in op.structure())
 
 
 def central_projection(template: BlockOperator, mask: Iterable) -> BlockOperator:
     """Identity on the summands in ``mask``, zero on the rest of ``template``."""
     keep = set(int(m) for m in mask)
-    return BlockOperator(tuple(
-        (sid, np.eye(b.shape[0]) if sid in keep else np.zeros_like(b))
-        for sid, b in template.summands
-    ))
+    return BlockOperator._from_owned(
+        (sid, np.eye(n, dtype=np.complex128) if sid in keep
+         else np.zeros((n, n), dtype=np.complex128))
+        for sid, n in template.structure())
 
 
 # -- algebra descriptor ----------------------------------------------------
@@ -235,7 +259,7 @@ class Projection:
 
     @property
     def base(self) -> BlockOperator:
-        return BlockOperator(tuple((sid, w @ w.conj().T) for sid, w in self.factors))
+        return BlockOperator._from_owned((sid, w @ w.conj().T) for sid, w in self.factors)
 
     @property
     def ranks(self) -> tuple:
@@ -319,11 +343,16 @@ def operator_from_dict(data: dict) -> BlockOperator:
         if re.shape != im.shape or re.shape != (item["dim"], item["dim"]):
             raise ShapeMismatch(f"summand {item.get('id')}: re/im shapes do not "
                                 f"match declared dim {item.get('dim')}")
-        pairs.append((item["id"], re + 1j * im))
+        # the parts go in as they are: re + 1j * im would turn an infinite
+        # imaginary part's real part into 0 * inf = NaN
+        block = np.empty(re.shape, dtype=np.complex128)
+        block.real = re
+        block.imag = im
+        pairs.append((item["id"], block))
     tail = data.get("tail", "none")
     if tail not in ("none", "repeat_last"):
         raise ShapeMismatch(f"unknown tail kind {tail!r}")
-    return BlockOperator(tuple(pairs))
+    return BlockOperator._from_owned(pairs)
 
 
 def write_operator(op: BlockOperator, path):

@@ -113,10 +113,12 @@ _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
 def _rank_one(structure, sid: int, a: np.ndarray, b: np.ndarray) -> BlockOperator:
-    """``a b*`` in summand ``sid`` and zero elsewhere."""
-    return BlockOperator(tuple(
-        (s, np.outer(a, b.conj()) if s == sid else np.zeros((d, d)))
-        for s, d in structure))
+    """``a b*`` in summand ``sid`` and zero elsewhere, all blocks complex128
+    and made here, so none is copied."""
+    return BlockOperator._from_owned(
+        (s, np.outer(a, b.conj()) if s == sid
+         else np.zeros((d, d), dtype=np.complex128))
+        for s, d in structure)
 
 
 # -- certificates ----------------------------------------------------------
@@ -131,6 +133,8 @@ class PerturbationCertificate:
     vector of that block's column-pivoted QR, a unit eigenvector for ``lam``
     up to round-off.  ``X`` is rebuilt on access and ``E`` is the projection
     with factor ``v``, so a certificate holds two vectors, not two operators.
+    ``X``'s blocks outside ``summand`` are complex128 zeros, so ``T + X``
+    keeps ``T``'s own blocks there and allocates only the one it computes.
     ``components_after`` clusters ``sigma(T + X)``: ``mu``, the block's
     other eigenvalues and the other blocks' spectra.  ``separation_bound``
     is ``10 n u (max_j ||T_j||_F + |mu|)``, the rounding error that

@@ -67,9 +67,7 @@ def _ginibre(n, rng):
 
 def random_block_operator(alg: AlgebraSpec, rng) -> BlockOperator:
     """Independent normalized Ginibre blocks on the realized summands."""
-    return BlockOperator(tuple(
-        (i, _ginibre(d, rng)) for i, d in enumerate(alg.dims)
-    ))
+    return BlockOperator._from_owned((i, _ginibre(d, rng)) for i, d in enumerate(alg.dims))
 
 
 def random_psd(n: int, rng) -> np.ndarray:

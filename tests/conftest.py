@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ def union_find_labels(n, pairs):
             parent[ri] = rj
     first = {}
     return [first.setdefault(find(i), len(first)) for i in range(n)]
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc traces while ``fn()`` runs; NumPy reports
+    its array buffers to tracemalloc, so they count."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_spec(weights, kinds=None, agg="sup", q=None, **tail):

@@ -12,10 +12,11 @@ from specgap.algebra import (DEFAULT_TOL, AlgebraSpec, BlockOperator, Projection
 from specgap.errors import (EmptyBlock, NotAProjection, ShapeMismatch,
                             ZeroProjection)
 from specgap.norms import f_phi
+from specgap.perturb import disconnect_rr0
 from specgap.sampling import (haar_unitary, random_block_operator, random_projection,
                               rng_from_seed)
 
-from conftest import make_spec
+from conftest import make_spec, traced_peak
 
 
 def two_block(rng):
@@ -45,6 +46,101 @@ def test_blocks_are_read_only(rng):
     A = two_block(rng)
     with pytest.raises(ValueError):
         A.block(0)[0, 0] = 1.0
+
+
+def test_caller_arrays_are_copied():
+    writable = np.array([[1.0, 2.0], [3.0, 4.0]])
+    frozen = np.array([[5.0, 6.0], [7.0, 8.0]], dtype=np.complex128)
+    frozen.setflags(write=False)
+    assert frozen.base is None          # it owns its buffer: writes can come back
+    made = [make([(0, writable), (1, frozen)])
+            for make in (lambda pairs: BlockOperator(tuple(pairs)), block_operator)]
+    for T in made:
+        assert T.block(1) is not frozen
+        assert not np.shares_memory(T.block(0), writable)
+        assert not np.shares_memory(T.block(1), frozen)
+    frozen.setflags(write=True)
+    writable[0, 0] = frozen[0, 0] = 99.0
+    for T in made:
+        assert T.block(0)[0, 0] == 1.0 and T.block(1)[0, 0] == 5.0
+
+
+def _made_operators(rng):
+    """Every way the package makes an operator, as (name, operator) pairs."""
+    alg = AlgebraSpec(dims=(3, 4, 2), tail="none")
+    T = random_block_operator(alg, rng)
+    X = disconnect_rr0(T, 0.1).X
+    return [("random", T), ("cert.X", X), ("T + X", T + X), ("T - X", T - X),
+            ("X + T", X + T), ("X - T", X - T), ("T @ X", T @ X), ("2j T", 2j * T),
+            ("-T", -T), ("T*", T.adjoint()), ("I", identity_like(T)),
+            ("0", zero_like(T)), ("Z", central_projection(T, [1])),
+            ("P", random_projection(alg, (1, 2, 0), rng).base),
+            ("json", operator_from_dict(operator_to_dict(T)))]
+
+
+def test_every_made_block_is_read_only_complex(rng):
+    for name, op in _made_operators(rng):
+        for sid, b in op.summands:
+            assert b.dtype == np.complex128, (name, sid)
+            assert not b.flags.writeable, (name, sid)
+            with pytest.raises(ValueError):
+                b[0, 0] = 1.0
+
+
+def test_sum_with_perturbation_keeps_untouched_blocks(rng):
+    T = random_block_operator(AlgebraSpec(dims=(3, 4, 2), tail="none"), rng)
+    cert = disconnect_rr0(T, 0.1)
+    X = cert.X
+    for S in (T + X, T - X):
+        for sid, b in S.summands:
+            if sid == cert.summand:
+                assert not np.shares_memory(b, T.block(sid))
+                assert not np.shares_memory(b, X.block(sid))
+            else:
+                assert b is T.block(sid)
+    # a zero left operand still computes: 0 + t and 0 - t are new blocks
+    for S, sign in ((X + T, 1.0), (X - T, -1.0)):
+        for sid, b in S.summands:
+            assert b is not T.block(sid) and b is not X.block(sid)
+            np.testing.assert_array_equal(b, X.block(sid) + sign * T.block(sid))
+
+
+def test_arithmetic_matches_copy_reference_on_rr0_corpus():
+    """On the criterion-4 generator's first operators, every arithmetic
+    result equals the blockwise NumPy expression, copied."""
+    rng = rng_from_seed((20260814, 4))
+    for i in range(12):
+        dims = tuple(int(d) for d in rng.integers(2, 65, int(rng.integers(2, 5))))
+        T = random_block_operator(AlgebraSpec(dims=dims, tail="none"), rng)
+        X = disconnect_rr0(T, (1e-1, 1e-2, 1e-3)[i % 3]).X
+        for A, B in ((T, X), (X, T), (T, T)):
+            for op, ref in ((A + B, np.add), (A - B, np.subtract), (A @ B, np.matmul)):
+                for (_, got), (_, a), (_, b) in zip(op.summands, A.summands, B.summands):
+                    assert np.array_equal(got, np.array(ref(a, b)))
+            for op, ref in ((-A, lambda a: -1.0 * a), (A.adjoint(), lambda a: a.conj().T)):
+                for (_, got), (_, a) in zip(op.summands, A.summands):
+                    assert np.array_equal(got, np.array(ref(a)))
+
+
+def test_reused_block_keeps_a_negative_zero():
+    """The one bitwise difference from computing every block: T + 0 is T's
+    block itself, so a -0.0 entry of T stays -0.0 where -0.0 + 0.0 gives
+    +0.0.  T - 0 is bitwise T either way, and 0 + T computes."""
+    T = block_operator([(0, [[-0.0, 1.0], [2.0, 3.0]])])
+    Z = zero_like(T)
+    assert np.signbit((T + Z).block(0)[0, 0].real)
+    assert not np.signbit((T.block(0) + Z.block(0))[0, 0].real)
+    assert np.signbit((T - Z).block(0)[0, 0].real)
+    assert not np.signbit((Z + T).block(0)[0, 0].real)
+
+
+def test_sum_with_perturbation_allocates_only_the_touched_block():
+    """T + X allocates X's one nonzero block; copying every block (and
+    copying again on construction) would take over 3 blocks' bytes here."""
+    T = random_block_operator(AlgebraSpec(dims=(48, 48, 48), tail="none"),
+                              rng_from_seed(3))
+    X = disconnect_rr0(T, 0.1).X
+    assert traced_peak(lambda: T + X) <= 2 * 48 * 48 * 16
 
 
 def test_summand_validation():

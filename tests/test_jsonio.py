@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,12 +70,21 @@ def test_certificate_file_is_canonical_with_an_infinite_gap(tmp_path):
 
 def test_operator_with_non_finite_entries_round_trips(tmp_path):
     # bare NaN/Infinity tokens are not strict JSON; these entries are strings
-    T = block_operator([(0, [[np.nan, 1.0], [np.inf, -np.inf]])])
+    block = np.empty((2, 2), dtype=np.complex128)
+    block.real = [[np.nan, 1.0], [np.inf, -np.inf]]
+    block.imag = [[np.inf, -np.inf], [np.nan, 2.0]]
+    T = block_operator([(0, block)])
     path = tmp_path / "nan.json"
-    write_operator(T, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_operator(T, path)
+        back = read_operator(path).block(0)
     data = _check_format(path)
     assert data["summands"][0]["re"] == [["nan", 1.0], ["inf", "-inf"]]
-    np.testing.assert_array_equal(read_operator(path).block(0), T.block(0))
+    assert data["summands"][0]["im"] == [["inf", "-inf"], ["nan", 2.0]]
+    # part by part: a NaN in one part of a complex entry would hide the other part
+    np.testing.assert_array_equal(back.real, block.real)
+    np.testing.assert_array_equal(back.imag, block.imag)
 
 
 def test_hand_written_nan_tokens_still_read(tmp_path):

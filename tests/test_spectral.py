@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,6 +15,8 @@ from specgap.spectral import (GridSpec, cluster_points, eigenvalues,
                               rightmost_boundary_point, spectrum_components,
                               write_pseudospectrum_csv)
 from specgap.uppertri import shift_example
+
+from conftest import traced_peak
 
 U = np.finfo(float).eps
 
@@ -209,12 +210,12 @@ def test_pseudospectrum_one_schur_per_block(monkeypatch):
 
 @pytest.mark.parametrize("case", ["ginibre_64", "normal_far_field"])
 def test_pseudospectrum_memory_is_bounded(monkeypatch, case):
-    """The traced peak (NumPy reports its buffers to tracemalloc) stays within
-    8 * 16 max(_ENTRIES, n^2) bytes plus the Schur factors R and G, although
-    at _ENTRIES = 2^16 n * points is 3.6 times _ENTRIES for the Ginibre
-    block, and the normal block sends 930 points to the sigma-only SVD,
-    whose shifted copies of R would take more than 8 * 16 _ENTRIES bytes
-    if stacked at once.  No Lanczos basis is stored."""
+    """The traced peak stays within 8 * 16 max(_ENTRIES, n^2) bytes plus the
+    Schur factors R and G, although at _ENTRIES = 2^16 n * points is 3.6
+    times _ENTRIES for the Ginibre block, and the normal block sends 930
+    points to the sigma-only SVD, whose shifted copies of R would take more
+    than 8 * 16 _ENTRIES bytes if stacked at once.  No Lanczos basis is
+    stored."""
     monkeypatch.setattr(spectral, "_ENTRIES", 2 ** 16)
     if case == "ginibre_64":
         b = _ginibre(np.random.default_rng(5), 64)
@@ -223,12 +224,7 @@ def test_pseudospectrum_memory_is_bounded(monkeypatch, case):
         (b,), grid = _edge_cases()[case]
         grid = dataclasses.replace(grid, nx=31, ny=31)
     n = b.shape[0]
-    tracemalloc.start()
-    try:
-        pseudospectrum_grid(block_operator([(0, b)]), 0.1, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: pseudospectrum_grid(block_operator([(0, b)]), 0.1, grid))
     assert peak <= 8 * 16 * max(spectral._ENTRIES, n * n) + 2 * 16 * n * n, peak
 
 
