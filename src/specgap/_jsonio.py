@@ -1,8 +1,9 @@
 """The one JSON codec of every file and stdout report: sorted keys, compact
-separators and strict JSON (``jsonable`` turns NumPy scalars into Python
-numbers, non-finite floats into "inf"/"-inf"/"nan", complex into [re, im]),
-floats in shortest repr, so identical runs emit identical bytes.  A file
-adds one newline; ``load`` is plain ``json.load``, so NaN tokens still read.
+separators and strict JSON (``jsonable`` turns NumPy scalars and arrays into
+Python numbers and lists, non-finite floats into "inf"/"-inf"/"nan", complex
+into [re, im]), floats in shortest repr, so identical runs emit identical
+bytes.  A file adds one newline; ``load`` is plain ``json.load``, so NaN
+tokens still read.
 """
 
 import json
@@ -11,12 +12,12 @@ import pathlib
 
 import numpy as np
 
-__all__ = ["jsonable", "dumps", "dump", "load"]
+__all__ = ["jsonable", "dumps", "dump", "load", "read"]
 
 
 def jsonable(v):
-    if isinstance(v, np.generic):
-        v = v.item()
+    if isinstance(v, (np.generic, np.ndarray)):
+        v = v.tolist()
     if isinstance(v, float):
         return v if math.isfinite(v) else repr(v)
     if isinstance(v, complex):
@@ -38,3 +39,12 @@ def dump(data, path):
 
 def load(path):
     return json.loads(pathlib.Path(path).read_text())
+
+
+def read(path, from_dict):
+    """``from_dict(load(path))``, a malformed file's lookup error as ValueError."""
+    data = load(path)
+    try:
+        return from_dict(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed file, {type(exc).__name__}: {exc}") from exc

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._jsonio import dump, load
+from ._jsonio import dump, read
 from .errors import (
     EmptyBlock,
     NotAProjection,
@@ -315,44 +315,61 @@ def minimal_subprojection(P: Projection, sid: int) -> Projection:
 
 # Schema: {"summands": [{"id": 0, "dim": 2, "re": [[..]], "im": [[..]]}, ...],
 #          "tail": "none"}
+# or, for a b* in summand k and zero elsewhere, the summands as {"id", "dim"}
+# and "rank_one": {"id": k, "left": {"re": [..], "im": [..]}, "right": {..}}.
 # Files are always written with "tail": "none"; a reader still refuses any
 # value other than "none" or "repeat_last".  ``_jsonio`` writes floats
 # exactly and a non-finite entry as "nan"/"inf"/"-inf", which reads back.
 
 
+def _rank_one(structure, sid: int, a: np.ndarray, b: np.ndarray) -> BlockOperator:
+    """``a b*`` in summand ``sid`` and zero elsewhere, all blocks complex128
+    and made here, so none is copied."""
+    return BlockOperator._from_owned(
+        (s, np.outer(a, b.conj()) if s == sid
+         else np.zeros((d, d), dtype=np.complex128))
+        for s, d in structure)
+
+
+def _from_parts(item: dict, shape: tuple, what: str) -> np.ndarray:
+    re = np.array(item["re"], dtype=float)
+    im = np.array(item["im"], dtype=float)
+    if re.shape != im.shape or re.shape != shape:
+        raise ShapeMismatch(f"{what}: re/im shapes do not match the declared {shape}")
+    # the parts go in as they are: re + 1j * im would turn an infinite
+    # imaginary part's real part into 0 * inf = NaN
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
 def operator_to_dict(op: BlockOperator) -> dict:
-    return {
-        "summands": [
-            {
-                "id": sid,
-                "dim": int(b.shape[0]),
-                "re": b.real.tolist(),
-                "im": b.imag.tolist(),
-            }
-            for sid, b in op.summands
-        ],
-        "tail": "none",
-    }
+    return {"summands": [{"id": sid, "dim": b.shape[0], "re": b.real, "im": b.imag}
+                         for sid, b in op.summands], "tail": "none"}
+
+
+def _rank_one_to_dict(structure, sid: int, a: np.ndarray, b: np.ndarray) -> dict:
+    return {"summands": [{"id": s, "dim": d} for s, d in structure], "tail": "none",
+            "rank_one": {"id": sid, "left": {"re": a.real, "im": a.imag},
+                         "right": {"re": b.real, "im": b.imag}}}
 
 
 def operator_from_dict(data: dict) -> BlockOperator:
-    pairs = []
-    for item in data["summands"]:
-        re = np.array(item["re"], dtype=float)
-        im = np.array(item["im"], dtype=float)
-        if re.shape != im.shape or re.shape != (item["dim"], item["dim"]):
-            raise ShapeMismatch(f"summand {item.get('id')}: re/im shapes do not "
-                                f"match declared dim {item.get('dim')}")
-        # the parts go in as they are: re + 1j * im would turn an infinite
-        # imaginary part's real part into 0 * inf = NaN
-        block = np.empty(re.shape, dtype=np.complex128)
-        block.real = re
-        block.imag = im
-        pairs.append((item["id"], block))
-    tail = data.get("tail", "none")
-    if tail not in ("none", "repeat_last"):
-        raise ShapeMismatch(f"unknown tail kind {tail!r}")
-    return BlockOperator._from_owned(pairs)
+    if data.get("tail", "none") not in ("none", "repeat_last"):
+        raise ShapeMismatch(f"unknown tail kind {data['tail']!r}")
+    structure = tuple((item["id"], item["dim"]) for item in data["summands"])
+    if "rank_one" not in data:
+        return BlockOperator._from_owned(
+            (s, _from_parts(item, (d, d), f"summand {s}"))
+            for (s, d), item in zip(structure, data["summands"]))
+    sid = data["rank_one"]["id"]
+    dim = dict(structure).get(sid)
+    if dim is None:
+        raise ShapeMismatch(f"rank_one summand {sid} is not among the summands")
+    a, b = (_from_parts(data["rank_one"][side], (dim,), f"rank_one {side}")
+            for side in ("left", "right"))
+    return _rank_one(structure, sid, a, b)
 
 
 def write_operator(op: BlockOperator, path):
@@ -360,4 +377,4 @@ def write_operator(op: BlockOperator, path):
 
 
 def read_operator(path) -> BlockOperator:
-    return operator_from_dict(load(path))
+    return read(path, operator_from_dict)

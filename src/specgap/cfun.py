@@ -48,7 +48,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._jsonio import dump, load
+from ._jsonio import dump, read
 from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, RangeOverflow,
                      ShapeMismatch, StageTooShallow)
 from .spectral import _is_count, link_components
@@ -854,7 +854,7 @@ def write_set(X: CompactRealSet, path):
 
 
 def read_set(path) -> CompactRealSet:
-    return set_from_dict(load(path))
+    return read(path, set_from_dict)
 
 
 # Function schema: {"breakpoints": [...], "re": [...], "im": [...]}
@@ -878,4 +878,4 @@ def write_pl(f: PLFunction, path):
 
 
 def read_pl(path) -> PLFunction:
-    return pl_from_dict(load(path))
+    return read(path, pl_from_dict)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonio import dump, load
+from ._jsonio import dump, jsonable, read
 from .algebra import AlgebraSpec, BlockOperator, Projection, minimal_subprojection
 from .errors import (
     NoConvergenceCertificate,
@@ -321,7 +321,7 @@ def check_unitary_invariance(phi, X: BlockOperator, trials: int = 20,
 
 # -- JSON persistence, written by _jsonio ----------------------------------
 
-# Schema: {"base": [{"kind": "schatten", "p": 2}, ...], "weights": [...],
+# Schema: {"base": [{"kind": "schatten", "p": 2 | "inf"}, ...], "weights": [...],
 #          "agg": "sup" | {"kind": "lq", "q": 2.0},
 #          "tail_weights": "none" | "divergent" | {"kind": "bounded", "sup": c}}
 
@@ -332,7 +332,7 @@ def norm_to_dict(spec: NormSpec) -> dict:
         if b.kind == "operator":
             base.append({"kind": "operator"})
         elif b.kind == "schatten":
-            base.append({"kind": "schatten", "p": ("inf" if math.isinf(b.p) else b.p)})
+            base.append({"kind": "schatten", "p": b.p})
         else:
             base.append({"kind": "kyfan", "k": b.k})
     agg = "sup" if spec.agg == "sup" else {"kind": "lq", "q": spec.q}
@@ -340,8 +340,8 @@ def norm_to_dict(spec: NormSpec) -> dict:
         tail = {"kind": "bounded", "sup": spec.tail_sup}
     else:
         tail = spec.tail_weights
-    return {"base": base, "weights": list(spec.weights), "agg": agg,
-            "tail_weights": tail}
+    return jsonable({"base": base, "weights": spec.weights, "agg": agg,
+                     "tail_weights": tail})
 
 
 def norm_from_dict(data: dict) -> NormSpec:
@@ -351,8 +351,7 @@ def norm_from_dict(data: dict) -> NormSpec:
         if kind == "operator":
             base.append(OPERATOR)
         elif kind == "schatten":
-            p = item["p"]
-            base.append(BaseNorm("schatten", p=math.inf if p == "inf" else float(p)))
+            base.append(BaseNorm("schatten", p=float(item["p"])))
         elif kind == "kyfan":
             base.append(BaseNorm("kyfan", k=item["k"]))
         else:
@@ -376,4 +375,4 @@ def write_norm_spec(spec: NormSpec, path):
 
 
 def read_norm_spec(path) -> NormSpec:
-    return norm_from_dict(load(path))
+    return read(path, norm_from_dict)

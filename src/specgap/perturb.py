@@ -56,13 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._jsonio import dump
-from .algebra import (
-    BlockOperator,
-    Projection,
-    operator_to_dict,
-    operator_from_dict,
-)
+from ._jsonio import dump, jsonable
+from .algebra import (BlockOperator, Projection, _rank_one, _rank_one_to_dict,
+                      operator_from_dict)
 from .errors import (
     BelowRoundoff,
     BudgetNotLessThanOne,
@@ -112,15 +108,6 @@ SEPARATION_FACTOR = 10.0   # s must exceed this * n * u * (max ||T_j||_F + |mu|)
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
-def _rank_one(structure, sid: int, a: np.ndarray, b: np.ndarray) -> BlockOperator:
-    """``a b*`` in summand ``sid`` and zero elsewhere, all blocks complex128
-    and made here, so none is copied."""
-    return BlockOperator._from_owned(
-        (s, np.outer(a, b.conj()) if s == sid
-         else np.zeros((d, d), dtype=np.complex128))
-        for s, d in structure)
-
-
 # -- certificates ----------------------------------------------------------
 
 
@@ -136,9 +123,9 @@ class PerturbationCertificate:
     ``X``'s blocks outside ``summand`` are complex128 zeros, so ``T + X``
     keeps ``T``'s own blocks there and allocates only the one it computes.
     ``components_after`` clusters ``sigma(T + X)``: ``mu``, the block's
-    other eigenvalues and the other blocks' spectra.  ``separation_bound``
-    is ``10 n u (max_j ||T_j||_F + |mu|)``, the rounding error that
-    ``separation`` must exceed.
+    other eigenvalues and the other blocks' spectra; ``gap_achieved`` is
+    derived, its ``gap`` read on access.  ``separation_bound`` is ``10 n u
+    (max_j ||T_j||_F + |mu|)``, the rounding error ``separation`` must exceed.
     """
 
     summand: int
@@ -155,9 +142,12 @@ class PerturbationCertificate:
     separation_bound: float
     components_before: SpectrumReport
     components_after: SpectrumReport
-    gap_achieved: float
     norm: NormSpec
     route: str = "sup_inf"
+
+    @property
+    def gap_achieved(self) -> float:
+        return self.components_after.gap
 
     @property
     def X(self) -> BlockOperator:
@@ -237,7 +227,7 @@ def _build_certificate(T, spec, eps, eps0, route):
         phi_E=phi_rank_one(spec, structure, sid, v, v), phi_TE=phi_TE,
         separation=separation, separation_bound=bound,
         components_before=comp_before, components_after=comp_after,
-        gap_achieved=comp_after.gap, norm=spec, route=route)
+        norm=spec, route=route)
 
 
 def _check_inputs(T: BlockOperator, eps: float):
@@ -397,36 +387,30 @@ def verify_counterexample(T: BlockOperator, spec: NormSpec, trials: int = 100,
 
 
 def _report_dict(report: SpectrumReport) -> dict:
-    return {
-        "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
-        "labels": list(report.labels),
-        "threshold": report.threshold,
-        "gap": (report.gap if math.isfinite(report.gap) else "inf"),
-        "n_components": report.n_components,
-    }
+    return {**vars(report), "n_components": report.n_components}
 
 
 def certificate_to_dict(cert: PerturbationCertificate, seed=None) -> dict:
-    return {
+    """Plain JSON values; ``X = w v*`` and ``E = v v*`` as their vectors."""
+    return jsonable({
         "version": _version,
         "seed": seed,
         "route": cert.route,
-        "X": operator_to_dict(cert.X),
+        "X": _rank_one_to_dict(cert.structure, cert.summand, cert.w, cert.v),
         "phi_X": cert.phi_X,
-        "lambda": [cert.lam.real, cert.lam.imag],
+        "lambda": cert.lam,
         "eps0": cert.eps0,
         "delta": cert.delta,
         "separation": cert.separation,
         "separation_bound": cert.separation_bound,
-        "E": operator_to_dict(_rank_one(cert.structure, cert.summand, cert.v, cert.v)),
+        "E": _rank_one_to_dict(cert.structure, cert.summand, cert.v, cert.v),
         "phi_E": cert.phi_E,
         "phi_TE": cert.phi_TE,
-        "gap_achieved": (cert.gap_achieved if math.isfinite(cert.gap_achieved)
-                         else "inf"),
+        "gap_achieved": cert.gap_achieved,
         "norm": norm_to_dict(cert.norm),
         "components_before": _report_dict(cert.components_before),
         "components_after": _report_dict(cert.components_after),
-    }
+    })
 
 
 def certificate_from_dict(data: dict) -> dict:

@@ -132,18 +132,24 @@ def cluster_points(points: np.ndarray, threshold: float) -> np.ndarray:
 class SpectrumReport:
     """Spectrum points, their cluster labels (numbered by first point), the gap.
 
+    The points and labels are read-only copies, complex128 and integer.
     ``gap`` is the smallest distance between points of different clusters
     (``inf`` for a single cluster); it always exceeds the linking threshold.
     """
 
-    eigenvalues: tuple
-    labels: tuple
+    eigenvalues: np.ndarray
+    labels: np.ndarray
     threshold: float
     gap: float
 
+    def __post_init__(self):
+        for name, dtype in (("eigenvalues", np.complex128), ("labels", np.intp)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+            getattr(self, name).setflags(write=False)
+
     @property
     def n_components(self) -> int:
-        return max(self.labels) + 1
+        return int(self.labels.max()) + 1
 
     @property
     def disconnected(self) -> bool:
@@ -160,8 +166,7 @@ def spectrum_components(points, threshold: float) -> SpectrumReport:
     pts, dist, labels = _single_linkage(points, threshold)
     inter = dist[labels[:, None] != labels[None, :]]
     gap = float(inter.min()) if inter.size else np.inf
-    return SpectrumReport(eigenvalues=tuple(pts),
-                          labels=tuple(int(l) for l in labels),
+    return SpectrumReport(eigenvalues=pts, labels=labels,
                           threshold=float(threshold), gap=gap)
 
 
@@ -218,13 +223,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PseudospectrumGrid:
-    res: tuple
-    ims: tuple
-    sigma_min: tuple      # row-major, ims outer / res inner
+    res: np.ndarray         # read-only, as are ims and sigma_min
+    ims: np.ndarray
+    sigma_min: np.ndarray   # (ny, nx): [iy, ix] is at res[ix] + i ims[iy]
     eps: float
 
     def marked(self) -> np.ndarray:
-        return np.asarray(self.sigma_min) <= self.eps
+        return self.sigma_min <= self.eps
 
     @property
     def marked_fraction(self) -> float:
@@ -496,10 +501,9 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
     for (_, pts), part in zip(tasks, parts):
         np.minimum(sig[pts], part, out=sig[pts])
     sig = sig.reshape(len(ims), len(res))
-    return PseudospectrumGrid(res=tuple(float(x) for x in res),
-                              ims=tuple(float(y) for y in ims),
-                              sigma_min=tuple(tuple(float(v) for v in r) for r in sig),
-                              eps=float(eps))
+    for a in (res, ims, sig):
+        a.setflags(write=False)
+    return PseudospectrumGrid(res=res, ims=ims, sigma_min=sig, eps=float(eps))
 
 
 def write_pseudospectrum_csv(ps: PseudospectrumGrid, path):

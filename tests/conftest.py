@@ -1,4 +1,12 @@
-import tracemalloc
+import os
+
+# One BLAS thread, set before NumPy loads (subprocess tests inherit it, and a
+# value already in the environment wins): on a two-core machine OpenBLAS's
+# default of two threads made the suite take 143 s instead of about 66 s, and
+# certificates came out byte-identical under one and two threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import tracemalloc  # noqa: E402
 
 import numpy as np
 import pytest

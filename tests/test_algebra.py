@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgap._jsonio import dump, jsonable
 from specgap.algebra import (DEFAULT_TOL, AlgebraSpec, BlockOperator, Projection,
                              block_operator, central_projection, identity_like,
                              minimal_subprojection, operator_from_dict, operator_to_dict,
-                             read_operator, validate_projection, write_operator, zero_like)
+                             read_operator, validate_projection, write_operator, zero_like,
+                             _rank_one, _rank_one_to_dict)
 from specgap.errors import (EmptyBlock, NotAProjection, ShapeMismatch,
                             ZeroProjection)
 from specgap.norms import f_phi
@@ -252,6 +254,52 @@ def test_operator_json_roundtrip(tmp_path, rng):
     # the tail field is outside input: unknown values are refused
     with pytest.raises(ShapeMismatch):
         operator_from_dict({**d, "tail": "bogus"})
+
+
+def _same_bits(A, B) -> bool:
+    return A.structure() == B.structure() and all(
+        a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(A.summands, B.summands))
+
+
+RANK_ONE_STRUCTURE = ((0, 2), (3, 4), (5, 1))
+
+
+def _rank_one_vectors(rng):
+    return [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2)]
+
+
+def test_rank_one_file_reads_as_the_dense_operator(tmp_path, rng):
+    a, b = _rank_one_vectors(rng)
+    path = tmp_path / "rank_one.json"
+    dump(_rank_one_to_dict(RANK_ONE_STRUCTURE, 3, a, b), path)
+    want = block_operator([(0, np.zeros((2, 2))), (3, np.outer(a, b.conj())),
+                           (5, np.zeros((1, 1)))])
+    assert _same_bits(read_operator(path), want)
+    # written as the vectors, not their product
+    assert "re" not in json.loads(path.read_text())["summands"][1]
+
+
+def test_rank_one_vectors_must_fit_their_summand(rng):
+    d = jsonable(_rank_one_to_dict(RANK_ONE_STRUCTURE, 3, *_rank_one_vectors(rng)))
+    for side in ("left", "right"):
+        short = {"re": d["rank_one"][side]["re"][:3], "im": d["rank_one"][side]["im"][:3]}
+        with pytest.raises(ShapeMismatch, match=f"rank_one {side}"):
+            operator_from_dict({**d, "rank_one": {**d["rank_one"], side: short}})
+    for sid in (1, 7):
+        with pytest.raises(ShapeMismatch, match="not among the summands"):
+            operator_from_dict({**d, "rank_one": {**d["rank_one"], "id": sid}})
+
+
+def test_rank_one_vector_with_an_infinite_imaginary_part_round_trips(tmp_path, rng):
+    a, b = _rank_one_vectors(rng)
+    a.imag[1] = np.inf
+    a.imag[2] = -np.inf
+    path = tmp_path / "rank_one.json"
+    dump(_rank_one_to_dict(RANK_ONE_STRUCTURE, 3, a, b), path)
+    left = json.loads(path.read_text())["rank_one"]["left"]
+    assert left["im"][1:3] == ["inf", "-inf"] and left["re"] == a.real.tolist()
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(read_operator(path), _rank_one(RANK_ONE_STRUCTURE, 3, a, b))
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,9 @@ from specgap.algebra import (AlgebraSpec, block_operator, identity_like, operato
                              write_operator)
 from specgap.cli import main
 from specgap.errors import BelowRoundoff, ConvergenceFailure
-from specgap.perturb import certificate_to_dict, disconnect, disconnect_rr0
+from specgap._jsonio import dumps
+from specgap.perturb import (certificate_from_dict, certificate_to_dict, disconnect,
+                             disconnect_rr0)
 from specgap.sampling import random_block_operator, rng_from_seed
 from specgap.spectral import eigenvalues
 
@@ -155,12 +157,14 @@ def _criterion_1_certificates(n=40):
 
 def test_certificate_e_is_written_as_the_outer_product_of_v():
     # E is held as its factor v; W W* differs from np.outer(v, v*) in the last
-    # bits, so the JSON must still come from the outer product
+    # bits, so the file's E must still read back as the outer product, and
+    # its X as cert.X
     for _, cert in _criterion_1_certificates():
         want = block_operator([(s, np.outer(cert.v, cert.v.conj()) if s == cert.summand
                                 else np.zeros((d, d))) for s, d in cert.structure])
-        assert (json.dumps(certificate_to_dict(cert)["E"])
-                == json.dumps(operator_to_dict(want)))
+        back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert dumps(operator_to_dict(back["E"])) == dumps(operator_to_dict(want))
+        assert dumps(operator_to_dict(back["X"])) == dumps(operator_to_dict(cert.X))
 
 
 def test_after_spectrum_matches_a_fresh_eigensolve():

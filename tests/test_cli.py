@@ -377,6 +377,27 @@ def test_cfun_disconnect_usage_failures_exit_2(capsys, tmp_path):
         assert code == 2 and payload is None and "usage error" in err, (fn, resolution)
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--operator", "{}"), ("--operator", "[1, 2]"), ("--operator", '{"summands": [{"id": 0}]}'),
+    ("--norm", "{}"), ("--norm", "[1, 2]"), ("--set", "[1, 2]"), ("--fn", "{}"),
+    ("--fn", "[1, 2]")])
+def test_malformed_input_files_exit_2(capsys, tmp_path, op_file, norm_file, flag, text):
+    """A missing key or a wrong container type is a usage error naming the
+    file, not a traceback."""
+    files = {"--operator": op_file, "--norm": norm_file,
+             "--set": tmp_path / "set.json", "--fn": tmp_path / "fn.json"}
+    write_set(CompactRealSet.cantor(depth=6, ratio="1/3"), files["--set"])
+    write_pl(PLFunction(breakpoints=(-0.5, 1.5), values=(0.0, 2.0)), files["--fn"])
+    files[flag] = tmp_path / "bad.json"
+    files[flag].write_text(text)
+    command = "disconnect" if flag in ("--operator", "--norm") else "cfun-disconnect"
+    pair = ("--operator", "--norm") if command == "disconnect" else ("--set", "--fn")
+    code, payload, err = run(capsys, command, *(a for f in pair for a in (f, files[f])),
+                             "--eps", "0.1", "--output-dir", tmp_path)
+    assert code == 2 and payload is None
+    assert err.startswith("usage error: ") and f"{files[flag]}: malformed file" in err
+
+
 def test_counterexample_command(capsys, tmp_path):
     code, payload, _ = run(capsys, "counterexample", "--k", "4",
                            "--trials", "5", "--output-dir", tmp_path)

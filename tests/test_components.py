@@ -108,8 +108,19 @@ def test_spectrum_report_counts_agree_with_labels(rng):
         rep = spectrum_components(pts, threshold)
         assert rep.n_components == len(set(rep.labels))
         assert rep.disconnected == (rep.n_components >= 2)
-        firsts = [rep.labels.index(c) for c in range(rep.n_components)]
+        firsts = [rep.labels.tolist().index(c) for c in range(rep.n_components)]
         assert firsts == sorted(firsts)
+
+
+def test_spectrum_report_holds_read_only_copies():
+    pts = np.array([0.0, 0.05, 3.0], dtype=np.complex128)
+    rep = spectrum_components(pts, 0.1)
+    assert pts.flags.writeable and not np.shares_memory(pts, rep.eigenvalues)
+    assert rep.eigenvalues.dtype == np.complex128 and rep.labels.dtype.kind == "i"
+    assert not (rep.eigenvalues.flags.writeable or rep.labels.flags.writeable)
+    pts[0] = 9.0
+    assert rep.eigenvalues.tolist() == [0.0, 0.05, 3.0]
+    assert rep.labels.tolist() == [0, 0, 1] and rep.n_components == 2
 
 
 def test_range_components_point_on_the_interval_image_is_one_component():
@@ -203,6 +214,6 @@ def test_spectrum_components_matches_brute_force_single_linkage():
     for pts, threshold in _reference_cases():
         rep = spectrum_components(pts, threshold)
         labels, gap = _brute_force_linkage(pts, threshold)
-        assert rep.labels == labels
+        assert tuple(rep.labels.tolist()) == labels
         assert rep.gap == gap
-        assert rep.labels == tuple(cluster_points(pts, threshold).tolist())
+        assert rep.labels.tolist() == cluster_points(pts, threshold).tolist()

@@ -92,7 +92,7 @@ def test_scipy_optimize_and_spatial_load_only_where_called():
 
     # and the lazily importing functions return what they return here
     rep = spectrum_components([0.0, 0.05, 3.0], 0.1)
-    assert rep.labels == (0, 0, 1)
+    assert rep.labels.tolist() == [0, 0, 1]
     assert out["components"] == repr(rep)
     assert out["labels"] == cluster_points([0.0, 0.05, 3.0], 0.1).tolist() == [0, 0, 1]
     T = block_operator([(0, [[0.0, 1.0], [0.0, 0.5]]), (1, [[2.0]])])

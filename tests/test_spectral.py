@@ -203,7 +203,7 @@ def test_pseudospectrum_one_schur_per_block(monkeypatch):
     # one sigma-only SVD row for each point that Lanczos leaves unsettled
     assert sum(svd_rows) == sum(unsettled) > 0
     assert min(calls[6], calls[3], calls[7]) >= 2 * 3
-    assert ps[0].sigma_min == ps[1].sigma_min
+    assert np.array_equal(ps[0].sigma_min, ps[1].sigma_min)
     monkeypatch.undo()      # the reference SVDs are not counted
     _assert_matches_dense_svd(ps[0], blocks, grid)
 
@@ -238,8 +238,8 @@ def test_pseudospectrum_input_guards():
         with pytest.raises(ValueError, match="threads"):
             pseudospectrum_grid(T, 0.1, grid, threads=threads)
     for threads in (np.int64(2), np.int32(1)):
-        assert pseudospectrum_grid(T, 0.1, grid, threads=threads).sigma_min == \
-            pseudospectrum_grid(T, 0.1, grid).sigma_min
+        assert np.array_equal(pseudospectrum_grid(T, 0.1, grid, threads=threads).sigma_min,
+                              pseudospectrum_grid(T, 0.1, grid).sigma_min)
     bad = block_operator([(0, np.diag([0.0, 1.0])), (3, np.array([[np.nan, 0.0], [0.0, 1.0]]))])
     with pytest.raises(ConvergenceFailure, match="summand 3"):
         pseudospectrum_grid(bad, 0.1, grid)
@@ -274,4 +274,6 @@ def test_csv_writers(tmp_path, rng):
     assert len(rows) == 1 + 5 * 4
     # floats serialized via repr: parse back exactly
     assert float(rows[1][0]) == float(np.asarray(ps.res)[0])
+    assert ps.sigma_min.shape == (4, 5) and ps.res.shape == (5,) and ps.ims.shape == (4,)
+    assert not any(a.flags.writeable for a in (ps.res, ps.ims, ps.sigma_min))
     assert {r[2] for r in rows[1:]} <= {"0", "1"}
