@@ -19,6 +19,7 @@ sign where computing ``a + 0`` would give ``+0.0``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,6 +51,11 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def _is_count(v, least: int) -> bool:
+    """Whether v is an integer (NumPy's too, but not a bool) >= least."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
+
+
 def _checked_summands(pairs, copy: bool) -> tuple:
     """``(id, block)`` pairs with ids strictly increasing from >= 0 and each
     block a square complex128 array, at least 1 x 1 and read-only.  With
@@ -59,9 +65,9 @@ def _checked_summands(pairs, copy: bool) -> tuple:
     out = []
     last = -1
     for sid, arr in pairs:
+        if not _is_count(sid, 0):
+            raise ShapeMismatch(f"summand ids must be integers >= 0, got {sid!r}")
         sid = int(sid)
-        if sid < 0:
-            raise ShapeMismatch("summand ids must be >= 0")
         if sid <= last:
             raise ShapeMismatch("summand ids must be strictly increasing")
         last = sid
@@ -214,12 +220,13 @@ class AlgebraSpec:
     tail: str = "none"
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ShapeMismatch("algebra needs at least one summand of dimension >= 1")
+        # a decimal string reads as the integer it spells; nothing is truncated
+        dims = tuple(int(d) if isinstance(d, str) and d.isdecimal() else d for d in self.dims)
+        if not dims or not all(_is_count(d, 1) for d in dims):
+            raise ShapeMismatch(f"algebra needs summands of integer dimension >= 1, got {dims!r}")
         if self.tail not in ("none", "repeat_last"):
             raise ShapeMismatch(f"unknown tail kind {self.tail!r}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
 
     @property
     def n_realized(self) -> int:
@@ -245,6 +252,8 @@ class Projection:
     def __post_init__(self):
         pairs = []
         for sid, w in self.factors:
+            if not _is_count(sid, 0):
+                raise ShapeMismatch(f"summand ids must be integers >= 0, got {sid!r}")
             w = np.array(w, dtype=np.complex128, copy=True)
             if w.ndim != 2 or w.shape[1] > w.shape[0]:
                 raise ShapeMismatch(f"summand {sid}: factor {w.shape} not n x r, r <= n")

@@ -49,9 +49,10 @@ from operator import itemgetter
 import numpy as np
 
 from ._jsonio import dump, read
+from .algebra import _is_count
 from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, RangeOverflow,
                      ShapeMismatch, StageTooShallow)
-from .spectral import _is_count, link_components
+from .spectral import link_components
 
 __all__ = [
     "CompactRealSet",

@@ -3,10 +3,12 @@
 Every subcommand reads/writes the package's JSON and CSV formats, prints a
 single machine-readable JSON report on stdout and reserves stderr for
 human-facing notes.  The JSON bytes are those of ``specgap._jsonio``, the
-one codec of every file and report.  Exit codes: 0 success, 1 a domain
-failure (the construction or check did not go through), 2 usage errors: bad
-flags, argument values the library rejects with ``ValueError``, and missing
-or malformed input files.  File outputs are confined to ``--output-dir``.
+one codec of every file and report.  Exit codes: 0 success; 1 a domain
+failure, any ``SpecgapError``: a construction or check that did not go
+through, or file content the library refuses with a typed error (see the
+README); 2 a usage error: bad flags or argument values (``ValueError`` from
+the library too), or an input file that is missing, is not JSON, lacks a key
+or holds a wrong container.  File outputs are confined to ``--output-dir``.
 When ``--seed`` is omitted, the ``SPECTOOL_SEED`` environment variable is
 consulted before falling back to 0.
 """
@@ -20,13 +22,13 @@ import pathlib
 import sys
 
 from . import __version__
-from ._jsonio import dumps
+from ._jsonio import dump, dumps
 from .algebra import AlgebraSpec, BlockOperator, read_operator, write_operator
 from .cfun import cfun_disconnect, range_components, read_pl, read_set, write_pl
 from .errors import SpecgapError, UsageError
 from .norms import c_phi, dominating_check, read_norm_spec
-from .perturb import (counterexample_operator, disconnect, disconnect_rr0,
-                      verify_counterexample, write_certificate)
+from .perturb import (certificate_to_dict, counterexample_operator, disconnect,
+                      disconnect_rr0, verify_counterexample)
 from .riesz import (circle, rectangle, riesz_idempotent, riesz_quadrature,
                     verify_idempotent)
 from .spectral import GridSpec, pseudospectrum_grid, write_pseudospectrum_csv
@@ -73,39 +75,25 @@ def _parse_dims(text: str):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cert_summary(cert) -> dict:
-    return {
-        "route": cert.route,
-        "lambda": cert.lam,
-        "eps0": cert.eps0,
-        "delta": cert.delta,
-        "phi_X": cert.phi_X,
-        "phi_E": cert.phi_E,
-        "phi_TE": cert.phi_TE,
-        "components_before": cert.components_before.n_components,
-        "components_after": cert.components_after.n_components,
-        "gap_achieved": cert.gap_achieved,
-        "separation": cert.separation,
-        "separation_bound": cert.separation_bound,
-        "disconnected": cert.disconnected,
-    }
+def _emit_certificate(args, cert) -> int:
+    """Report the certificate file's fields but ``X``, ``E`` and ``norm``, its
+    spectrum reports as their component counts, and ``disconnected``."""
+    data = certificate_to_dict(cert, seed=_seed_of(args))
+    summary = {k: v for k, v in data.items() if k not in ("X", "E", "norm")}
+    for key in ("components_before", "components_after"):
+        summary[key] = data[key]["n_components"]
+    summary["disconnected"] = cert.disconnected
+    _emit(args, summary, lambda p: dump(data, p))
+    return 0
 
 
 def _cmd_disconnect(args) -> int:
     T = read_operator(args.operator)
-    spec = read_norm_spec(args.norm)
-    cert = disconnect(T, args.eps, spec)
-    payload = _cert_summary(cert)
-    _emit(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
-    return 0
+    return _emit_certificate(args, disconnect(T, args.eps, read_norm_spec(args.norm)))
 
 
 def _cmd_disconnect_rr0(args) -> int:
-    T = read_operator(args.operator)
-    cert = disconnect_rr0(T, args.eps)
-    payload = _cert_summary(cert)
-    _emit(args, payload, lambda p: write_certificate(cert, p, seed=_seed_of(args)))
-    return 0
+    return _emit_certificate(args, disconnect_rr0(read_operator(args.operator), args.eps))
 
 
 def _cmd_cphi(args) -> int:

@@ -36,11 +36,11 @@ for j != k)``, a lower bound on the distance from ``mu`` to the rest of
 rounding bound ``10 n u (max_j ||T_j||_F + |mu|)`` (``n`` the total
 dimension, ``u`` the unit round-off).  The Frobenius norm bounds each
 ``||T_j||_2`` from above at no factorization, so the bound is never below
-the one with ``||T||``.  The single-linkage component reports of
-``sigma(T)`` and of ``sigma(T + X)`` ride along for inspection; they cluster
-at ``min(eps0 / 4, d / 2)``, with ``d`` the distance from ``mu`` to the
-spectrum of ``T`` without one copy of ``lambda``, so ``mu`` is its own
-component even beside a twin of ``lambda``.
+the one with ``||T||``.  The single-linkage component report of
+``sigma(T + X)`` rides along for inspection, clustered once at ``min(eps0 /
+4, d / 2)``, with ``d`` the distance from ``mu`` to the spectrum of ``T``
+without one copy of ``lambda``, so ``mu`` is its own component even beside a
+twin of ``lambda``; the report of ``sigma(T)`` is derived from it on access.
 
 `counterexample_operator` builds the opposite phenomenon: with weights
 doubling per summand (so the sup-inf constant is infinite), no small
@@ -57,8 +57,8 @@ import numpy as np
 import scipy.linalg
 
 from ._jsonio import dump, jsonable
-from .algebra import (BlockOperator, Projection, _rank_one, _rank_one_to_dict,
-                      operator_from_dict)
+from .algebra import (BlockOperator, Projection, _is_count, _rank_one,
+                      _rank_one_to_dict, operator_from_dict)
 from .errors import (
     BelowRoundoff,
     BudgetNotLessThanOne,
@@ -122,9 +122,10 @@ class PerturbationCertificate:
     with factor ``v``, so a certificate holds two vectors, not two operators.
     ``X``'s blocks outside ``summand`` are complex128 zeros, so ``T + X``
     keeps ``T``'s own blocks there and allocates only the one it computes.
-    ``components_after`` clusters ``sigma(T + X)``: ``mu``, the block's
-    other eigenvalues and the other blocks' spectra; ``gap_achieved`` is
-    derived, its ``gap`` read on access.  ``separation_bound`` is ``10 n u
+    ``components_after`` clusters ``sigma(T + X)``, ``sigma(T)`` with its
+    last point ``lam`` moved to ``mu``; ``gap_achieved`` (its ``gap``) and
+    ``components_before`` (``lam`` put back, at the same threshold) are
+    derived on access.  ``separation_bound`` is ``10 n u
     (max_j ||T_j||_F + |mu|)``, the rounding error ``separation`` must exceed.
     """
 
@@ -140,7 +141,6 @@ class PerturbationCertificate:
     phi_TE: float
     separation: float       # sigma_min(C - mu), C = Q1* T Q1 in summand, T elsewhere
     separation_bound: float
-    components_before: SpectrumReport
     components_after: SpectrumReport
     norm: NormSpec
     route: str = "sup_inf"
@@ -148,6 +148,12 @@ class PerturbationCertificate:
     @property
     def gap_achieved(self) -> float:
         return self.components_after.gap
+
+    @property
+    def components_before(self) -> SpectrumReport:
+        ev = self.components_after.eigenvalues.copy()
+        ev[-1] = self.lam
+        return spectrum_components(ev, self.components_after.threshold)
 
     @property
     def X(self) -> BlockOperator:
@@ -212,22 +218,16 @@ def _build_certificate(T, spec, eps, eps0, route):
             f"sigma_min(C - mu) = {separation:.3e} does not exceed its rounding "
             f"bound {bound:.3e}; the split at mu = lambda + eps0 is not certified")
 
-    # d is mu's distance to sigma(T) without one lambda, so a twin of lambda
-    # counts; the total dimension is >= 2, so that set is not empty
-    spectra[k] = np.delete(spectra[k], np.flatnonzero(spectra[k] == lam)[0])
-    d = float(np.abs(np.concatenate(spectra) - mu).min())
-    threshold = min(eps0 / 4.0, d / 2.0)
-    spectra[k] = np.concatenate(([mu], spectra[k]))
-    after = pool_spectra(spectra)
-    comp_after = spectrum_components(after, threshold)
-    comp_before = spectrum_components(ev, threshold)
+    # sigma(T + X) is sigma(T) with its last point lambda moved to mu, still
+    # last in pool order; d counts a twin of lambda, and n >= 2 keeps ev[:-1]
+    d = float(np.abs(ev[:-1] - mu).min())
+    after = spectrum_components(np.append(ev[:-1], mu), min(eps0 / 4.0, d / 2.0))
     return PerturbationCertificate(
         summand=sid, v=v, w=w, structure=structure, phi_X=phi_X, lam=lam,
         eps0=float(eps0), delta=float(delta),
         phi_E=phi_rank_one(spec, structure, sid, v, v), phi_TE=phi_TE,
         separation=separation, separation_bound=bound,
-        components_before=comp_before, components_after=comp_after,
-        norm=spec, route=route)
+        components_after=after, norm=spec, route=route)
 
 
 def _check_inputs(T: BlockOperator, eps: float):
@@ -289,8 +289,8 @@ def counterexample_operator(K: int):
     ``c_phi`` is infinite and any ``X`` with ``phi(X) < 1`` satisfies
     ``||X Z_k|| <= 2^-k phi(X)`` on each central summand ``Z_k``.
     """
-    if K < 2:
-        raise ValueError("need at least two summands")
+    if not _is_count(K, 2):
+        raise ValueError(f"need at least two summands, an integer K >= 2, got {K!r}")
     lams = counterexample_net(K)
     T = BlockOperator(tuple((i, lam * np.eye(2)) for i, lam in enumerate(lams)))
     weights = tuple(2.0 ** (i + 1) for i in range(K))
@@ -347,8 +347,8 @@ def verify_counterexample(T: BlockOperator, spec: NormSpec, trials: int = 100,
         raise ValueError(f"phi_budget must be positive, got {phi_budget!r}")
     if not phi_budget < 1.0:
         raise BudgetNotLessThanOne(f"phi_budget={phi_budget} must be < 1")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not _is_count(trials, 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     K = len(T.summands)
     lams = np.array([b[0, 0] for _, b in T.summands])
     spacing = net_spacing(lams, K)

@@ -50,12 +50,9 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .algebra import BlockOperator
+from .algebra import BlockOperator, _is_count
 from .errors import ContourThroughSpectrum, ConvergenceFailure, EnclosesAllOrNone
-from .spectral import (
-    _is_count,
-    eigenvalues,  # unused here; bench/tracing.py rebinds it
-)
+from .spectral import eigenvalues  # unused here; bench/tracing.py rebinds it
 
 __all__ = [
     "Contour",

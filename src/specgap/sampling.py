@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraSpec, BlockOperator, Projection
+from .algebra import AlgebraSpec, BlockOperator, Projection, _is_count
 
 __all__ = [
     "rng_from_seed",
@@ -81,8 +81,8 @@ def random_projection(alg: AlgebraSpec, ranks, rng) -> Projection:
         raise ValueError(f"{len(ranks)} ranks for {len(alg.dims)} summands")
     factors = []
     for i, (d, r) in enumerate(zip(alg.dims, ranks)):
-        if not 0 <= r <= d:
-            raise ValueError(f"rank {r} out of range for dim {d}")
+        if not (_is_count(r, 0) and r <= d):
+            raise ValueError(f"rank {r!r} is not an integer in [0, {d}]")
         factors.append((i, haar_unitary(d, rng)[:, :r] if r else np.zeros((d, 0))))
     return Projection(tuple(factors))
 
@@ -93,8 +93,8 @@ def random_subprojection(P: Projection, ranks, rng) -> Projection:
         raise ValueError(f"{len(ranks)} ranks for {len(P.factors)} summands")
     factors = []
     for (sid, w), r in zip(P.factors, ranks):
-        if int(r) < 0:
-            raise ValueError(f"negative rank {r} for summand {sid}")
+        if not _is_count(r, 0):
+            raise ValueError(f"rank {r!r} for summand {sid}: a negative rank or not an integer")
         k = w.shape[1]
         r = min(int(r), k)
         factors.append((sid, w[:, :r] if r in (0, k) else w @ _haar_isometry(k, r, rng)))

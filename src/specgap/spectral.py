@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import BlockOperator
+from .algebra import BlockOperator, _is_count
 from .errors import ConvergenceFailure, EmptySpectralWindow
 
 __all__ = [
@@ -186,11 +185,6 @@ def min_singular_value(T: BlockOperator, lam: complex = 0.0) -> float:
         s = np.linalg.svd(shifted, compute_uv=False)
         best = min(best, float(s[-1]))
     return best
-
-
-def _is_count(v, least: int) -> bool:
-    """Whether v is an integer (NumPy's too, but not a bool) >= least."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
 
 
 @dataclass(frozen=True)

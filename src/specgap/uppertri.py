@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BlockOperator
+from .algebra import BlockOperator, _is_count
 from .errors import ShapeMismatch
 
 __all__ = [
@@ -117,8 +117,8 @@ def shift_example(N: int):
     to e_0.  The spectra of the parts fill in the unit disk only through
     their pseudospectra as N grows.
     """
-    if N < 2 or N % 2:
-        raise ValueError("N must be even and >= 2")
+    if not _is_count(N, 2) or N % 2:
+        raise ValueError(f"N must be an even integer >= 2, got {N!r}")
     h = N // 2
     C = np.zeros((N, N), dtype=complex)
     C[(np.arange(N) + 1) % N, np.arange(N)] = 1.0

@@ -42,6 +42,7 @@ __all__ = [
 # Each suite's tolerance on its relative violation, and the sizes no caller sets
 _NORM_TOL, _RIESZ_TOL, _UPPERTRI_TOL = 1e-9, 1e-8, 1e-7
 _DISCONNECT_N, _DISCONNECT_EPS = 25, 1e-2       # each of disconnect and rr0
+_PHI_REMEASURE_TOL, _GAP_MIN = 1e-12, 1e-8       # as in criteria 1 and 4
 _RIESZ_N, _UPPERTRI_N = 30, 50
 _COUNTEREXAMPLE_K, _COUNTEREXAMPLE_TRIALS = 8, 20
 _CFUN_DISCONNECT, _CFUN_WITNESS = 10, 50
@@ -234,19 +235,25 @@ def _random_disconnect_setup(rng, max_dim=12, max_summands=3):
 
 
 def _disconnect_loop(name: str, run, seed) -> CheckResult:
-    """End-to-end disconnections ``run(T, eps, spec)`` on random operators:
-    the perturbation must stay under budget and the spectrum must split."""
+    """End-to-end disconnections ``run(T, eps, spec)`` on random operators,
+    each certificate checked as criterion 1 (criterion 4 for rr0) checks it."""
     rng = rng_from_seed(seed)
     worst = 0.0
-    split = True
+    valid = True
     for _ in range(_DISCONNECT_N):
         _, T, spec = _random_disconnect_setup(rng)
         cert = run(T, _DISCONNECT_EPS, spec)
         worst = max(worst, cert.phi_X / _DISCONNECT_EPS)
-        if not cert.disconnected or cert.components_after.n_components < 2:
-            split = False
+        x_norm = cert.X.norm()
+        if not (cert.disconnected and cert.components_after.n_components >= 2
+                and abs(phi_eval(cert.norm, cert.X) - cert.phi_X)
+                <= _PHI_REMEASURE_TOL * cert.phi_X
+                and x_norm <= cert.phi_X + 1e-12 and cert.gap_achieved >= _GAP_MIN
+                and (cert.route != "rr0" or (cert.eps0 == _DISCONNECT_EPS / 2.0
+                                             and x_norm < _DISCONNECT_EPS))):
+            valid = False
             break
-    return CheckResult(name=name, passed=split and worst < 1.0, worst=worst,
+    return CheckResult(name=name, passed=valid and worst < 1.0, worst=worst,
                        tol=1.0, detail={"n": _DISCONNECT_N, "eps": _DISCONNECT_EPS})
 
 

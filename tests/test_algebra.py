@@ -14,9 +14,10 @@ from specgap.algebra import (DEFAULT_TOL, AlgebraSpec, BlockOperator, Projection
 from specgap.errors import (EmptyBlock, NotAProjection, ShapeMismatch,
                             ZeroProjection)
 from specgap.norms import f_phi
-from specgap.perturb import disconnect_rr0
+from specgap.perturb import counterexample_operator, disconnect_rr0, verify_counterexample
 from specgap.sampling import (haar_unitary, random_block_operator, random_projection,
-                              rng_from_seed)
+                              random_subprojection, rng_from_seed)
+from specgap.uppertri import shift_example
 
 from conftest import make_spec, traced_peak
 
@@ -188,6 +189,30 @@ def test_algebra_spec_tail():
         AlgebraSpec(dims=(0, 2), tail="none")
     with pytest.raises(ShapeMismatch):
         AlgebraSpec(dims=(2, 3), tail="bogus")
+
+
+_P2 = Projection(((0, np.eye(2)),))
+_NET = counterexample_operator(3)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: block_operator([(1.7, np.eye(2))]), ShapeMismatch),
+    (lambda: Projection(((0.5, np.eye(2)),)), ShapeMismatch),
+    (lambda: AlgebraSpec((2.5,)), ShapeMismatch),
+    (lambda: AlgebraSpec((True,)), ShapeMismatch),
+    (lambda: random_subprojection(_P2, (1.5,), rng_from_seed(0)), ValueError),
+    (lambda: random_projection(AlgebraSpec((2,)), (1.5,), rng_from_seed(0)), ValueError),
+    (lambda: counterexample_operator(2.5), ValueError),
+    (lambda: verify_counterexample(*_NET, trials=2.5), ValueError),
+    (lambda: verify_counterexample(*_NET, trials=True), ValueError),
+    (lambda: shift_example(2.0), ValueError),
+], ids=["summand-id", "projection-id", "dims", "bool-dims", "subprojection-rank",
+        "projection-rank", "K", "trials", "bool-trials", "N"])
+def test_whole_numbers_are_checked_not_truncated(make, error):
+    # a fraction or a bool where a count belongs raises the module's own
+    # error type, not a bare TypeError, and is never truncated
+    with pytest.raises(error, match="integer"):
+        make()
 
 
 def test_validate_projection_accepts_and_rejects(rng):

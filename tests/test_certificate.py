@@ -16,10 +16,12 @@ from specgap.algebra import (AlgebraSpec, block_operator, identity_like, operato
 from specgap.cli import main
 from specgap.errors import BelowRoundoff, ConvergenceFailure
 from specgap._jsonio import dumps
+from specgap import perturb
 from specgap.perturb import (certificate_from_dict, certificate_to_dict, disconnect,
                              disconnect_rr0)
 from specgap.sampling import random_block_operator, rng_from_seed
-from specgap.spectral import eigenvalues
+from specgap.spectral import (block_eigenvalues, eigenvalues, pool_spectra,
+                              spectrum_components)
 
 from conftest import make_spec
 from test_acceptance import EPS_CYCLE, MASTER_SEED, _random_dominating_spec
@@ -226,6 +228,52 @@ def test_one_factorization_per_block(monkeypatch):
     # sigma-only: one per block for the separation; phi(X) is the rank-one
     # closed form and the rounding bound takes no norm of T
     assert calls["svd_uv"] == 0 and calls["svd"] == 3
+
+
+@pytest.mark.parametrize("route", ["disconnect", "disconnect_rr0"])
+def test_one_pooled_spectrum_and_one_clustering(monkeypatch, route):
+    # sigma(T + X) is read off the pooled sigma(T), which is clustered once;
+    # components_before is derived only when it is read
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("pool_spectra", "spectrum_components"):
+        monkeypatch.setattr(perturb, name, counted(name, getattr(perturb, name)))
+    T = random_block_operator(AlgebraSpec(dims=(5, 7, 4)), rng_from_seed(3))
+    cert = (disconnect(T, 1e-2, make_spec([1.0, 2.0, 3.0])) if route == "disconnect"
+            else disconnect_rr0(T, 1e-2))
+    assert calls == Counter(pool_spectra=1, spectrum_components=1)
+    assert cert.components_before.threshold == cert.components_after.threshold
+    assert calls == Counter(pool_spectra=1, spectrum_components=2)
+
+
+def _zero_and_twin_certificates():
+    """A zero block (sigma(T) one cluster, gap inf) and the operators whose
+    lambda is repeated."""
+    G = rng_from_seed(1).standard_normal((6, 6)) / 4
+    twin = block_operator([(0, np.diag([1.0, 1.0, 0.0])), (1, G)])
+    zero = block_operator([(0, np.zeros((2, 2)))])
+    yield twin, disconnect_rr0(twin, 1e-8)
+    yield zero, disconnect_rr0(zero, 1e-9)
+    yield zero, disconnect(zero, 1e-9, make_spec([1.0]))
+    yield from _deflation_edge_cases()
+
+
+def test_components_before_is_sigma_t_clustered_at_the_after_threshold():
+    for T, cert in [*_criterion_1_certificates(), *_zero_and_twin_certificates()]:
+        after = cert.components_after
+        want = spectrum_components(pool_spectra(block_eigenvalues(T)), after.threshold)
+        got = cert.components_before
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.gap == want.gap and got.threshold == want.threshold == after.threshold
+        if not T.summands[0][1].any():        # sigma(T) = {0, 0}: one cluster
+            assert got.n_components == 1 and got.gap == np.inf
 
 
 def test_separation_bound_uses_the_largest_frobenius_norm():

@@ -65,14 +65,12 @@ def test_disconnect_rr0_command(capsys, tmp_path, op_file):
 
 
 # The CLI JSON only gains keys: a key dropped or renamed breaks its readers
-SUMMARY_KEYS = {"components_after", "components_before", "delta", "disconnected",
-                "eps0", "gap_achieved", "lambda", "out", "phi_E", "phi_TE",
-                "phi_X", "route", "seed", "separation", "separation_bound",
-                "version"}
 CERTIFICATE_KEYS = {"E", "X", "components_after", "components_before", "delta",
                     "eps0", "gap_achieved", "lambda", "norm", "phi_E", "phi_TE",
                     "phi_X", "route", "seed", "separation", "separation_bound",
                     "version"}
+# the summary is the file's fields without the operators and the norm
+SUMMARY_KEYS = CERTIFICATE_KEYS - {"X", "E", "norm"} | {"disconnected", "out"}
 
 
 @pytest.mark.parametrize("command", ["disconnect", "disconnect-rr0"])
@@ -257,6 +255,17 @@ def test_disconnect_nan_entry_exits_1(capsys, tmp_path):
                              "--eps", "0.1")
     assert code == 1 and payload is None
     assert "ConvergenceFailure: eigensolver failed on summand 1" in err
+
+
+def test_fractional_summand_id_exits_1(capsys, tmp_path):
+    # the id 1.7 is refused, not read as summand 1
+    (tmp_path / "op.json").write_text(
+        '{"summands":[{"id":0,"dim":1,"re":[[0.0]],"im":[[0.0]]},'
+        '{"id":1.7,"dim":1,"re":[[1.0]],"im":[[0.0]]}],"tail":"none"}')
+    code, payload, err = run(capsys, "disconnect-rr0", "--operator", tmp_path / "op.json",
+                             "--eps", "0.1", "--output-dir", tmp_path)
+    assert code == 1 and payload is None
+    assert "ShapeMismatch: summand ids must be integers >= 0, got 1.7" in err
 
 
 def test_shift_demo_command(capsys, tmp_path):

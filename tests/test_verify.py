@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -13,6 +14,24 @@ from specgap.verify import (SUITES, CheckResult, fphi_oracle, norm_axioms,
 def test_suite_passes(name):
     result = SUITES[name]((20260814, sorted(SUITES).index(name)))
     assert result.passed, (name, result.worst, result.detail)
+
+
+@pytest.mark.parametrize("suite, name, field", [
+    ("disconnect_batch", "disconnect", "phi_X"),      # phi_eval(X) re-measures it
+    ("rr0_batch", "disconnect_rr0", "phi_X"),
+    ("rr0_batch", "disconnect_rr0", "eps0")])         # eps0 != eps / 2
+def test_disconnect_suites_check_each_certificate(monkeypatch, suite, name, field):
+    # a certificate that understates a field fails its suite, though its
+    # phi_X / eps, the reported worst, stays below 1
+    run = getattr(verify, name)
+
+    def misstated(*args):
+        cert = run(*args)
+        return dataclasses.replace(cert, **{field: getattr(cert, field) * 0.999})
+
+    monkeypatch.setattr(verify, name, misstated)
+    result = getattr(verify, suite)()
+    assert not result.passed and result.worst < 1.0
 
 
 def test_run_suites_selection_and_report():
