@@ -111,13 +111,14 @@ class BlockOperator:
 
     # -- structure ------------------------------------------------------
 
+    # read off structure(), which FactoredIdempotent answers from its factors
     @property
     def ids(self) -> tuple:
-        return tuple(sid for sid, _ in self.summands)
+        return tuple(sid for sid, _ in self.structure())
 
     @property
     def dims(self) -> tuple:
-        return tuple(b.shape[0] for _, b in self.summands)
+        return tuple(n for _, n in self.structure())
 
     @property
     def total_dim(self) -> int:

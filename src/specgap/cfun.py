@@ -48,8 +48,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._jsonio import dump, read
-from .algebra import _is_count
+from ._jsonio import dump, jsonable, read
+from .algebra import _from_parts, _is_count
 from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, RangeOverflow,
                      ShapeMismatch, StageTooShallow)
 from .spectral import link_components
@@ -386,28 +386,24 @@ def _first_small_piece(X: CompactRealSet, lip: float, budget: float):
 
 @dataclass(frozen=True)
 class PLFunction:
-    """Complex-valued piecewise linear interpolant on [breakpoints[0], breakpoints[-1]]."""
+    """Complex-valued piecewise linear interpolant on [breakpoints[0], breakpoints[-1]],
+    its knots held once as read-only float64 and complex128 arrays."""
 
-    breakpoints: tuple
-    values: tuple
-    # the same data as read-only float and complex arrays, for evaluation
-    _b: np.ndarray = field(init=False, repr=False, compare=False)
-    _v: np.ndarray = field(init=False, repr=False, compare=False)
+    breakpoints: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray([float(x) for x in self.breakpoints], dtype=float)
-        v = np.asarray([complex(z) for z in self.values], dtype=complex)
+        b = np.array(self.breakpoints, dtype=np.float64)
+        v = np.array(self.values, dtype=np.complex128)
         if b.ndim != 1 or b.shape != v.shape or len(b) < 2:
             raise ShapeMismatch("need matching breakpoints/values, length >= 2")
         if not (np.isfinite(b).all() and np.isfinite(v).all()):
             raise ValueError("breakpoints and values must be finite")
         if not (b[1:] - b[:-1] > 0).all():
             raise ShapeMismatch("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", tuple(b.tolist()))
-        object.__setattr__(self, "values", tuple(v.tolist()))
         b.flags.writeable = v.flags.writeable = False
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "breakpoints", b)
+        object.__setattr__(self, "values", v)
         with np.errstate(over="ignore"):    # finite data whose slopes overflow
             if not math.isfinite(self.lipschitz()):
                 raise ValueError("slopes between breakpoints must be finite")
@@ -416,7 +412,7 @@ class PLFunction:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if t_arr.size == 0:
             return np.empty(t_arr.shape, dtype=complex)
-        b, v = self._b, self._v
+        b, v = self.breakpoints, self.values
         lo, hi = t_arr.min(), t_arr.max()
         if not (lo >= b[0] - 1e-12 and hi <= b[-1] + 1e-12):    # NaN fails too
             raise ShapeMismatch(f"evaluation on [{lo}, {hi}] outside "
@@ -425,7 +421,7 @@ class PLFunction:
         return out if np.ndim(t) else complex(out[0])
 
     def lipschitz(self) -> float:
-        b, v = self._b, self._v
+        b, v = self.breakpoints, self.values
         return float((np.abs(v[1:] - v[:-1]) / (b[1:] - b[:-1])).max())
 
 
@@ -510,8 +506,8 @@ def offrange_lambda(G: PLFunction, target: complex, tol: float):
     if not (0.0 < tol < math.inf and cmath.isfinite(target)):
         raise ValueError(f"need 0 < tol < inf and a finite target, got "
                          f"tol={tol!r}, target={target!r}")
-    a = G._v[:-1]
-    ab = G._v[1:] - a
+    a = G.values[:-1]
+    ab = G.values[1:] - a
     denom = _sq_moduli(ab)
     n_ang, radii = 16, (0.9, 0.7, 0.5, 0.3)
     for _ in range(6):
@@ -584,7 +580,7 @@ def cfun_disconnect(X: CompactRealSet, f: PLFunction, eps: float) -> CfunDisconn
     if not X.more_than_one:
         raise ValueError("need |X| > 1 to disconnect a range")
     ends = _float_ends(X)
-    b, v = f._b, f._v
+    b, v = f.breakpoints, f.values
     if ends[0, 0] < b[0] - 1e-12 or ends[-1, 1] > b[-1] + 1e-12:
         raise ShapeMismatch("f's domain must cover X")
 
@@ -632,7 +628,7 @@ def _certificate_bounds(g: PLFunction, f: PLFunction, ends, cuts, lam: complex):
     to f beyond the cuts, which lie in gaps of X.  |g - f| is linear between
     adjacent knots, so its modulus peaks at a knot; the segments of g
     between knots are exact, the float arithmetic on them is not."""
-    t, same, n_knots = _knots(ends, f._b)
+    t, same, n_knots = _knots(ends, f.breakpoints)
     zf = f(t)
     zg = g(t)
     sup_dist = _max_modulus(zg - zf, np.repeat(ends[:, 0] == ends[:, 1], n_knots))
@@ -779,7 +775,7 @@ def range_components(g: PLFunction, X: CompactRealSet,
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     threshold = 3.0 * g.lipschitz() * resolution
     ends = _float_ends(X)
-    t, same, _ = _knots(ends, g._b)
+    t, same, _ = _knots(ends, g.breakpoints)
     z = g(t)
     if len(ends) == 1:
         return RangeReport(1, math.inf, threshold, len(t))
@@ -862,16 +858,13 @@ def read_set(path) -> CompactRealSet:
 
 
 def pl_to_dict(f: PLFunction) -> dict:
-    return {"breakpoints": list(f.breakpoints),
-            "re": [z.real for z in f.values],
-            "im": [z.imag for z in f.values]}
+    return jsonable({"breakpoints": f.breakpoints, "re": f.values.real, "im": f.values.imag})
 
 
 def pl_from_dict(data: dict) -> PLFunction:
-    re = data["re"]
-    im = data.get("im", [0.0] * len(re))
-    return PLFunction(breakpoints=tuple(data["breakpoints"]),
-                      values=tuple(r + 1j * i for r, i in zip(re, im)))
+    n = len(data["re"])     # a missing "im" reads as zeros; -0.0 parts are kept
+    values = _from_parts({"im": np.zeros(n), **data}, (n,), "values")
+    return PLFunction(breakpoints=data["breakpoints"], values=values)
 
 
 def write_pl(f: PLFunction, path):

@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 
+def _refuse_bools(*values):
+    if any(isinstance(v, (bool, np.bool_)) for v in values):   # would be written as true
+        raise ShapeMismatch(f"norm parameters are numbers, not bools: got {values!r}")
+
+
 @dataclass(frozen=True)
 class BaseNorm:
     """One summand's base norm: ``operator``, ``schatten(p)`` or ``kyfan(k)``."""
@@ -65,16 +70,15 @@ class BaseNorm:
     k: int = None
 
     def __post_init__(self):
-        if self.kind == "operator":
-            pass
-        elif self.kind == "schatten":
+        _refuse_bools(self.p, self.k)
+        if self.kind == "schatten":
             if self.p is None or not self.p >= 1:    # NaN fails too; +inf passes
                 raise ShapeMismatch(f"schatten base needs p >= 1 (or inf), got {self.p!r}")
         elif self.kind == "kyfan":
             if self.k is None or not (self.k >= 1 and float(self.k).is_integer()):
                 raise ShapeMismatch(f"kyfan base needs a whole k >= 1, got {self.k!r}")
             object.__setattr__(self, "k", int(self.k))
-        else:
+        elif self.kind != "operator":
             raise ShapeMismatch(f"unknown base norm kind {self.kind!r}")
 
     def of_singular_values(self, s: np.ndarray) -> float:
@@ -122,6 +126,7 @@ class NormSpec:
 
     def __post_init__(self):
         base = tuple(self.base)
+        _refuse_bools(self.q, self.tail_sup, *self.weights)
         weights = tuple(float(w) for w in self.weights)
         if len(base) != len(weights) or not base:
             raise ShapeMismatch("base and weights must be nonempty, equal-length")

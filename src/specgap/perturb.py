@@ -274,6 +274,8 @@ _GOLDEN_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 
 def counterexample_net(K: int) -> np.ndarray:
     """Golden-angle spiral scaled to radii ``1 - 2^-k``, k = 1..K."""
+    if not _is_count(K, 1):
+        raise ValueError(f"need an integer K >= 1 of net points, got {K!r}")
     k = np.arange(1, K + 1)
     radii = 1.0 - 2.0 ** (-k.astype(float))
     angles = 2.0 * math.pi * _GOLDEN_CONJ * k

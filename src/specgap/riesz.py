@@ -392,11 +392,8 @@ def verify_idempotent(P: BlockOperator, T: BlockOperator) -> IdempotentReport:
         comm.append(c)
         tr += r
     rank = int(round(tr))
-    # the structure, not P.total_dim: a FactoredIdempotent would build its
-    # dense blocks again for the dimensions
-    dim = sum(n for _, n in P.structure())
     return IdempotentReport(idem_residual=float(max(idem)), commutator=float(max(comm)),
-                            rank=rank, corank=dim - rank)
+                            rank=rank, corank=P.total_dim - rank)
 
 
 def _non_finite(sid, operand) -> ConvergenceFailure:

@@ -19,8 +19,8 @@ substitution per point, O(n^2) instead of an O(n^3) SVD (Trefethen,
 SIAM J. Sci. Comput. 23, 2001).  A kernel call takes _ENTRIES // n points,
 so the per-step Python cost is shared by as many points as memory allows;
 a point still unsettled after n steps takes one sigma-only SVD of R - z.
-The tests hold the values to within 10 n u (||T_j|| + |z|) of a dense SVD;
-see :func:`pseudospectrum_grid`."""
+The tests hold the values to within 10 n ε (||T_j|| + |z|) of a dense SVD,
+with ε = 2^-52 the machine epsilon; see :func:`pseudospectrum_grid`."""
 
 from __future__ import annotations
 
@@ -235,7 +235,7 @@ _ENTRIES = 2 ** 18  # entries per (n, points) array of one kernel call
 _NB = 16            # rows per substitution block
 _RISE = 1e-14       # a point ends once its top Ritz value rises less than this
 _NEWTON_STEPS = 60
-_U = np.finfo(float).eps
+_EPS = np.finfo(float).eps     # 2^-52, the machine epsilon ε
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,7 @@ def _top_ritz(alpha, beta, below, weight):
         step, _, dp = newton(x)
         moving &= step > 0.0
         x = np.where(moving, x - step, x)
-        moving &= step > 2.0 * _U * x
+        moving &= step > 2.0 * _EPS * x
         if not np.any(moving):
             break
     weight = -1.0 / dp
@@ -373,7 +373,7 @@ def _lanczos(blk: _SchurBlock, z: np.ndarray):
     Each step costs two triangular solves per point.  A point ends when its
     top Ritz value theta rises by at most _RISE relatively, on breakdown, at
     k = n, or once theta (or the Lanczos beta, a lower bound on the next
-    theta) passes 1/floor^2 with floor = 10 n u (||R|| + |z|): then
+    theta) passes 1/floor^2 with floor = 10 n ε (||R|| + |z|): then
     sigma <= floor, at rounding level.  A solve that overflows can only do
     so there too, and so does a zero pivot (R - z exactly singular): its
     NaNs and infinities give sigma = 0.  Nothing is reorthogonalized, so a
@@ -385,7 +385,7 @@ def _lanczos(blk: _SchurBlock, z: np.ndarray):
     rising = np.zeros(m, dtype=bool)
     idx = np.arange(m)
     inv = 1.0 / (blk.diag[:, None] - zs[None, :])
-    limit = (10.0 * n * _U * (blk.norm_lo + np.abs(zs))) ** -2.0
+    limit = (10.0 * n * _EPS * (blk.norm_lo + np.abs(zs))) ** -2.0
     q = np.repeat(blk.start[:, None], m, axis=1)
     q_prev = None
     beta = np.zeros(m)
@@ -411,7 +411,7 @@ def _lanczos(blk: _SchurBlock, z: np.ndarray):
         prev = theta
         theta, weight = _top_ritz(alphas[:k + 1], betas[:k], theta, weight)
         big = ~(np.maximum(theta, beta_new) <= limit)
-        settled = big | (theta - prev <= _RISE * theta) | (beta_new <= _U * theta)
+        settled = big | (theta - prev <= _RISE * theta) | (beta_new <= _EPS * theta)
         done = settled | (k == n - 1)
         if np.any(done):
             top = np.where(big, np.fmax(theta, beta_new), theta)
@@ -450,7 +450,7 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
     n steps.  A point still rising after n steps (clustered smallest
     singular values, as far from a normal block's spectrum) takes one
     sigma-only SVD of R - z instead, O(n^3) per such point.  The tests
-    check each value to lie within floor = 10 n u (||T_j|| + |z|) of a
+    check each value to lie within floor = 10 n ε (||T_j|| + |z|) of a
     dense SVD.  Where sigma_min is below that rounding floor the point stops
     as soon as that is clear, with a value under the floor, and an exactly
     singular R - z (a zero pivot) gives 0.

@@ -14,7 +14,8 @@ from specgap.algebra import (DEFAULT_TOL, AlgebraSpec, BlockOperator, Projection
 from specgap.errors import (EmptyBlock, NotAProjection, ShapeMismatch,
                             ZeroProjection)
 from specgap.norms import f_phi
-from specgap.perturb import counterexample_operator, disconnect_rr0, verify_counterexample
+from specgap.perturb import (counterexample_net, counterexample_operator, disconnect_rr0,
+                             verify_counterexample)
 from specgap.sampling import (haar_unitary, random_block_operator, random_projection,
                               random_subprojection, rng_from_seed)
 from specgap.uppertri import shift_example
@@ -155,6 +156,10 @@ def test_summand_validation():
         block_operator([(0, np.zeros((2, 3)))])            # square only
     with pytest.raises(ShapeMismatch):
         block_operator([(-1, np.eye(2))])
+    with pytest.raises(ShapeMismatch, match="dimension"):
+        block_operator([(0, np.zeros((0, 0)))])
+    with pytest.raises(ShapeMismatch, match="no summand with id 7"):
+        block_operator([(0, np.eye(2))]).block(7)
 
 
 def test_mixed_structure_rejected(rng):
@@ -203,11 +208,16 @@ _NET = counterexample_operator(3)
     (lambda: random_subprojection(_P2, (1.5,), rng_from_seed(0)), ValueError),
     (lambda: random_projection(AlgebraSpec((2,)), (1.5,), rng_from_seed(0)), ValueError),
     (lambda: counterexample_operator(2.5), ValueError),
+    (lambda: counterexample_net(2.5), ValueError),
+    (lambda: counterexample_net(True), ValueError),
+    (lambda: counterexample_net(0), ValueError),
+    (lambda: counterexample_net(np.float64(3)), ValueError),
     (lambda: verify_counterexample(*_NET, trials=2.5), ValueError),
     (lambda: verify_counterexample(*_NET, trials=True), ValueError),
     (lambda: shift_example(2.0), ValueError),
 ], ids=["summand-id", "projection-id", "dims", "bool-dims", "subprojection-rank",
-        "projection-rank", "K", "trials", "bool-trials", "N"])
+        "projection-rank", "K", "net-K", "bool-net-K", "zero-net-K", "float64-net-K",
+        "trials", "bool-trials", "N"])
 def test_whole_numbers_are_checked_not_truncated(make, error):
     # a fraction or a bool where a count belongs raises the module's own
     # error type, not a bare TypeError, and is never truncated

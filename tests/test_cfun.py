@@ -135,6 +135,10 @@ def test_cantor_stage_structure():
                        (gen.stage_intervals(), (2,))):
         with pytest.raises(ShapeMismatch, match="generator's stage"):
             CompactRealSet(intervals=ivals, points=pts, generator=gen)
+    with pytest.raises(ShapeMismatch, match="ratio"):
+        CantorGenerator(depth=2, ratio="1/2")       # no gaps left between pieces
+    with pytest.raises(ShapeMismatch, match="degenerate"):
+        CantorGenerator(depth=2, ratio="1/3", lo=1, hi=1)
 
 
 def test_clopen_pieces_shrink_geometrically():
@@ -418,7 +422,7 @@ def test_offrange_lambda_passes_over_rings_holding_nan():
     vals = np.concatenate([[0j], np.cumsum([9e153 - 9e153j] + [9e153 + 9e153j] * 12)])
     G = PLFunction(breakpoints=np.arange(len(vals), dtype=float), values=vals)
     target, tol = complex(vals[3]), 2e154
-    a, ab = G._v[:-1], G._v[1:] - G._v[:-1]
+    a, ab = G.values[:-1], G.values[1:] - G.values[:-1]
     ang = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
     best, nan_rings = (None, 0.0), 0
     with np.errstate(all="ignore"):
@@ -850,16 +854,52 @@ def test_set_json_roundtrip(tmp_path):
     assert read_set(p) == Z
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_pl_json_roundtrip(tmp_path):
     f = PLFunction(breakpoints=(0.0, 0.5, 1.0), values=(1.0, -1j, 0.25 + 0.25j))
-    g = pl_from_dict(pl_to_dict(f))
-    assert g == f
     p = tmp_path / "pl.json"
     write_pl(f, p)
-    assert read_pl(p) == f
+    for g in (pl_from_dict(pl_to_dict(f)), read_pl(p)):
+        assert _same_bits(g.breakpoints, f.breakpoints) and _same_bits(g.values, f.values)
     rerun = p.read_bytes()
     write_pl(f, p)
     assert p.read_bytes() == rerun      # byte-identical rewrites
+
+
+def test_pl_file_round_trips_signed_zeros_bitwise(tmp_path):
+    """Values are read part by part, so a -0.0 part survives write, read
+    and write, and so does a subnormal one."""
+    text = '{"breakpoints":[-0.0,1.0,2.0],"im":[-0.0,0.0,5e-324],"re":[1.0,-0.0,-0.0]}\n'
+    p, q = tmp_path / "a.json", tmp_path / "b.json"
+    p.write_text(text)
+    f = read_pl(p)
+    assert np.signbit(f.values.real).tolist() == [False, True, True]
+    assert np.signbit(f.values.imag).tolist() == [True, False, False]
+    write_pl(f, q)
+    assert q.read_text() == text
+    g = read_pl(q)
+    assert _same_bits(g.breakpoints, f.breakpoints) and _same_bits(g.values, f.values)
+
+
+def test_pl_function_holds_its_knots_once_read_only():
+    f = PLFunction(breakpoints=(0, Fraction(1, 3), 1), values=(1, 2j, -0.0))
+    assert {k for k in vars(f)} == {"breakpoints", "values"}
+    assert f.breakpoints.dtype == np.float64 and f.values.dtype == np.complex128
+    assert not (f.breakpoints.flags.writeable or f.values.flags.writeable)
+    with pytest.raises(ValueError):
+        f == PLFunction(breakpoints=f.breakpoints, values=f.values)
+    with pytest.raises(TypeError):
+        hash(f)
+
+
+def test_pl_file_with_unequal_parts_is_refused():
+    with pytest.raises(ShapeMismatch):
+        pl_from_dict({"breakpoints": [0.0, 1.0], "re": [0.0, 1.0], "im": [0.0]})
+    f = pl_from_dict({"breakpoints": [0.0, 1.0], "re": [0.0, 1.0]})
+    assert f.values.imag.tolist() == [0.0, 0.0]
 
 
 @settings(max_examples=20, deadline=None)

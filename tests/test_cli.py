@@ -110,6 +110,15 @@ def test_cphi_nan_weight_exits_1(capsys, tmp_path):
     assert "ShapeMismatch" in err
 
 
+def test_cphi_unknown_base_kind_exits_1(capsys, tmp_path):
+    p = tmp_path / "nuclear.json"
+    p.write_text('{"base":[{"kind":"nuclear"}],"weights":[1.0],"agg":"sup"}')
+    code, payload, err = run(capsys, "cphi", "--norm", p, "--dims", "2",
+                             "--output-dir", tmp_path)
+    assert code == 1 and payload is None
+    assert "ShapeMismatch" in err and "nuclear" in err
+
+
 def test_riesz_command(capsys, tmp_path, op_file):
     code, payload, _ = run(capsys, "riesz", "--operator", op_file,
                            "--center", "0,0", "--radius", "0.1",
@@ -206,6 +215,11 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
                  ("shift-demo", "--n", "8", "--threads", "-3"),
                  ("riesz", "--operator", op_file, "--center", "0,0", "--radius", "nan"),
                  ("riesz", "--operator", op_file, "--center", "inf,0", "--radius", "0.1"),
+                 ("cphi", "--norm", norm_file, "--dims", "2,x"),
+                 ("riesz", "--operator", op_file, "--center", "0,0"),
+                 ("riesz", "--operator", op_file, "--corners", "0,0"),
+                 ("riesz", "--operator", op_file),
+                 ("pseudospectrum", "--operator", op_file, "--eps", "0.1", "--grid=0,1,0"),
                  ("disconnect-rr0", "--operator", bad_json, "--eps", "0.1")):
         code, payload, err = run(capsys, *argv, "--output-dir", tmp_path)
         assert code == 2 and payload is None and "usage error" in err, argv

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from specgap.algebra import AlgebraSpec
 from specgap.cfun import CompactRealSet, PLFunction, range_components
+from specgap.errors import EmptySpectralWindow
 from specgap.perturb import counterexample_operator
 from specgap.sampling import random_block_operator, rng_from_seed
 from specgap.spectral import (cluster_points, eigenvalues, link_components,
@@ -121,6 +122,11 @@ def test_spectrum_report_holds_read_only_copies():
     pts[0] = 9.0
     assert rep.eigenvalues.tolist() == [0.0, 0.05, 3.0]
     assert rep.labels.tolist() == [0, 0, 1] and rep.n_components == 2
+
+
+def test_spectrum_components_of_no_points_raises():
+    with pytest.raises(EmptySpectralWindow):
+        spectrum_components([], 0.1)
 
 
 def test_range_components_point_on_the_interval_image_is_one_component():

@@ -113,3 +113,29 @@ def test_only_the_codec_imports_json():
             if any(n == "json" or n.startswith("json.") for n in names):
                 importers.append(path.name)
     assert importers == ["_jsonio.py"]
+
+
+# Names a module imports but does not use, kept for the stated reason
+UNUSED_IMPORTS = {
+    ("perturb", "rightmost_boundary_point"): "bench/tracing.py rebinds it as a target",
+    ("riesz", "eigenvalues"): "bench/tracing.py rebinds it as a target",
+}
+
+
+def test_every_import_is_used():
+    """Each name a module of the package imports (`__future__` aside) is
+    read in that module, so no import outlives its last use."""
+    unused = set()
+    for path in sorted((ROOT / "src" / "specgap").glob("*.py")):
+        if path.name == "__init__.py":      # it imports to re-export
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert sorted(unused) == sorted(UNUSED_IMPORTS)

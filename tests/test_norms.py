@@ -59,6 +59,22 @@ def test_base_norm_validation():
         BaseNorm(kind="schatten", p=0.5)
     with pytest.raises(ShapeMismatch):
         BaseNorm(kind="kyfan", k=0)
+    assert BaseNorm(kind="kyfan", k=2.0).k == 2      # a whole float is a count
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BaseNorm(kind="schatten", p=True),
+    lambda: BaseNorm(kind="kyfan", k=True),
+    lambda: make_spec([1.0, True]),
+    lambda: make_spec([np.True_]),
+    lambda: NormSpec(base=(OPERATOR,), weights=(1.0,), agg="lq", q=True),
+    lambda: NormSpec(base=(OPERATOR,), weights=(1.0,), tail_weights="bounded",
+                     tail_sup=True),
+], ids=["p", "k", "weight", "numpy-weight", "q", "tail-sup"])
+def test_bools_are_refused(make):
+    # a bool would read as 0 or 1 and be written back as JSON true
+    with pytest.raises(ShapeMismatch, match="bool"):
+        make()
 
 
 @pytest.mark.parametrize("make", [
@@ -95,6 +111,11 @@ def test_normspec_validation():
     with pytest.raises(NoConvergenceCertificate):
         NormSpec(base=(OPERATOR,), weights=(1.0,), agg="lq", q=2,
                  tail_weights="divergent")
+    for bad in ({"base": ("operator",)}, {"agg": "max"}, {"tail_weights": "odd"}):
+        with pytest.raises(ShapeMismatch):
+            NormSpec(**{"base": (OPERATOR,), "weights": (1.0,), **bad})
+    with pytest.raises(ShapeMismatch, match="nuclear"):
+        norm_from_dict({"base": [{"kind": "nuclear"}], "weights": [1.0]})
 
 
 def test_tail_weight_continuation():
@@ -105,6 +126,9 @@ def test_tail_weight_continuation():
     assert bounded.weight_of(17) == 2.0
     with pytest.raises(ShapeMismatch):
         make_spec([1.0, 3.0]).weight_of(2)
+    # summand 3 lies in the tail: the last realized base, the tail weight
+    tail = make_spec([2.0], tail_weights="bounded", tail_sup=3.0)
+    assert phi_eval(tail, block_operator([(0, np.eye(2)), (3, np.eye(2))])) == 3.0
 
 
 def test_phi_eval_weighted_sup_and_lq(rng):
@@ -181,6 +205,10 @@ def test_c_phi_values():
     assert math.isinf(c_phi(make_spec([1.0, 2.0], tail_weights="divergent"), inf_alg))
     bounded = make_spec([1.0, 2.0], tail_weights="bounded", tail_sup=7.0)
     assert c_phi(bounded, inf_alg) == pytest.approx(7.0)
+    with pytest.raises(ShapeMismatch, match="summands"):
+        c_phi(make_spec([1.0, 3.5]), AlgebraSpec(dims=(2, 2, 2), tail="none"))
+    with pytest.raises(ShapeMismatch, match="tail"):
+        c_phi(make_spec([1.0, 3.5]), inf_alg)
 
 
 def test_dominating_check():

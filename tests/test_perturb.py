@@ -102,6 +102,7 @@ def test_counterexample_operator_layout():
     T, spec = counterexample_operator(5)
     assert T.ids == tuple(range(5)) and T.dims == (2,) * 5
     lams = counterexample_net(5)
+    assert counterexample_net(np.int64(5)).tobytes() == lams.tobytes()
     for i, (sid, b) in enumerate(T.summands):
         np.testing.assert_allclose(b, lams[i] * np.eye(2), atol=1e-15)
         assert abs(lams[i]) == pytest.approx(1 - 2.0 ** -(i + 1), rel=1e-12)

@@ -337,6 +337,12 @@ def test_factored_form_is_small_and_exact(rng):
     assert verify_idempotent(P, T).rank == sdim
 
 
+def test_identity_and_zero_blocks_store_no_factors():
+    P = riesz_idempotent(block_operator([(0, [[0.0]]), (1, [[5.0]])]), circle(0.0, 1.0))
+    assert [f[2:] for f in P.factors] == [(1, None, None), (0, None, None)]
+    assert P.block(0).tolist() == [[1.0]] and P.block(1).tolist() == [[0.0]]
+
+
 def _factored_bound(P, T, c=2.0):
     """c n u ||L|| ||W|| (1 + ||T_b||), largest over the blocks with 0 < k < n."""
     u = 2.0 ** -53
@@ -355,6 +361,7 @@ def test_verify_idempotent_builds_no_dense_block(rng, monkeypatch):
     dense_block = riesz._dense_block
     monkeypatch.setattr(riesz, "_dense_block",
                         lambda *a: built.append(a[:2]) or dense_block(*a))
+    assert (P.ids, P.dims, P.total_dim) == ((0, 1), (5, 2), 7)    # from the factors
     rep = verify_idempotent(P, T)
     assert built == []
     ref = verify_idempotent(dense, T)

@@ -34,6 +34,17 @@ def test_disconnect_suites_check_each_certificate(monkeypatch, suite, name, fiel
     assert not result.passed and result.worst < 1.0
 
 
+@pytest.mark.parametrize("suite, name, failing", [
+    ("riesz_batch", "verify_idempotent", {"rank": 0}),          # rank < 1
+    ("uppertri_batch", "ut_inclusion_check", {"tol": -1.0})])   # matched > tol
+def test_riesz_and_uppertri_suites_fail_on_a_failing_report(monkeypatch, suite, name,
+                                                             failing):
+    check = getattr(verify, name)
+    monkeypatch.setattr(verify, name,
+                        lambda *a, **k: dataclasses.replace(check(*a, **k), **failing))
+    assert not getattr(verify, suite)().passed
+
+
 def test_run_suites_selection_and_report():
     rep = run_suites(["uppertri", "riesz"], seed=1)
     assert rep.all_passed and len(rep.results) == 2
