@@ -19,6 +19,7 @@ sign where computing ``a + 0`` would give ``+0.0``).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable
@@ -49,6 +50,15 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+_EPS = 2.0 ** -52   # machine epsilon of a double, ε
+_U = 2.0 ** -53     # its unit roundoff, u = ε / 2
+
+
+def _pow2_exponent(x: float) -> int:
+    """The e with 2^(e-1) <= x < 2^e (0 for x = 0, inf or NaN), at least
+    -1020: 2^-e scales x to [1/2, 1) (to at least 2^-54 below 2^-1020),
+    exactly while values stay normal."""
+    return max(math.frexp(x)[1], -1020)
 
 
 def _is_count(v, least: int) -> bool:
@@ -221,8 +231,7 @@ class AlgebraSpec:
     tail: str = "none"
 
     def __post_init__(self):
-        # a decimal string reads as the integer it spells; nothing is truncated
-        dims = tuple(int(d) if isinstance(d, str) and d.isdecimal() else d for d in self.dims)
+        dims = tuple(self.dims)
         if not dims or not all(_is_count(d, 1) for d in dims):
             raise ShapeMismatch(f"algebra needs summands of integer dimension >= 1, got {dims!r}")
         if self.tail not in ("none", "repeat_last"):
@@ -344,6 +353,8 @@ def _rank_one(structure, sid: int, a: np.ndarray, b: np.ndarray) -> BlockOperato
 def _from_parts(item: dict, shape: tuple, what: str) -> np.ndarray:
     re = np.array(item["re"], dtype=float)
     im = np.array(item["im"], dtype=float)
+    if re.ndim == 0 or im.ndim == 0:    # null or a number: a wrong container
+        raise TypeError(f"{what}: re and im must be lists, not null or a number")
     if re.shape != im.shape or re.shape != shape:
         raise ShapeMismatch(f"{what}: re/im shapes do not match the declared {shape}")
     # the parts go in as they are: re + 1j * im would turn an infinite

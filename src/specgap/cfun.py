@@ -49,7 +49,7 @@ from operator import itemgetter
 import numpy as np
 
 from ._jsonio import dump, jsonable, read
-from .algebra import _from_parts, _is_count
+from .algebra import _U, _from_parts, _is_count, _pow2_exponent
 from .errors import (ConvergenceFailure, ExhaustedSamples, FiniteUnion, RangeOverflow,
                      ShapeMismatch, StageTooShallow)
 from .spectral import link_components
@@ -676,7 +676,6 @@ class RangeReport:
         return self.n_components == 1
 
 
-_U = 2.0 ** -53     # unit roundoff of a double
 # Segment pairs per distance evaluation of the sweep in _near_segment_pairs:
 # 2**13 keeps each complex temporary within 128 KB; larger NumPy temporaries
 # took about 4x the time per element on a 2-core x86-64 Linux host.
@@ -779,10 +778,9 @@ def range_components(g: PLFunction, X: CompactRealSet,
     z = g(t)
     if len(ends) == 1:
         return RangeReport(1, math.inf, threshold, len(t))
-    # One power of two brings max(|g|, threshold) to [1/2, 1) (to at least
-    # 2**-54 on a range below 2**-1020): the geometry scales exactly, and no
-    # squared distance or orientation product overflows.
-    scale = 2.0 ** -max(math.frexp(max(float(np.max(np.abs(z))), threshold))[1], -1020)
+    # One power of two brings max(|g|, threshold) to [1/2, 1): the geometry
+    # scales exactly, and no squared distance or orientation product overflows.
+    scale = 2.0 ** -_pow2_exponent(max(float(np.max(np.abs(z))), threshold))
     z = z * scale
     chain = np.concatenate(([0], np.cumsum(~same)))     # of each knot
     p0, p1, owner = z[:-1][same], z[1:][same], chain[:-1][same]

@@ -28,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonio import dump, jsonable, read
-from .algebra import AlgebraSpec, BlockOperator, Projection, minimal_subprojection
+from .algebra import (AlgebraSpec, BlockOperator, Projection, _pow2_exponent,
+                      minimal_subprojection)
 from .errors import (
     NoConvergenceCertificate,
     ShapeMismatch,
     ZeroProjection,
 )
-from .sampling import haar_unitary, rng_from_seed
+from .sampling import _haar_pair, rng_from_seed
 
 __all__ = [
     "BaseNorm",
@@ -224,8 +225,7 @@ def _vector_norm(a: np.ndarray) -> float:
     entry in [1/2, 1), so that no square overflows (as for entries above
     about 1e154) or underflows.  The scaling is exact, so the value is
     NumPy's bit for bit wherever NumPy's squares stay normal."""
-    _, e = math.frexp(float(np.abs(a).max(initial=0.0)))
-    e = max(e, -1023)   # 2**1023 is the largest power of two a float holds
+    e = _pow2_exponent(float(np.abs(a).max(initial=0.0)))
     return float(np.ldexp(np.linalg.norm(a * math.ldexp(1.0, -e)), e))
 
 
@@ -316,10 +316,7 @@ def check_unitary_invariance(phi, X: BlockOperator, trials: int = 20,
     rng = rng_from_seed(seed)
     worst = 0.0
     for _ in range(trials):
-        U = BlockOperator(tuple((sid, haar_unitary(b.shape[0], rng))
-                                for sid, b in X.summands))
-        V = BlockOperator(tuple((sid, haar_unitary(b.shape[0], rng))
-                                for sid, b in X.summands))
+        U, V = _haar_pair(X, rng)
         worst = max(worst, abs(fn(U @ X @ V) - ref) / scale)
     return worst
 

@@ -57,7 +57,7 @@ import numpy as np
 import scipy.linalg
 
 from ._jsonio import dump, jsonable
-from .algebra import (BlockOperator, Projection, _is_count, _rank_one,
+from .algebra import (BlockOperator, Projection, _U, _is_count, _rank_one,
                       _rank_one_to_dict, operator_from_dict)
 from .errors import (
     BelowRoundoff,
@@ -105,7 +105,6 @@ __all__ = [
 
 DELTA_FACTOR = 1e-3        # the budget for phi((T - lambda) E) is eps0 * this
 SEPARATION_FACTOR = 10.0   # s must exceed this * n * u * (max ||T_j||_F + |mu|)
-_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
 
 # -- certificates ----------------------------------------------------------
@@ -212,7 +211,7 @@ def _build_certificate(T, spec, eps, eps0, route):
     # squares, so a block of entries near 1e200 does not overflow to inf
     t_fro = max(float(scipy.linalg.norm(b.ravel(), check_finite=False))
                 for _, b in T.summands)
-    bound = SEPARATION_FACTOR * T.total_dim * _UNIT_ROUNDOFF * (t_fro + abs(mu))
+    bound = SEPARATION_FACTOR * T.total_dim * _U * (t_fro + abs(mu))
     if not separation > bound:
         raise ConvergenceFailure(
             f"sigma_min(C - mu) = {separation:.3e} does not exceed its rounding "

@@ -50,7 +50,7 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .algebra import BlockOperator, _is_count
+from .algebra import _EPS, BlockOperator, _is_count, _pow2_exponent
 from .errors import ContourThroughSpectrum, ConvergenceFailure, EnclosesAllOrNone
 from .spectral import eigenvalues  # unused here; bench/tracing.py rebinds it
 
@@ -217,10 +217,6 @@ def _schur_factors(sid: int, n: int, U: np.ndarray, Z: np.ndarray, k: int):
     return sid, n, k, L, L.conj().T + (R / scale) @ Z[:, k:].conj().T
 
 
-_EPS = 2.0 ** -52
-_GRAM_MIN = 2.0 ** -900     # below it, underflow could outgrow the margin m
-
-
 def _clears(b: np.ndarray, center: complex, reach: float) -> bool:
     """Whether ``sigma_min(b - cI) > s = reach + 10 n eps (||b||_F + |c| sqrt(n))``
     is proved, for c = ``center`` and eps = 2^-52.  Each eigenvalue z of b has
@@ -236,9 +232,11 @@ def _clears(b: np.ndarray, center: complex, reach: float) -> bool:
     Stability of Numerical Algorithms*, 2nd ed., Thm 10.3); so
     sigma_min(M) > s.  The margin ``m = (n + 2)^2 eps (||M||_F^2 + s^2)``,
     the screen's one assumption, covers both with a factor of about 2 to
-    spare for complex arithmetic.  A failed factorization, non-finite
-    entries, or ||M||_F^2 outside [2^-900, inf) leave the block unscreened:
-    it gets a Schur form.
+    spare for complex arithmetic, and underflow too while the larger of the
+    block's largest entry and |c| + reach is at least 2^-400, as
+    `_proved_forms` makes it: then s > eps 2^-400.  A failed factorization
+    or a non-finite Gram matrix (NaN or inf entries, or an overflow) leaves
+    the block unscreened: it gets a Schur form.
     """
     n = b.shape[0]
     s = reach + 10 * n * _EPS * (np.linalg.norm(b) + abs(center) * n ** 0.5)
@@ -246,15 +244,15 @@ def _clears(b: np.ndarray, center: complex, reach: float) -> bool:
     # M^T conj(M), the conjugate of M*M: the same spectrum, no transposed copy
     G = scipy.linalg.blas.zherk(1.0, M.T)
     F = G.trace().real
-    if not _GRAM_MIN <= F < math.inf:
+    if not math.isfinite(F):
         return False
     G.flat[::n + 1] -= s * s + (n + 2) ** 2 * _EPS * (F + s * s)
     return scipy.linalg.lapack.zpotrf(G, overwrite_a=1, clean=0)[1] == 0
 
 
-def _prove_ring(sid: int, b: np.ndarray, contour: Contour) -> None:
-    """Prove ``sigma_min(b - z) > 0`` on the whole contour, or raise
-    ``ContourThroughSpectrum`` naming the summand, the node, m and h.
+def _prove_ring(sid: int, b: np.ndarray, contour: Contour, c: float) -> None:
+    """Prove ``sigma_min(b - c z) > 0`` on the contour, ``c`` the scale of ``b``,
+    or raise ``ContourThroughSpectrum`` naming the summand, the node, m and h.
 
     At m nodes with reach h (`_ring`), `_clears` at every node proves the
     disc of radius h about it clear, and those discs cover the contour.  m
@@ -262,7 +260,7 @@ def _prove_ring(sid: int, b: np.ndarray, contour: Contour) -> None:
     m = 8
     while True:
         nodes, h = _ring(contour, m)
-        failed = next((z for z in nodes if not _clears(b, z, h)), None)
+        failed = next((z for z in nodes if not _clears(b, z * c, h * c)), None)
         if failed is None:
             return
         if 2 * m > contour.nodes:
@@ -273,10 +271,14 @@ def _prove_ring(sid: int, b: np.ndarray, contour: Contour) -> None:
         m *= 2
 
 
-def _proved_forms(T: BlockOperator, contour: Contour, exclusion_dist) -> list:
+def _proved_forms(T: BlockOperator, contour: Contour, exclusion_dist=None) -> list:
     """``(id, n, U, Z, sdim)`` per block, for a contour proved to lie in the
     resolvent set of ``T`` and to enclose some but not all of its spectrum.
 
+    Where the larger of a block's largest entry and the screen's |center| +
+    reach + ``exclusion_dist`` lies outside [2^-400, 2^400], the block and
+    the contour are first scaled by the power of two c that brings it to [1/2, 1):
+    exact, and P is unchanged; U is then c times the Schur form.
     A block that `_clears` proves farther than the disc's reach plus
     ``exclusion_dist`` (None adds nothing) from the disc's center is zero
     in P and gets no Schur form (U empty, sdim 0).  Every other block gets
@@ -290,20 +292,25 @@ def _proved_forms(T: BlockOperator, contour: Contour, exclusion_dist) -> list:
     lo, hi = contour.corner_lo, contour.corner_hi    # a disc holding the contour
     center, reach = ((contour.center, contour.radius) if contour.kind == "circle"
                      else ((lo + hi) / 2.0, abs(hi - lo) / 2.0))
-    forms = []
+    reach += exclusion_dist or 0.0      # the screen's disc
+    forms, evs = [], []
     for sid, b in T.summands:
-        if _clears(b, center, reach + (exclusion_dist or 0.0)):
-            forms.append((sid, b.shape[0], np.empty((0, 0)), None, 0))   # no U: P_b = 0
-            continue
-        try:
-            U, Z, sdim = scipy.linalg.schur(b, output="complex",
-                                            sort=contour.encloses)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise ConvergenceFailure(f"ordered Schur form failed on summand "
-                                     f"{sid}: {exc}")
-        _prove_ring(sid, b, contour)
+        top = max(float(np.abs(b).max()), abs(center) + reach)   # NaN stays NaN
+        c = 1.0 if 2.0 ** -400 <= top <= 2.0 ** 400 else math.ldexp(1.0, -_pow2_exponent(top))
+        b = b if c == 1.0 else b * c
+        if _clears(b, center * c, reach * c):
+            U, Z, sdim = np.empty((0, 0)), None, 0      # P_b = 0: no Schur form
+        else:
+            try:
+                U, Z, sdim = scipy.linalg.schur(b, output="complex",
+                                                sort=lambda z: contour.encloses(z / c))
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                raise ConvergenceFailure(f"ordered Schur form failed on summand "
+                                         f"{sid}: {exc}")
+            _prove_ring(sid, b, contour, c)
         forms.append((sid, b.shape[0], U, Z, sdim))
-    ev = np.concatenate([np.diag(U) for _, _, U, _, _ in forms])
+        evs.append(np.diag(U) / c)
+    ev = np.concatenate(evs)
     inside = np.array([contour.encloses(z) for z in ev], dtype=bool)
     k = int(inside.sum())
     if k in (0, T.total_dim):
@@ -339,13 +346,12 @@ def riesz_idempotent(T: BlockOperator, contour: Contour,
                                     for form in _proved_forms(T, contour, exclusion_dist)))
 
 
-def riesz_quadrature(T: BlockOperator, contour: Contour,
-                     exclusion_dist: float = None) -> BlockOperator:
+def riesz_quadrature(T: BlockOperator, contour: Contour) -> BlockOperator:
     """Quadrature approximation of the Riesz idempotent for ``contour`` over
     ``contour.nodes`` nodes: the reference that :func:`riesz_idempotent` is
     checked against.  The contour is proved and refused exactly as for that
-    function."""
-    _proved_forms(T, contour, exclusion_dist)
+    function with no ``exclusion_dist``."""
+    _proved_forms(T, contour)
     zs, ws = _quadrature(contour)
     blocks = []
     for sid, b in T.summands:

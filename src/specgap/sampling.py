@@ -60,6 +60,14 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_isometry(n, n, rng)
 
 
+def _haar_pair(X: BlockOperator, rng) -> tuple:
+    """Blockwise Haar unitaries U and V shaped as ``X``, all of U's blocks
+    drawn before V's: the pair of a two-sided unitary invariance probe."""
+    return tuple(BlockOperator._from_owned((sid, haar_unitary(n, rng))
+                                           for sid, n in X.structure())
+                 for _ in range(2))
+
+
 def _ginibre(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return z / np.sqrt(2.0 * n)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import BlockOperator, _is_count
+from .algebra import _EPS, BlockOperator, _is_count, _pow2_exponent
 from .errors import ConvergenceFailure, EmptySpectralWindow
 
 __all__ = [
@@ -235,7 +235,6 @@ _ENTRIES = 2 ** 18  # entries per (n, points) array of one kernel call
 _NB = 16            # rows per substitution block
 _RISE = 1e-14       # a point ends once its top Ritz value rises less than this
 _NEWTON_STEPS = 60
-_EPS = np.finfo(float).eps     # 2^-52, the machine epsilon ε
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,8 @@ class _SchurBlock:
     """One block's complex Schur factor R, divided by a power of two (an
     exact scaling) so that R's largest column or row norm plus the grid's
     largest |z| is at most 1: overflow then means sigma_min is far below
-    rounding."""
+    rounding.  The norms are taken of R scaled to a largest entry in [1/2, 1),
+    so they neither overflow nor underflow."""
 
     R: np.ndarray       # upper triangular
     G: np.ndarray       # R^T with rows and columns reversed: upper triangular
@@ -258,8 +258,15 @@ def _schur_block(sid, b, zmax: float) -> _SchurBlock:
         R = scipy.linalg.schur(b, output="complex")[0]
     except (ValueError, np.linalg.LinAlgError) as exc:    # NaN/inf entries too
         raise ConvergenceFailure(f"Schur form failed on summand {sid}: {exc}")
-    norm_lo = max(np.linalg.norm(R, axis=0).max(), np.linalg.norm(R, axis=1).max())
-    scale = 2.0 ** np.frexp(norm_lo + zmax)[1]
+    e = _pow2_exponent(float(np.abs(R).max()))
+    unit = R * math.ldexp(1.0, -e)
+    with np.errstate(over="ignore"):    # inf is refused below
+        norm_lo = float(np.ldexp(max(np.linalg.norm(unit, axis=0).max(),
+                                     np.linalg.norm(unit, axis=1).max()), e))
+    if not norm_lo + zmax < 2.0 ** 1023:     # its scale, 2^1024 or more, is not a float
+        raise ValueError(f"summand {sid}: ||R|| plus the grid's largest |z| is "
+                         f"{norm_lo + zmax:.3e}, too large to scale by a power of two")
+    scale = 2.0 ** _pow2_exponent(norm_lo + zmax)
     R = R / scale
     n = R.shape[0]
     start = np.random.default_rng(n).standard_normal(2 * n).view(complex)
@@ -461,7 +468,9 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
     _ENTRIES // n^2 at a time, max(_ENTRIES, n^2) entries.  The (block,
     slice) tasks depend on the grid and the block dimensions alone; ``threads`` workers (an integer >= 1) map over them, and each
     block's values are folded in by ``np.minimum``, so the output is bitwise
-    identical for every thread count.
+    identical for every thread count.  A block or grid so large that a
+    Schur factor's largest column or row norm plus the grid's largest |z|
+    reaches 2^1023 raises ``ValueError``.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")

@@ -26,6 +26,7 @@ import numpy as np
 
 from .algebra import BlockOperator, _is_count
 from .errors import ShapeMismatch
+from .spectral import block_eigenvalues
 
 __all__ = [
     "UTBlock",
@@ -34,6 +35,8 @@ __all__ = [
     "ut_inclusion_check",
     "shift_example",
 ]
+
+_INCLUSION_TOL = 1e-7   # on matched / max(||T||, 1)
 
 
 @dataclass(frozen=True)
@@ -95,15 +98,18 @@ class UTInclusionReport:
         return self.matched <= self.tol * max(self.scale, 1.0)
 
 
-def ut_inclusion_check(b: UTBlock, tol: float = 1e-7) -> UTInclusionReport:
+def ut_inclusion_check(b: UTBlock) -> UTInclusionReport:
+    """The check of sigma(T) = sigma(T1) ∪ sigma(T2) at ``_INCLUSION_TOL``; a NaN
+    or inf entry raises ``ConvergenceFailure`` naming T1 or T as summand 0, T2 as 1."""
+    sig_union = np.concatenate(block_eigenvalues(BlockOperator._from_owned(
+        ((0, b.T1), (1, b.T2)))))
     full = ut_assemble(b)
-    sig_T = np.linalg.eigvals(np.asarray(full.block(full.ids[0])))
-    sig_union = np.concatenate([np.linalg.eigvals(b.T1), np.linalg.eigvals(b.T2)])
+    sig_T = block_eigenvalues(full)[0]
     dist = np.abs(sig_T[:, None] - sig_union[None, :])
     import scipy.optimize   # here, not at module top: nothing else needs it
     rows, cols = scipy.optimize.linear_sum_assignment(dist)
     matched = float(dist[rows, cols].max())
-    return UTInclusionReport(matched=matched, scale=float(full.norm()), tol=tol)
+    return UTInclusionReport(matched=matched, scale=float(full.norm()), tol=_INCLUSION_TOL)
 
 
 def shift_example(N: int):

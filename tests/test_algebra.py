@@ -186,8 +186,10 @@ def test_central_projection_selects_summands(rng):
 
 
 def test_algebra_spec_tail():
-    alg = AlgebraSpec(dims=[2, "3"], tail="repeat_last")
+    alg = AlgebraSpec(dims=[2, 3], tail="repeat_last")
     assert alg.dims == (2, 3) and alg.n_realized == 2
+    with pytest.raises(ShapeMismatch):      # a string is not a dimension
+        AlgebraSpec(dims=[2, "3"], tail="repeat_last")
     with pytest.raises(ShapeMismatch):
         AlgebraSpec(dims=(), tail="none")
     with pytest.raises(ShapeMismatch):

@@ -403,7 +403,16 @@ def test_cfun_disconnect_usage_failures_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize("flag, text", [
     ("--operator", "{}"), ("--operator", "[1, 2]"), ("--operator", '{"summands": [{"id": 0}]}'),
     ("--norm", "{}"), ("--norm", "[1, 2]"), ("--set", "[1, 2]"), ("--fn", "{}"),
-    ("--fn", "[1, 2]")])
+    ("--fn", "[1, 2]"),
+    # a null or a number where the re/im lists belong: dense, rank-one and PL
+    ("--operator", '{"summands":[{"id":0,"dim":1,"re":null,"im":[[0.0]]}]}'),
+    ("--operator", '{"summands":[{"id":0,"dim":1,"re":[[0.0]],"im":2.0}]}'),
+    ("--operator", '{"summands":[{"id":0,"dim":2}],"rank_one":{"id":0,'
+                   '"left":{"re":null,"im":[0.0,0.0]},"right":{"re":[1.0,0.0],"im":[0.0,0.0]}}}'),
+    ("--operator", '{"summands":[{"id":0,"dim":2}],"rank_one":{"id":0,'
+                   '"left":{"re":[1.0,0.0],"im":[0.0,0.0]},"right":{"re":[1.0,0.0],"im":"0"}}}'),
+    ("--fn", '{"breakpoints":[-0.5,1.5],"re":[0.0,2.0],"im":null}'),
+    ("--fn", '{"breakpoints":[-0.5,1.5],"re":[0.0,2.0],"im":0.5}')])
 def test_malformed_input_files_exit_2(capsys, tmp_path, op_file, norm_file, flag, text):
     """A missing key or a wrong container type is a usage error naming the
     file, not a traceback."""

@@ -143,11 +143,12 @@ def test_exclusion_dist_must_be_finite_and_positive():
     # a circle through the eigenvalue 1: the ring refuses it whatever the exclusion
     T = block_operator([(0, np.diag([0.0, 1.0, 3.0]))])
     for exclusion in (np.nan, -1.0, 0.0, np.inf, -np.inf):
-        for idempotent in (riesz_idempotent, riesz_quadrature):
-            with pytest.raises(ValueError, match="exclusion_dist"):
-                idempotent(T, circle(0.0, 1.0), exclusion_dist=exclusion)
+        with pytest.raises(ValueError, match="exclusion_dist"):
+            riesz_idempotent(T, circle(0.0, 1.0), exclusion_dist=exclusion)
     with pytest.raises(ContourThroughSpectrum):
         riesz_idempotent(T, circle(0.0, 1.0), exclusion_dist=1e-3)
+    with pytest.raises(TypeError, match="exclusion_dist"):     # the quadrature has none
+        riesz_quadrature(T, circle(0.0, 0.5), exclusion_dist=1e-3)
 
 
 def test_multiblock_projection(rng):
@@ -178,7 +179,7 @@ def test_schur_matches_quadrature_on_rr0_corpus():
     for i, (Tp, mu, radius) in enumerate(_rr0_corpus()):
         contour = circle(mu, radius, nodes=256)
         P = riesz_idempotent(Tp, contour, exclusion_dist=radius / 2.0)
-        P_quad = riesz_quadrature(Tp, contour, exclusion_dist=radius / 2.0)
+        P_quad = riesz_quadrature(Tp, contour)
         assert (P - P_quad).norm() <= 1e-12 * max(1.0, P_quad.norm()), i
 
 
@@ -264,6 +265,49 @@ def test_screen_refers_nonnormal_blocks_to_schur(monkeypatch):
     with pytest.raises(ContourThroughSpectrum, match="summand 0: .* m = 128"):
         riesz_idempotent(T, circle(5.0, 1.0))
     assert schur_calls == {20: 1}
+
+
+_SCALED_B = np.array([[0.0, 0.1, 0.1], [0.0, 1.0, 0.1], [0.0, 0.0, 3.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-150, 1e150, 1e154, 1e200, 1e300])
+def test_riesz_at_extreme_scales(s):
+    """T = s B is proved and factored as B is: each block is scaled by a
+    power of two before its proofs, so no Gram product overflows or
+    underflows.  Block 1 is screened out; block 0 gets a ring and a Schur
+    form.  P does not depend on s."""
+    blocks = [_SCALED_B, np.diag([2.0, 5.0])]
+    ref = riesz_idempotent(block_operator(list(enumerate(blocks))), circle(0.0, 0.5))
+    T = block_operator([(sid, s * b) for sid, b in enumerate(blocks)])
+    for contour in (circle(0.0, s / 2.0), rectangle(-s / 2.0 * (1 + 1j), s / 2.0 * (1 + 1j))):
+        P = riesz_idempotent(T, contour)
+        assert [k for _, _, k, _, _ in P.factors] == [1, 0]
+        assert (P - ref).norm() <= 1e-14
+        rep = verify_idempotent(P, T)
+        assert (rep.rank, rep.corank) == (1, 4)
+        assert rep.idem_residual <= 1e-14 and rep.commutator <= 1e-14 * s
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("blocks, contour, ranks", [
+    ([1e-200, 3.0], circle(0.0, 1.0), [1, 0]),
+    ([1e200, 0.5], circle(0.0, 1.0), [0, 1]),
+    ([1e-300, 1e300], circle(0.0, 1.0), [1, 0]),
+    ([1e-300, 1e300], rectangle(-1 - 1j, 1 + 1j), [1, 0]),
+    ([1e-200, 3.0], circle(1e-200, 1e-201), [1, 0]),
+    ([0.5, 1e200], circle(0.0, 1e250), [1, 1]),
+])
+def test_riesz_on_mixed_scale_sums(blocks, contour, ranks):
+    """A direct sum of blocks of unlike scales: each block is scaled by the
+    larger of its largest entry and the contour's extent, so a block far
+    below or above the contour is still screened or ring-proved."""
+    T = block_operator([(sid, np.array([[x]])) for sid, x in enumerate(blocks + [1e275])])
+    P = riesz_idempotent(T, contour)
+    assert [k for _, _, k, _, _ in P.factors] == ranks + [0]
+    rep = verify_idempotent(P, T)
+    assert (rep.rank, rep.corank) == (sum(ranks), 3 - sum(ranks))
+    assert rep.idem_residual == 0.0 and rep.commutator == 0.0
 
 
 def test_screen_edge_failures():

@@ -100,6 +100,9 @@ def _symmetric(rng, n):
     return (a + a.T) / np.sqrt(2 * n)
 
 
+_SCALED_B = np.array([[0.0, 0.1, 0.1], [0.0, 1.0, 0.1], [0.0, 0.0, 3.0]])
+
+
 def _edge_cases():
     rng = np.random.default_rng(10)
     unit = GridSpec(-1.2, 1.2, -1.2, 1.2, nx=21, ny=21)     # centre exactly 0.0
@@ -123,6 +126,9 @@ def _edge_cases():
         # sigma-only SVD fallback
         "symmetric_32": ([_symmetric(rng, 32)],
                          GridSpec(-4.0, 4.0, -2.0, 2.0, nx=31, ny=31)),
+        # entries whose squares overflow: R's norms are taken scaled
+        **{f"scaled_{s:.0e}": ([s * _SCALED_B], GridSpec(-s, 4 * s, -s, s, nx=5, ny=5))
+           for s in (1e-280, 1e154, 1e200, 1e300)},
     }
 
 
@@ -143,6 +149,7 @@ def _assert_matches_dense_svd(ps, blocks, grid):
     assert np.all(np.abs(sig - ref) <= tol), np.max(np.abs(sig - ref) / tol)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(_edge_cases()))
 def test_pseudospectrum_matches_dense_svd(case):
     blocks, grid = _edge_cases()[case]
@@ -243,6 +250,13 @@ def test_pseudospectrum_input_guards():
     bad = block_operator([(0, np.diag([0.0, 1.0])), (3, np.array([[np.nan, 0.0], [0.0, 1.0]]))])
     with pytest.raises(ConvergenceFailure, match="summand 3"):
         pseudospectrum_grid(bad, 0.1, grid)
+    # a grid or block reaching 2^1023 has no power of two to be scaled by
+    with np.errstate(over="raise", invalid="raise"):
+        for blocks, far in (([np.diag([0.0, 1.0])], GridSpec(0.0, 1e308, -1, 1, nx=3, ny=3)),
+                            ([np.diag([1e308, 0.0])], grid),
+                            ([np.array([[1.7e308, 1.7e308], [0.0, 1.0]])], grid)):
+            with pytest.raises(ValueError, match="summand 0.*power of two"):
+                pseudospectrum_grid(block_operator(list(enumerate(blocks))), 0.1, far)
 
 
 def test_grid_spec_validation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specgap.algebra import block_operator
-from specgap.errors import ShapeMismatch
+from specgap.errors import ConvergenceFailure, ShapeMismatch
 from specgap.spectral import GridSpec, eigenvalues, pseudospectrum_grid
 from specgap.uppertri import UTBlock, shift_example, ut_assemble, ut_inclusion_check
 
@@ -52,8 +52,17 @@ def test_inclusion_check_flags_a_doctored_pair(rng):
     rep = ut_inclusion_check(b)
     fake = UTBlock(T1=b.T1 + 0.5 * np.eye(3), T12=b.T12, T2=b.T2)
     assert eigenvalues(ut_assemble(fake)).shape == (7,)
-    # matched distance for the true block stays tiny even under tol swaps
-    assert rep.matched < ut_inclusion_check(fake, tol=1e-300).matched + 1.0
+    assert rep.matched < ut_inclusion_check(fake).matched + 1.0
+
+
+@pytest.mark.parametrize("part, sid", [("T1", 0), ("T2", 1)])
+def test_inclusion_check_names_the_summand_of_a_nan_part(rng, part, sid):
+    b = random_ut(rng)
+    parts = {"T1": b.T1, "T12": b.T12, "T2": b.T2}
+    bad = np.array(parts[part])
+    bad[1, 0] = np.nan
+    with pytest.raises(ConvergenceFailure, match=f"eigensolver failed on summand {sid}"):
+        ut_inclusion_check(UTBlock(**{**parts, part: bad}))
 
 
 def test_shift_example_exact_roots_of_unity():
