@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .norms import (
     BaseNorm, OPERATOR, NormSpec, operator_norm_spec, phi_eval, f_phi, c_phi,
-    dominating_check, check_unitary_invariance, norm_to_dict, norm_from_dict,
+    dominating_check, norm_to_dict, norm_from_dict,
     read_norm_spec, write_norm_spec, FPhiResult,
 )
 from .sampling import (

@@ -193,15 +193,15 @@ class CompactRealSet:
     """Disjoint nondegenerate closed intervals plus isolated points.
 
     Degenerate intervals given as [a, a] are normalized into points.  All
-    pieces must be pairwise separated by positive gaps.  A generator tags
-    the set as the depth-``d`` stage of a self-similar limit object (the
-    pieces must be exactly that stage); such sets answer ``False`` to
+    pieces must be pairwise separated by positive gaps.  A set made by
+    :meth:`cantor` holds its generator, which tags it as the depth-``d`` stage
+    of a self-similar limit object; such sets answer ``False`` to
     :func:`is_finite_interval_union` because the limit has infinitely many gaps.
     """
 
     intervals: tuple = ()
     points: tuple = ()
-    generator: CantorGenerator = None
+    generator: CantorGenerator = field(default=None, init=False)
     # sorted; a point piece is (p, p) holding one object twice, an interval's
     # ends are distinct objects, so ``a is b`` tells them apart
     _pieces: tuple = field(init=False, repr=False, compare=False)
@@ -223,12 +223,7 @@ class CompactRealSet:
             if a2 <= b1:
                 raise ShapeMismatch(
                     f"pieces [{a1},{b1}] and [{a2},{b2}] touch or overlap")
-        if self.generator is not None:      # clopen pieces take diameters from it
-            stage = self.generator.stage_intervals()
-            if pieces != stage:
-                raise ShapeMismatch("a generator-backed set must be its generator's stage")
-            pieces = stage                  # shared, not copied
-        self._assign(pieces, self.generator)
+        self._assign(pieces, None)
 
     @classmethod
     def _of_pieces(cls, pieces: tuple, generator=None) -> "CompactRealSet":
@@ -810,38 +805,40 @@ def range_components(g: PLFunction, X: CompactRealSet,
 
 # -- persistence ----------------------------------------------------------------
 
-# Set schema: {"intervals": [[a, b], ...], "points": [...],
-#              "generator": {"cantor": {"depth": 6, "ratio": "1/3",
-#                                       "lo": 0, "hi": 1}} | null}
+# Set schema: {"intervals": [[a, b], ...], "points": [...], "generator": null},
+# or for a Cantor stage its generator alone:
+#             {"generator": {"cantor": {"depth": 6, "ratio": "1/3", "lo": 0, "hi": 1}}}
 # Rationals are written as plain numbers when their decimal repr is exact,
 # else as "p/q" strings; both are read back exactly.  ``_jsonio`` writes it.
 
 
 def set_to_dict(X: CompactRealSet) -> dict:
-    gen = None
-    if X.generator is not None:
+    if X.generator is not None:     # a stage is its generator alone
         g = X.generator
-        gen = {"cantor": {"depth": g.depth, "ratio": _frac_out(g.ratio),
-                          "lo": _frac_out(g.lo), "hi": _frac_out(g.hi)}}
+        return {"generator": {"cantor": {"depth": g.depth, "ratio": _frac_out(g.ratio),
+                                         "lo": _frac_out(g.lo), "hi": _frac_out(g.hi)}}}
     return {
         "intervals": [[_frac_out(a), _frac_out(b)] for a, b in X.intervals],
         "points": [_frac_out(p) for p in X.points],
-        "generator": gen,
+        "generator": None,
     }
 
 
 def set_from_dict(data: dict) -> CompactRealSet:
-    """Read a set; with a generator and neither "intervals" nor "points", the
-    generator's stage.  Pieces written beside a generator must be its stage."""
+    """Read a set; with a generator, its stage.  Pieces written beside a
+    generator, as older files hold them, must be that stage."""
+    intervals = tuple((_frac(a), _frac(b)) for a, b in data.get("intervals", []))
+    points = tuple(_frac(p) for p in data.get("points", []))
     gen = data.get("generator")
-    if gen is not None:
-        c = gen["cantor"]
-        gen = _shared_generator(c["depth"], c["ratio"], c.get("lo", 0), c.get("hi", 1))
-        if "intervals" not in data and "points" not in data:
-            return CompactRealSet._of_pieces(gen.stage_intervals(), gen)
-    return CompactRealSet(
-        intervals=tuple((_frac(a), _frac(b)) for a, b in data.get("intervals", [])),
-        points=tuple(_frac(p) for p in data.get("points", [])), generator=gen)
+    if gen is None:
+        return CompactRealSet(intervals=intervals, points=points)
+    c = gen["cantor"]
+    X = CompactRealSet.cantor(c["depth"], c["ratio"], c.get("lo", 0), c.get("hi", 1))
+    # a stage is sorted nondegenerate intervals, so any point is off it
+    if ("intervals" in data or "points" in data) and (
+            points or tuple(sorted(intervals)) != X.pieces()):
+        raise ShapeMismatch("a generator-backed set must be its generator's stage")
+    return X
 
 
 def write_set(X: CompactRealSet, path):

@@ -9,15 +9,12 @@ through, or file content the library refuses with a typed error (see the
 README); 2 a usage error: bad flags or argument values (``ValueError`` from
 the library too), or an input file that is missing, is not JSON, lacks a key
 or holds a wrong container.  File outputs are confined to ``--output-dir``.
-When ``--seed`` is omitted, the ``SPECTOOL_SEED`` environment variable is
-consulted before falling back to 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import pathlib
 import sys
 
@@ -38,12 +35,6 @@ from .verify import SUITES, run_suites
 __all__ = ["main"]
 
 
-def _seed_of(args):
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("SPECTOOL_SEED", "0"))
-
-
 def _emit(args, payload: dict, write=None):
     """Print the report; with ``--out``, first ``write`` there and report the path."""
     if write is not None and args.out:
@@ -54,7 +45,7 @@ def _emit(args, payload: dict, write=None):
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
         payload["out"] = str(path)
-    print(dumps({"version": __version__, "seed": _seed_of(args), **payload}))
+    print(dumps({"version": __version__, "seed": args.seed, **payload}))
 
 
 def _parse_complex(text: str) -> complex:
@@ -78,7 +69,7 @@ def _parse_dims(text: str):
 def _emit_certificate(args, cert) -> int:
     """Report the certificate file's fields but ``X``, ``E`` and ``norm``, its
     spectrum reports as their component counts, and ``disconnected``."""
-    data = certificate_to_dict(cert, seed=_seed_of(args))
+    data = certificate_to_dict(cert, seed=args.seed)
     summary = {k: v for k, v in data.items() if k not in ("X", "E", "norm")}
     for key in ("components_before", "components_after"):
         summary[key] = data[key]["n_components"]
@@ -107,9 +98,9 @@ def _cmd_cphi(args) -> int:
 
 def _cmd_riesz(args) -> int:
     T = read_operator(args.operator)
+    if (args.center is None) != (args.radius is None):
+        raise UsageError("--center and --radius go together")
     if args.center is not None:
-        if args.radius is None:
-            raise UsageError("--center needs --radius")
         contour = circle(_parse_complex(args.center), args.radius, nodes=args.nodes)
     elif args.corners is not None:
         try:
@@ -179,7 +170,7 @@ def _cmd_cfun_disconnect(args) -> int:
 def _cmd_counterexample(args) -> int:
     T, spec = counterexample_operator(args.k)
     rep = verify_counterexample(T, spec, trials=args.trials,
-                                phi_budget=args.budget, seed=_seed_of(args))
+                                phi_budget=args.budget, seed=args.seed)
     _emit(args, {"k": args.k, "trials": rep.trials, "passes": rep.passes,
                  "delta": rep.delta, "net_spacing": rep.net_spacing,
                  "phi_budget": rep.phi_budget,
@@ -191,7 +182,7 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_verify_suite(args) -> int:
     names = args.suite or None
-    report = run_suites(names, seed=_seed_of(args))
+    report = run_suites(names, seed=args.seed)
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: worst={r.worst:.3e} tol={r.tol:.3e}",
@@ -209,8 +200,7 @@ def _parser() -> argparse.ArgumentParser:
         description="disconnect spectra of block operators by small perturbations")
     top.add_argument("--version", action="version", version=f"specgap {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: $SPECTOOL_SEED or 0)")
+    common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument("--output-dir", default=".",
                         help="directory all file outputs must stay inside")
     sub = top.add_subparsers(dest="command", required=True)
@@ -240,11 +230,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("riesz", parents=[common],
                        help="Riesz idempotent for a contour around part of the spectrum")
     p.add_argument("--operator", required=True)
-    p.add_argument("--center", help="circle center as 're,im'; a value with a "
-                                    "leading '-' takes the form --center=-0.1,0")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--corners", help="rectangle as 'relo,imlo:rehi,imhi'; a value with a "
-                                     "leading '-' takes the form --corners=-0.5,-0.5:0.5,0.5")
+    contour = p.add_mutually_exclusive_group()
+    contour.add_argument("--center", help="circle center as 're,im'; a value with a "
+                         "leading '-' takes the form --center=-0.1,0")
+    p.add_argument("--radius", type=float, help="circle radius, with --center only")
+    contour.add_argument("--corners", help="rectangle as 'relo,imlo:rehi,imhi'; a value with "
+                         "a leading '-' takes the form --corners=-0.5,-0.5:0.5,0.5")
     p.add_argument("--nodes", type=int, default=128,
                    help="quadrature nodes of the quadrature_deviation cross-check, "
                         "and the most nodes the contour's proof may use")

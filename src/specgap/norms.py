@@ -35,7 +35,6 @@ from .errors import (
     ShapeMismatch,
     ZeroProjection,
 )
-from .sampling import _haar_pair, rng_from_seed
 
 __all__ = [
     "BaseNorm",
@@ -49,7 +48,6 @@ __all__ = [
     "spec_c_phi",
     "spec_identity_infimum",
     "dominating_check",
-    "check_unitary_invariance",
     "norm_to_dict",
     "norm_from_dict",
     "read_norm_spec",
@@ -300,25 +298,6 @@ def dominating_check(spec: NormSpec, alg: AlgebraSpec) -> bool:
     """
     spec.check_against(alg)
     return spec_identity_infimum(spec) >= 1.0
-
-
-def check_unitary_invariance(phi, X: BlockOperator, trials: int = 20,
-                             seed: int = 0) -> float:
-    """Max relative deviation |phi(UXV) - phi(X)| over Haar blockwise unitaries.
-
-    ``phi`` is a :class:`NormSpec` or any callable on block operators; the
-    callable form exists so that a deliberately broken (non-invariant) norm
-    can be probed with the same machinery.
-    """
-    fn = (lambda Y: phi_eval(phi, Y)) if isinstance(phi, NormSpec) else phi
-    ref = fn(X)
-    scale = max(abs(ref), 1e-300)
-    rng = rng_from_seed(seed)
-    worst = 0.0
-    for _ in range(trials):
-        U, V = _haar_pair(X, rng)
-        worst = max(worst, abs(fn(U @ X @ V) - ref) / scale)
-    return worst
 
 
 # -- JSON persistence, written by _jsonio ----------------------------------

@@ -292,6 +292,8 @@ def counterexample_operator(K: int):
     """
     if not _is_count(K, 2):
         raise ValueError(f"need at least two summands, an integer K >= 2, got {K!r}")
+    if K > 1023:
+        raise ValueError(f"K = {K} exceeds 1023, past which the weight 2^K overflows a float")
     lams = counterexample_net(K)
     T = BlockOperator(tuple((i, lam * np.eye(2)) for i, lam in enumerate(lams)))
     weights = tuple(2.0 ** (i + 1) for i in range(K))

@@ -202,6 +202,10 @@ class GridSpec:
         if not all(math.isfinite(v) for v in (self.re_min, self.re_max,
                                               self.im_min, self.im_max)):
             raise ValueError("grid bounds must be finite")
+        spans = (self.re_max - self.re_min, self.im_max - self.im_min)
+        if not all(math.isfinite(v) for v in spans):
+            raise ValueError(f"grid spans (re_max - re_min, im_max - im_min) = {spans} "
+                             "overflow a float")
         if self.re_min >= self.re_max or self.im_min >= self.im_max:
             raise ValueError("degenerate grid rectangle")
         if not (_is_count(self.nx, 2) and _is_count(self.ny, 2)):

@@ -43,6 +43,7 @@ __all__ = [
 _NORM_TOL, _RIESZ_TOL = 1e-9, 1e-8
 _DISCONNECT_N, _DISCONNECT_EPS = 25, 1e-2       # each of disconnect and rr0
 _PHI_REMEASURE_TOL, _GAP_MIN = 1e-12, 1e-8       # as in criteria 1 and 4
+_FPHI_PROJECTIONS, _FPHI_SUBS, _PROJECTION_N = 40, 30, 60
 _RIESZ_N, _UPPERTRI_N = 30, 50
 _COUNTEREXAMPLE_K, _COUNTEREXAMPLE_TRIALS = 8, 20
 _CFUN_DISCONNECT, _CFUN_WITNESS = 10, 50
@@ -168,7 +169,7 @@ def norm_axiom_battery(n_total: int = 10_000, seed=20260814):
     return out
 
 
-def fphi_oracle(n_projections: int = 40, n_subs: int = 30, seed=1) -> CheckResult:
+def fphi_oracle(seed=1) -> CheckResult:
     """The closed form for f_phi against brute force: no random nonzero
     subprojection of P may score below f_phi(P), and the returned witness
     must attain the value."""
@@ -176,7 +177,7 @@ def fphi_oracle(n_projections: int = 40, n_subs: int = 30, seed=1) -> CheckResul
     worst = 0.0
     witness_err = 0.0
     for alg, spec in normspec_battery():
-        for _ in range(n_projections):
+        for _ in range(_FPHI_PROJECTIONS):
             ranks = tuple(int(rng.integers(0, d + 1)) for d in alg.dims)
             if sum(ranks) == 0:
                 ranks = (1,) + ranks[1:]
@@ -185,7 +186,7 @@ def fphi_oracle(n_projections: int = 40, n_subs: int = 30, seed=1) -> CheckResul
             witness_err = max(witness_err,
                               abs(phi_eval(spec, res.witness.base) - res.value)
                               / max(res.value, 1e-300))
-            for _ in range(n_subs):
+            for _ in range(_FPHI_SUBS):
                 sub_ranks = tuple(int(rng.integers(0, r + 1)) for r in ranks)
                 if sum(sub_ranks) == 0:
                     continue
@@ -198,13 +199,13 @@ def fphi_oracle(n_projections: int = 40, n_subs: int = 30, seed=1) -> CheckResul
                                               "witness_err": witness_err})
 
 
-def projection_bound(n: int = 60, seed=2) -> CheckResult:
+def projection_bound(seed=2) -> CheckResult:
     """||X Q|| * f_phi(Q) <= phi(X) for projections Q, the inequality that
     prices how much of X survives compression to a cheap projection."""
     rng = rng_from_seed(seed)
     worst = 0.0
     for alg, spec in normspec_battery():
-        for _ in range(n):
+        for _ in range(_PROJECTION_N):
             X = random_block_operator(alg, rng)
             px = phi_eval(spec, X)
             mask = rng.integers(0, 2, size=len(alg.dims)).astype(bool)
@@ -218,7 +219,7 @@ def projection_bound(n: int = 60, seed=2) -> CheckResult:
                 lhs = (X @ Q.base).norm() * f_phi(spec, Q).value
                 worst = max(worst, (lhs - px) / max(px, 1e-300))
     return CheckResult(name="projection-bound", passed=worst <= _NORM_TOL,
-                       worst=worst, tol=_NORM_TOL, detail={"n": n})
+                       worst=worst, tol=_NORM_TOL, detail={"n": _PROJECTION_N})
 
 
 def _disconnect_loop(name: str, run, seed) -> CheckResult:
@@ -360,14 +361,14 @@ def cfun_checks(seed=8) -> CheckResult:
 
 SUITES = {
     "norm-axioms": lambda seed: _merge(norm_axiom_battery(n_total=2000, seed=seed)),
-    "fphi-oracle": lambda seed: fphi_oracle(seed=seed),
-    "projection-bound": lambda seed: projection_bound(seed=seed),
-    "disconnect": lambda seed: disconnect_batch(seed=seed),
-    "disconnect-rr0": lambda seed: rr0_batch(seed=seed),
-    "riesz": lambda seed: riesz_batch(seed=seed),
-    "uppertri": lambda seed: uppertri_batch(seed=seed),
-    "counterexample": lambda seed: counterexample_check(seed=seed),
-    "cfun": lambda seed: cfun_checks(seed=seed),
+    "fphi-oracle": fphi_oracle,
+    "projection-bound": projection_bound,
+    "disconnect": disconnect_batch,
+    "disconnect-rr0": rr0_batch,
+    "riesz": riesz_batch,
+    "uppertri": uppertri_batch,
+    "counterexample": counterexample_check,
+    "cfun": cfun_checks,
 }
 
 
@@ -379,11 +380,14 @@ def _merge(results) -> CheckResult:
 
 
 def run_suites(names=None, seed=20260814) -> SuiteReport:
+    """The named suites (default: all), each seeded by ``(seed, i)`` with i
+    its name's position in ``SUITES``, so its numbers depend only on its
+    name and ``seed``."""
     chosen = list(SUITES) if not names else list(names)
     unknown = [n for n in chosen if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}; have {sorted(SUITES)}")
     results = []
-    for i, name in enumerate(chosen):
-        results.append(SUITES[name]((seed, i)))
+    for name in chosen:
+        results.append(SUITES[name]((seed, list(SUITES).index(name))))
     return SuiteReport(results=tuple(results))

@@ -272,7 +272,7 @@ def test_criterion_8_cfun_corpus():
 
 def test_criterion_9_norm_axioms():
     results = norm_axiom_battery(n_total=AXIOM_SAMPLES, seed=(MASTER_SEED, 9))
-    extra = [projection_bound(n=60, seed=(MASTER_SEED, 90)),
+    extra = [projection_bound(seed=(MASTER_SEED, 90)),
              fphi_oracle(seed=(MASTER_SEED, 91))]
     worst = max(r.worst for r in list(results) + extra)
     ok = all(r.passed for r in list(results) + extra) and worst <= AXIOM_TOL

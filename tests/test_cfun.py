@@ -130,11 +130,11 @@ def test_cantor_stage_structure():
     assert all(b - a == Fraction(1, 27) for a, b in X.intervals)
     assert not is_finite_interval_union(X)
     assert is_finite_interval_union(CompactRealSet(intervals=((0, 1),)))
-    gen = CantorGenerator(depth=2, ratio="1/3")
-    for ivals, pts in ((((0, 1),), ()), (gen.stage_intervals()[1:], ()),
-                       (gen.stage_intervals(), (2,))):
+    stage = CantorGenerator(depth=2, ratio="1/3").stage_intervals()
+    for ivals, pts in ((((0, 1),), ()), (stage[1:], ()), (stage, (2,))):
         with pytest.raises(ShapeMismatch, match="generator's stage"):
-            CompactRealSet(intervals=ivals, points=pts, generator=gen)
+            set_from_dict({"intervals": ivals, "points": pts,
+                           "generator": {"cantor": {"depth": 2, "ratio": "1/3"}}})
     with pytest.raises(ShapeMismatch, match="ratio"):
         CantorGenerator(depth=2, ratio="1/2")       # no gaps left between pieces
     with pytest.raises(ShapeMismatch, match="degenerate"):
@@ -228,7 +228,8 @@ def test_derived_sets_equal_validated_ones(ratio, lo, hi):
 
     for depth in (1, 2, 5, 9):
         X = CompactRealSet.cantor(depth=depth, ratio=ratio, lo=lo, hi=hi)
-        same(X, CompactRealSet(intervals=X.intervals, generator=X.generator))
+        cantor = {"depth": depth, "ratio": ratio, "lo": lo, "hi": hi}
+        same(X, set_from_dict({"intervals": X.intervals, "generator": {"cantor": cantor}}))
         for j, piece in enumerate(clopen_small_pieces(X, depth)):
             assert piece == _gap_piece(X, j)
             same(piece.subset, X.restrict(piece.cut_lo, piece.cut_hi))
@@ -241,7 +242,7 @@ def test_derived_sets_equal_validated_ones(ratio, lo, hi):
     # a set tagged with another generator's stage is still refused
     other = CantorGenerator(depth=3, ratio=Fraction(1, 4), lo=lo, hi=hi)
     with pytest.raises(ShapeMismatch, match="generator's stage"):
-        CompactRealSet(intervals=other.stage_intervals(), generator=X.generator)
+        set_from_dict({"intervals": other.stage_intervals(), "generator": {"cantor": cantor}})
 
 
 def test_stage_and_pieces_make_no_fraction_comparison_per_piece(monkeypatch):
@@ -269,13 +270,15 @@ def test_set_from_dict_refuses_pieces_off_the_stage():
     cantor = {"depth": 3, "ratio": "1/3", "lo": 0, "hi": 1}
     X = CompactRealSet.cantor(depth=3, ratio="1/3")
     for data in ({"intervals": [[0, 0.1], [0.9, 1]], "points": [5]},
-                 {"intervals": set_to_dict(X)["intervals"][1:]},
-                 {"intervals": set_to_dict(X)["intervals"], "points": [5]},
+                 {"intervals": X.intervals[1:]},
+                 {"intervals": X.intervals, "points": [5]},
+                 {"intervals": X.intervals[:1] * 8},
                  {"intervals": [], "points": []}):
         with pytest.raises(ShapeMismatch, match="generator's stage"):
             set_from_dict({**data, "generator": {"cantor": cantor}})
     assert set_from_dict({"generator": {"cantor": cantor}}) == X
-    assert set_from_dict({**set_to_dict(X), "points": []}) == X
+    assert set_from_dict({"intervals": X.intervals[::-1], "points": [],
+                          "generator": {"cantor": cantor}}) == X
 
 
 def test_equal_cantor_parameters_share_one_generator():
@@ -842,7 +845,7 @@ def test_range_components_outside_the_domain_raises():
 def test_set_json_roundtrip(tmp_path):
     X = CompactRealSet.cantor(depth=5, ratio="1/3")
     d = set_to_dict(X)
-    assert d["generator"]["cantor"]["ratio"] == "1/3"
+    assert list(d) == ["generator"] and d["generator"]["cantor"]["ratio"] == "1/3"
     Y = set_from_dict(json.loads(json.dumps(d)))
     assert Y == X
     p = tmp_path / "set.json"
@@ -852,6 +855,22 @@ def test_set_json_roundtrip(tmp_path):
     Z = CompactRealSet(intervals=((0.1, 0.35),), points=(2,))
     write_set(Z, p)
     assert read_set(p) == Z
+
+
+def test_stage_file_is_its_generator_and_older_files_still_read(tmp_path):
+    """A stage is written as its generator alone, whatever its depth; a file
+    that also lists the stage's pieces, as older writers made, reads as the
+    same stage."""
+    p = tmp_path / "set.json"
+    X = CompactRealSet.cantor(depth=16, ratio="1/3")
+    write_set(X, p)
+    assert p.stat().st_size <= 100 and read_set(p) == X
+    p.write_text('{"generator":{"cantor":{"depth":2,"hi":0.5,"lo":-1.0,"ratio":"1/3"}},'
+                 '"intervals":[[-1.0,"-5/6"],["-2/3",-0.5],[0.0,"1/6"],["1/3",0.5]],'
+                 '"points":[]}\n')
+    Y = read_set(p)
+    assert Y == CompactRealSet.cantor(depth=2, ratio="1/3", lo=-1, hi="1/2")
+    assert Y.generator is not None and not is_finite_interval_union(Y)
 
 
 def _same_bits(a, b):

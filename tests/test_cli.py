@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from specgap.algebra import AlgebraSpec, block_operator, write_operator
 from specgap.cfun import CompactRealSet, PLFunction, write_pl, write_set
-from specgap.cli import main
+from specgap.cli import _parser, main
 from specgap.norms import operator_norm_spec, write_norm_spec
 from specgap.perturb import certificate_from_dict
 from specgap.sampling import random_block_operator, rng_from_seed
@@ -33,6 +34,34 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     payload = json.loads(out.out) if out.out.strip() else None
     return code, payload, out.err
+
+
+# Every subcommand's options, as an exact table: a flag added, dropped or
+# renamed is a test edit.  --seed stays on all nine, since their JSON keeps
+# its "seed" key.
+COMMON_OPTIONS = {"--seed", "--output-dir"}
+CLI_OPTIONS = {
+    "disconnect": {"--operator", "--norm", "--eps", "--out"},
+    "disconnect-rr0": {"--operator", "--eps", "--out"},
+    "cphi": {"--norm", "--dims", "--tail"},
+    "riesz": {"--operator", "--center", "--radius", "--corners", "--nodes", "--out"},
+    "pseudospectrum": {"--operator", "--eps", "--grid", "--nx", "--ny", "--threads", "--out"},
+    "shift-demo": {"--n", "--eps", "--nx", "--threads", "--out"},
+    "cfun-disconnect": {"--set", "--fn", "--eps", "--resolution", "--out"},
+    "counterexample": {"--k", "--trials", "--budget"},
+    "verify-suite": {"--suite"},
+}
+
+
+def test_cli_options_are_pinned():
+    def options(parser):
+        return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+    top = _parser()
+    (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    assert options(top) == {"--version"}
+    assert {name: options(p) for name, p in sub.choices.items()} == {
+        name: COMMON_OPTIONS | opts for name, opts in CLI_OPTIONS.items()}
 
 
 def test_disconnect_command(capsys, tmp_path, op_file, norm_file):
@@ -186,10 +215,15 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
         main(["disconnect", "--operator", str(op_file), "--norm", str(norm_file),
               "--eps", "0.1", "--ideal", "full"])
     assert ei.value.code == 2
+    with pytest.raises(SystemExit) as ei:     # one contour: a circle or a rectangle
+        main(["riesz", "--operator", str(op_file), "--center", "0,0", "--radius", "0.1",
+              "--corners", "0,0:1,1"])
+    assert ei.value.code == 2
     # argument values the library rejects with ValueError are usage errors too
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     for argv in (("counterexample", "--k", "1"),
+                 ("counterexample", "--k", "1100", "--trials", "1"),
                  ("counterexample", "--trials", "0"),
                  ("counterexample", "--budget", "-1"),
                  ("counterexample", "--budget", "nan"),
@@ -218,6 +252,7 @@ def test_usage_failures_exit_2(capsys, tmp_path, op_file, norm_file):
                  ("cphi", "--norm", norm_file, "--dims", "2,x"),
                  ("riesz", "--operator", op_file, "--center", "0,0"),
                  ("riesz", "--operator", op_file, "--corners", "0,0"),
+                 ("riesz", "--operator", op_file, "--corners", "0,0:1,1", "--radius", "0.5"),
                  ("riesz", "--operator", op_file),
                  ("pseudospectrum", "--operator", op_file, "--eps", "0.1", "--grid=0,1,0"),
                  ("disconnect-rr0", "--operator", bad_json, "--eps", "0.1")):
@@ -444,11 +479,3 @@ def test_verify_suite_command(capsys, tmp_path):
     assert payload["all_passed"] is True
     assert {r["name"] for r in payload["suites"]} == {"uppertri", "riesz"}
     assert "PASS" in err
-
-
-def test_seed_env_fallback(capsys, tmp_path, op_file, norm_file, monkeypatch):
-    monkeypatch.setenv("SPECTOOL_SEED", "77")
-    code, payload, _ = run(capsys, "disconnect", "--operator", op_file,
-                           "--norm", norm_file, "--eps", "0.1",
-                           "--output-dir", tmp_path)
-    assert code == 0 and payload["seed"] == 77

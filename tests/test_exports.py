@@ -37,7 +37,6 @@ UNCALLED = {
     "certificate_from_dict": "reads the certificate files that --out writes",
     "write_set": "writes the set files read_set reads for cfun-disconnect --set",
     "write_norm_spec": "writes the norm files read_norm_spec reads for --norm",
-    "check_unitary_invariance": "the one invariance probe shown to fail on a broken norm",
     "BlockOperator.is_zero": "the tests' oracle for an operator that vanishes blockwise",
     "CompactRealSet.contains": "the tests' oracle for membership in a set",
     "CompactRealSet.restrict": "the tests' oracle for a set cut to an interval",

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from specgap.algebra import AlgebraSpec, block_operator, validate_projection
 from specgap.errors import (InfiniteCPhi, NoConvergenceCertificate, NotDominating,
                             ShapeMismatch)
-from specgap.norms import (BaseNorm, OPERATOR, NormSpec, c_phi,
-                           check_unitary_invariance, dominating_check, f_phi,
-                           norm_from_dict, norm_to_dict, phi_eval, phi_rank_one,
+from specgap.norms import (BaseNorm, OPERATOR, NormSpec, c_phi, dominating_check,
+                           f_phi, norm_from_dict, norm_to_dict, phi_eval, phi_rank_one,
                            read_norm_spec, write_norm_spec)
 from specgap.sampling import (random_block_operator, random_projection,
                               random_subprojection, rng_from_seed)
@@ -218,17 +217,6 @@ def test_dominating_check():
     inf_alg = AlgebraSpec(dims=(2, 2), tail="repeat_last")
     assert not dominating_check(
         make_spec([1.0, 2.0], tail_weights="bounded", tail_sup=0.25), inf_alg)
-
-
-def test_unitary_invariance_probe(small_alg, rng):
-    spec = make_spec([1.0, 2.0, 1.5], kinds=[("schatten", 2, None),
-                                             ("operator", None, None),
-                                             ("kyfan", None, 3)])
-    X = random_block_operator(small_alg, rng)
-    assert check_unitary_invariance(spec, X, trials=10) < 1e-10
-    # an entrywise functional is not unitarily invariant and must be caught
-    broken = lambda Y: float(abs(Y.block(0)[0, 0]))
-    assert check_unitary_invariance(broken, X, trials=10) > 1e-3
 
 
 def test_norm_json_roundtrip(tmp_path):

@@ -110,6 +110,9 @@ def test_counterexample_operator_layout():
     assert spec.tail_weights == "divergent"
     with pytest.raises(InfiniteCPhi):
         disconnect(T, 0.1, spec)
+    assert counterexample_operator(1023)[1].weights[-1] == 2.0 ** 1023
+    with pytest.raises(ValueError, match="exceeds 1023"):     # 2^1024 overflows
+        counterexample_operator(1024)
 
 
 def test_verify_counterexample_passes():

@@ -250,6 +250,9 @@ def test_pseudospectrum_input_guards():
     bad = block_operator([(0, np.diag([0.0, 1.0])), (3, np.array([[np.nan, 0.0], [0.0, 1.0]]))])
     with pytest.raises(ConvergenceFailure, match="summand 3"):
         pseudospectrum_grid(bad, 0.1, grid)
+    for bounds in ((-1.5e308, 1.5e308, -1, 1), (-1, 1, -1e308, 1e308)):
+        with pytest.raises(ValueError, match="grid spans"):     # a span overflows
+            GridSpec(*bounds, nx=3, ny=2)
     # a grid or block reaching 2^1023 has no power of two to be scaled by
     with np.errstate(over="raise", invalid="raise"):
         for blocks, far in (([np.diag([0.0, 1.0])], GridSpec(0.0, 1e308, -1, 1, nx=3, ny=3)),

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from specgap import algebra, norms, sampling, verify
+from specgap.algebra import AlgebraSpec
 from specgap.verify import (SUITES, CheckResult, fphi_oracle, norm_axioms,
                             normspec_battery, projection_bound, run_suites)
+
+from conftest import make_spec
+
+
+def _small_oracles(monkeypatch):
+    """Shrink the oracles' sample counts so that a test runs them quickly."""
+    for name in ("_FPHI_PROJECTIONS", "_FPHI_SUBS", "_PROJECTION_N"):
+        monkeypatch.setattr(verify, name, 5)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -55,6 +64,20 @@ def test_run_suites_selection_and_report():
         run_suites(["no-such-suite"])
 
 
+@pytest.mark.parametrize("seed", [7, 20260814])
+def test_a_suite_depends_only_on_its_name_and_seed(monkeypatch, seed):
+    """Each suite reports the same alone, in any order, or among all."""
+    _small_oracles(monkeypatch)
+    battery = verify.norm_axiom_battery
+    monkeypatch.setattr(verify, "norm_axiom_battery",
+                        lambda n_total, seed: battery(n_total=40, seed=seed))
+    every = run_suites(None, seed).to_dict()["suites"]
+    assert [r["name"] for r in every] == list(SUITES)
+    for name, want in zip(SUITES, every):
+        assert run_suites([name], seed).to_dict()["suites"] == [want], name
+    assert run_suites(list(SUITES)[::-1], seed).to_dict()["suites"] == every[::-1]
+
+
 def test_norm_axiom_worst_is_tiny():
     alg_spec_pairs = normspec_battery()
     assert len(alg_spec_pairs) == 10
@@ -63,9 +86,22 @@ def test_norm_axiom_worst_is_tiny():
     assert res.passed and res.worst < 1e-11
 
 
-def test_oracles_are_checkresults():
-    for res in (fphi_oracle(n_projections=5, n_subs=5, seed=0),
-                projection_bound(n=5, seed=0)):
+def test_unitary_invariance_probe(monkeypatch):
+    """`norm_axioms` is the one unitary-invariance probe: a unitarily
+    invariant norm passes it, and an entrywise functional is caught."""
+    alg = AlgebraSpec((2, 3, 4), "none")
+    spec = make_spec([1.0, 2.0, 1.5], kinds=[("schatten", 2, None),
+                                             ("operator", None, None),
+                                             ("kyfan", None, 3)])
+    assert norm_axioms(spec, alg, n_samples=10).detail["unitary"] < 1e-10
+    monkeypatch.setattr(verify, "phi_eval", lambda _spec, Y: float(abs(Y.block(0)[0, 0])))
+    broken = norm_axioms(spec, alg, n_samples=10)
+    assert not broken.passed and broken.detail["unitary"] > 1e-3
+
+
+def test_oracles_are_checkresults(monkeypatch):
+    _small_oracles(monkeypatch)
+    for res in (fphi_oracle(seed=0), projection_bound(seed=0)):
         assert isinstance(res, CheckResult) and res.passed
         json.dumps(res.to_dict())
 
@@ -86,5 +122,6 @@ def test_fphi_oracle_runs_no_eigensolver_and_no_dense_validation(monkeypatch):
     validate = counted("validate_projection", algebra.validate_projection)
     for mod in (algebra, norms, sampling, verify):
         monkeypatch.setattr(mod, "validate_projection", validate, raising=False)
-    assert fphi_oracle(n_projections=5, n_subs=5).passed
+    _small_oracles(monkeypatch)
+    assert fphi_oracle().passed
     assert calls == Counter()
