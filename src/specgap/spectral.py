@@ -19,8 +19,13 @@ substitution per point, O(n^2) instead of an O(n^3) SVD (Trefethen,
 SIAM J. Sci. Comput. 23, 2001).  A kernel call takes _ENTRIES // n points,
 so the per-step Python cost is shared by as many points as memory allows;
 a point still unsettled after n steps takes one sigma-only SVD of R - z.
-The tests hold the values to within 10 n ε (||T_j|| + |z|) of a dense SVD,
-with ε = 2^-52 the machine epsilon; see :func:`pseudospectrum_grid`."""
+A normal block reads sigma_min(R - z) = min_i |R_ii - z| off its Schur
+diagonal instead, and a real block on a grid symmetric about the real axis
+runs only the rows with Im z >= 0, since sigma_min(b - conj(z)) =
+sigma_min(b - z).  On the tested cases the values lie within
+10 n ε (||T_j|| + |z|) of a dense SVD, with ε = 2^-52 the machine epsilon;
+a block just off normal can exceed that where its two smallest singular
+values nearly coincide.  See :func:`pseudospectrum_grid`."""
 
 from __future__ import annotations
 
@@ -216,7 +221,11 @@ class GridSpec:
         return np.linspace(self.re_min, self.re_max, self.nx)
 
     def ims(self):
-        return np.linspace(self.im_min, self.im_max, self.ny)
+        """Row coordinates; on a range symmetric about the real axis row
+        ny - 1 - i is exactly -row i, which np.linspace alone misses by a
+        few ulps of im_max."""
+        y = np.linspace(self.im_min, self.im_max, self.ny)
+        return (y - y[::-1]) / 2 if self.im_min == -self.im_max else y
 
 
 @dataclass(frozen=True)
@@ -255,6 +264,7 @@ class _SchurBlock:
     scale: float
     norm_lo: float      # largest column or row norm of R, a lower bound on ||R||_2
     start: np.ndarray   # fixed pseudo-random unit start vector for Lanczos
+    normal: bool        # ||strict upper part of R||_F <= 5 n ε norm_lo
 
 
 def _schur_block(sid, b, zmax: float) -> _SchurBlock:
@@ -276,7 +286,8 @@ def _schur_block(sid, b, zmax: float) -> _SchurBlock:
     start = np.random.default_rng(n).standard_normal(2 * n).view(complex)
     return _SchurBlock(R=R, G=R.T[::-1, ::-1].copy(), diag=np.diag(R).copy(),
                        scale=scale, norm_lo=norm_lo / scale,
-                       start=start / np.linalg.norm(start))
+                       start=start / np.linalg.norm(start),
+                       normal=np.linalg.norm(np.triu(R, 1)) <= 5 * n * _EPS * norm_lo / scale)
 
 
 def _substitute(R, inv, rhs):
@@ -360,11 +371,16 @@ def _top_ritz(alpha, beta, below, weight):
 def _block_sigma_min(blk: _SchurBlock, z: np.ndarray) -> np.ndarray:
     """sigma_min(R - z) for each point of z, at most _ENTRIES // n of them.
 
-    Lanczos without reorthogonalization settles almost every point.  One
-    that runs all n steps still rising may have lost orthogonality on the
-    way, so it takes one sigma-only SVD of R - z instead, in batches of
-    _ENTRIES // n^2 points (at least one): a batch's stack of shifted
-    copies of R holds max(_ENTRIES, n^2) entries."""
+    A normal block, R = D + N with ||N||_F at most half the smallest floor
+    10 n ε ||R||, takes min_i |R_ii - z|, which is sigma_min(R - z) to
+    within ||N||_2 <= ||N||_F (Weyl).  Otherwise Lanczos without
+    reorthogonalization settles almost every point.  One that runs all n
+    steps still rising may have lost orthogonality on the way, so it takes
+    one sigma-only SVD of R - z instead, in batches of _ENTRIES // n^2
+    points (at least one): a batch's stack of shifted copies of R holds
+    max(_ENTRIES, n^2) entries."""
+    if blk.normal:
+        return blk.scale * np.abs(blk.diag[:, None] - z / blk.scale).min(axis=0)
     sigma, unsettled = _lanczos(blk, z)
     unsettled = np.flatnonzero(unsettled)
     eye = np.eye(blk.diag.shape[0])
@@ -454,25 +470,33 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
 
     Each block is reduced once to its complex Schur form R (a
     ``ConvergenceFailure`` naming the summand if that fails, NaN and inf
-    entries included).  sigma_min(R - z) is then 1/sqrt of the top
+    entries included).  When R's strictly upper part has Frobenius norm at
+    most 5 n ε ||R|| (a normal block), sigma_min(R - z) is read off the
+    diagonal as min_i |R_ii - z|.  Otherwise it is 1/sqrt of the top
     eigenvalue of ((R - z)^* (R - z))^{-1}, which Lanczos finds from a fixed
     start vector with two triangular solves per step; a point ends when its
     top Ritz value rises by at most 1e-14 relatively, on breakdown, or after
     n steps.  A point still rising after n steps (clustered smallest
-    singular values, as far from a normal block's spectrum) takes one
-    sigma-only SVD of R - z instead, O(n^3) per such point.  The tests
-    check each value to lie within floor = 10 n ε (||T_j|| + |z|) of a
-    dense SVD.  Where sigma_min is below that rounding floor the point stops
-    as soon as that is clear, with a value under the floor, and an exactly
-    singular R - z (a zero pivot) gives 0.
+    singular values) takes one sigma-only SVD of R - z instead, O(n^3) per
+    such point.  On the tested cases each value lies within floor =
+    10 n ε (||T_j|| + |z|) of a dense SVD; a block just off normal can miss
+    it where its two smallest singular values nearly coincide, since
+    Lanczos then stops while still converging.  Where sigma_min is below
+    the floor the point stops as soon as that is clear, with a value under
+    the floor, and an exactly singular R - z (a zero pivot) gives 0.
+
+    A block with no imaginary part on a grid with im_min == -im_max, whose
+    rows ``GridSpec.ims`` makes exact mirrors, runs only the rows with
+    Im z >= 0: sigma_min(b - conj(z)) = sigma_min(b - z) gives the others.
 
     A block of dimension n takes _ENTRIES // n grid points per kernel call
     (at least one), so each call's arrays hold O(_ENTRIES) entries for any
     grid; no Lanczos basis is stored, and the SVDs of unsettled points go
     _ENTRIES // n^2 at a time, max(_ENTRIES, n^2) entries.  The (block,
-    slice) tasks depend on the grid and the block dimensions alone; ``threads`` workers (an integer >= 1) map over them, and each
-    block's values are folded in by ``np.minimum``, so the output is bitwise
-    identical for every thread count.  A block or grid so large that a
+    slice) tasks depend on the grid and the blocks alone; ``threads``
+    workers (an integer >= 1) map over them, and each block's values are
+    folded in by ``np.minimum``, so the output is bitwise identical for
+    every thread count.  A block or grid so large that a
     Schur factor's largest column or row norm plus the grid's largest |z|
     reaches 2^1023 raises ``ValueError``.
     """
@@ -482,20 +506,27 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     res = grid.res()
     ims = grid.ims()
-    z = np.empty((len(ims), len(res)), dtype=complex)
+    ny, nx = len(ims), len(res)
+    z = np.empty((ny, nx), dtype=complex)
     z.real = res[None, :]
     z.imag = ims[:, None]
     z = z.ravel()
     zmax = float(np.max(np.abs(z)))
-    blocks = [_schur_block(sid, np.asarray(b), zmax) for sid, b in T.summands]
-
+    # sigma_min(b - conj(z)) = sigma_min(b - z) for a real block b, so on a
+    # grid symmetric about the real axis it runs the rows with Im z >= 0
+    # only, into `mirrored`, whose other rows are then reflected copies
+    sig = np.full(len(z), np.inf)
+    mirrored = np.full(len(z), np.inf)
     tasks = []
-    for blk in blocks:
+    for sid, b in T.summands:
+        blk = _schur_block(sid, b, zmax)
+        real = grid.im_min == -grid.im_max and not np.any(np.imag(b))
+        first, out = (ny // 2 * nx, mirrored) if real else (0, sig)
         step = max(1, _ENTRIES // blk.diag.shape[0])
-        tasks += [(blk, slice(lo, lo + step)) for lo in range(0, len(z), step)]
+        tasks += [(blk, slice(lo, lo + step), out) for lo in range(first, len(z), step)]
 
     def run(task):
-        blk, pts = task
+        blk, pts, _ = task
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _block_sigma_min(blk, z[pts])
 
@@ -504,10 +535,11 @@ def pseudospectrum_grid(T: BlockOperator, eps: float, grid: GridSpec,
             parts = list(pool.map(run, tasks))
     else:
         parts = [run(task) for task in tasks]
-    sig = np.full(len(z), np.inf)
-    for (_, pts), part in zip(tasks, parts):
-        np.minimum(sig[pts], part, out=sig[pts])
-    sig = sig.reshape(len(ims), len(res))
+    for (_, pts, out), part in zip(tasks, parts):
+        np.minimum(out[pts], part, out=out[pts])
+    sig, mirrored = sig.reshape(ny, nx), mirrored.reshape(ny, nx)
+    mirrored[:ny // 2] = mirrored[ny - ny // 2:][::-1]
+    np.minimum(sig, mirrored, out=sig)
     for a in (res, ims, sig):
         a.setflags(write=False)
     return PseudospectrumGrid(res=res, ims=ims, sigma_min=sig, eps=float(eps))

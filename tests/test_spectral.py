@@ -104,7 +104,7 @@ _SCALED_B = np.array([[0.0, 0.1, 0.1], [0.0, 1.0, 0.1], [0.0, 0.0, 3.0]])
 
 
 def _edge_cases():
-    rng = np.random.default_rng(10)
+    rng, rng2026 = np.random.default_rng(10), np.random.default_rng(2026)
     unit = GridSpec(-1.2, 1.2, -1.2, 1.2, nx=21, ny=21)     # centre exactly 0.0
     return {
         "zero_4x4": ([np.zeros((4, 4))], unit),
@@ -119,12 +119,30 @@ def _edge_cases():
         "half_shift_100": ([shift_example(200)[1].T1],
                            GridSpec(-0.4, 0.4, -0.4, 0.4, nx=11, ny=11)),
         # far from a normal block's spectrum the smallest singular values
-        # cluster, and Lanczos without reorthogonalization is off after n steps
+        # cluster, and Lanczos without reorthogonalization is off after n
+        # steps: a normal block reads sigma_min off its Schur diagonal
         "normal_far_field": ([_normal(rng, np.linspace(-2.0, 2.0, 24))],
                              GridSpec(-1.0, 1.0, 3.0, 5.0, nx=7, ny=7)),
-        # 190 of the 961 points are still rising after n steps and take the
-        # sigma-only SVD fallback
         "symmetric_32": ([_symmetric(rng, 32)],
+                         GridSpec(-4.0, 4.0, -2.0, 2.0, nx=31, ny=31)),
+        # not normal, so Lanczos runs: points still rising after n steps take
+        # the sigma-only SVD fallback (test_pseudospectrum_svd_fallback)
+        "near_normal_32": ([_symmetric(rng, 32) + 1e-6 * np.triu(rng.standard_normal((32, 32)), 1)],
+                           GridSpec(-4.0, 4.0, -2.0, 2.0, nx=31, ny=31)),
+        # a real block gets no mirror on a range not symmetric about the real axis
+        "real_asymmetric": ([rng.standard_normal((10, 10)) / np.sqrt(10)],
+                            GridSpec(-1.2, 1.2, -0.7, 1.3, nx=21, ny=21)),
+        # the real block runs half the rows, the complex one all of them
+        "real_and_complex": ([rng.standard_normal((10, 10)) / np.sqrt(10), _ginibre(rng, 7)],
+                             unit),
+        # every point of its 31 x 31 grid takes the fallback
+        "near_normal_far_field": ([_normal(rng, np.linspace(-2.0, 2.0, 24))
+                                   + 1e-6 * np.triu(rng.standard_normal((24, 24)), 1)],
+                                  GridSpec(-1.0, 1.0, 3.0, 5.0, nx=7, ny=7)),
+        # midway between two close eigenvalues the two smallest singular
+        # values nearly coincide, and Lanczos stopped there while still
+        # converging, up to 3.2e5 times the floor off
+        "symmetric_64": ([[_symmetric(rng2026, n) for n in (16, 32, 64)][-1]],
                          GridSpec(-4.0, 4.0, -2.0, 2.0, nx=31, ny=31)),
         # entries whose squares overflow: R's norms are taken scaled
         **{f"scaled_{s:.0e}": ([s * _SCALED_B], GridSpec(-s, 4 * s, -s, s, nx=5, ny=5))
@@ -157,6 +175,62 @@ def test_pseudospectrum_matches_dense_svd(case):
     _assert_matches_dense_svd(ps, blocks, grid)
 
 
+def _count_unsettled(monkeypatch) -> list:
+    """Patch ``_lanczos`` to append each call's count of points it leaves
+    unsettled; list.append is atomic across the worker threads."""
+    unsettled, lanczos = [], spectral._lanczos
+
+    def counted(blk, z):
+        sigma, mask = lanczos(blk, z)
+        unsettled.append(int(np.count_nonzero(mask)))
+        return sigma, mask
+
+    monkeypatch.setattr(spectral, "_lanczos", counted)
+    return unsettled
+
+
+def test_pseudospectrum_svd_fallback(monkeypatch):
+    # a normal block never reaches Lanczos; a block just off normal does,
+    # and some of its points run all n steps still rising
+    unsettled = _count_unsettled(monkeypatch)
+    cases = _edge_cases()
+    for case in ("symmetric_32", "near_normal_32"):
+        blocks, grid = cases[case]
+        pseudospectrum_grid(block_operator(list(enumerate(blocks))), 1e-3, grid)
+        if case == "symmetric_32":
+            assert unsettled == []
+    assert sum(unsettled) > 0, unsettled
+
+
+def test_pseudospectrum_mirrors_a_real_block(monkeypatch):
+    """On a 31 x 31 grid symmetric about the real axis a real block runs
+    the 16 rows with Im z >= 0 and a complex block all 31, for any thread
+    count."""
+    points = Counter()
+    block_sigma_min = spectral._block_sigma_min
+
+    def kernel(blk, z):
+        points[blk.diag.shape[0]] += len(z)
+        return block_sigma_min(blk, z)
+
+    monkeypatch.setattr(spectral, "_block_sigma_min", kernel)
+    rng = np.random.default_rng(12)
+    real, cplx = rng.standard_normal((6, 6)), _ginibre(rng, 5)
+    T = block_operator([(0, real), (1, cplx)])
+    grid = GridSpec(-1.5, 1.5, -1.5, 1.5, nx=31, ny=31)
+    ims = grid.ims()
+    assert np.array_equal(ims, -ims[::-1]) and ims[15] == 0.0
+    ps = [pseudospectrum_grid(T, 0.1, grid, threads=threads) for threads in (1, 2)]
+    assert points == {6: 2 * 496, 5: 2 * 961}
+    assert np.array_equal(ps[0].sigma_min, ps[1].sigma_min)
+    alone = pseudospectrum_grid(block_operator([(0, real)]), 0.1, grid).sigma_min
+    assert np.array_equal(alone, alone[::-1])
+    # off a symmetric range every point runs
+    points.clear()
+    pseudospectrum_grid(T, 0.1, dataclasses.replace(grid, im_min=-1.4))
+    assert points == {6: 961, 5: 961}
+
+
 def test_pseudospectrum_exactly_singular_point_is_zero():
     # the nilpotent shift's Schur form has a zero diagonal: at z = 0.0 a
     # pivot vanishes and R - z is exactly singular
@@ -169,7 +243,7 @@ def test_pseudospectrum_exactly_singular_point_is_zero():
 def test_pseudospectrum_one_schur_per_block(monkeypatch):
     calls = Counter()
     # list.append is atomic across the worker threads, unlike calls[key] += k
-    svd_rows, unsettled = [], []
+    svd_rows, unsettled = [], _count_unsettled(monkeypatch)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -187,14 +261,8 @@ def test_pseudospectrum_one_schur_per_block(monkeypatch):
         calls[blk.diag.shape[0]] += 1
         return block_sigma_min(blk, z)
 
-    def lanczos_counted(blk, z):
-        sigma, mask = lanczos(blk, z)
-        unsettled.append(int(np.count_nonzero(mask)))
-        return sigma, mask
-
-    block_sigma_min, lanczos = spectral._block_sigma_min, spectral._lanczos
+    block_sigma_min = spectral._block_sigma_min
     monkeypatch.setattr(spectral, "_block_sigma_min", kernel)
-    monkeypatch.setattr(spectral, "_lanczos", lanczos_counted)
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
     monkeypatch.setattr(scipy.linalg, "svd", svd_counted(scipy.linalg.svd))
     for owner in (np.linalg, np_linalg_impl):
@@ -215,13 +283,14 @@ def test_pseudospectrum_one_schur_per_block(monkeypatch):
     _assert_matches_dense_svd(ps[0], blocks, grid)
 
 
-@pytest.mark.parametrize("case", ["ginibre_64", "normal_far_field"])
+@pytest.mark.parametrize("case", ["ginibre_64", "normal_far_field", "near_normal_far_field"])
 def test_pseudospectrum_memory_is_bounded(monkeypatch, case):
     """The traced peak stays within 8 * 16 max(_ENTRIES, n^2) bytes plus the
     Schur factors R and G, although at _ENTRIES = 2^16 n * points is 3.6
-    times _ENTRIES for the Ginibre block, and the normal block sends 930
-    points to the sigma-only SVD, whose shifted copies of R would take more
-    than 8 * 16 _ENTRIES bytes if stacked at once.  No Lanczos basis is
+    times _ENTRIES for the Ginibre block, and the near-normal block sends
+    all 961 points to the sigma-only SVD, whose shifted copies of R would
+    take more than 8 * 16 _ENTRIES bytes if stacked at once.  The normal
+    block reads its values off the Schur diagonal.  No Lanczos basis is
     stored."""
     monkeypatch.setattr(spectral, "_ENTRIES", 2 ** 16)
     if case == "ginibre_64":
